@@ -1,0 +1,131 @@
+"""Pinned rank certificates.
+
+Each case fixes the exact rank, witness support, witness weights and exact
+defect that the search returns. The LP layer may get faster, but it must keep
+landing on these same vertices: the certificates are documented output.
+"""
+
+import itertools
+from fractions import Fraction
+
+import pytest
+
+from dualent.folner import min_rank_bruteforce, min_rank_table
+from dualent.groups import FgAbelianGroup
+from dualent.specdoc import parse_spec
+
+from tests.conftest import EXAMPLE_DIR
+
+F = Fraction
+
+Z1 = FgAbelianGroup(1)
+Z2 = FgAbelianGroup(2)
+Z1_SHIFTS12 = [Z1.element((s,)) for s in (1, -1, 2, -2)]
+Z2_UNIT = [Z2.element(s) for s in ((1, 0), (-1, 0))]
+Z2_CROSS = Z2_UNIT + [Z2.element(s) for s in ((0, 1), (0, -1))]
+
+
+def _weights(*ws):
+    return tuple(F(w) for w in ws)
+
+
+def _run(lo, hi):
+    return tuple((i,) for i in range(lo, hi + 1))
+
+
+RUN5 = _weights(*["1/5"] * 5)
+ALTERNATING9 = _weights(*["5/41", "4/41"] * 4, "5/41")
+
+# (id, search, rank, support keys, weights, defect_exact)
+BRUTEFORCE_CASES = [
+    ("z1-shifts12-r6-delta3/4",
+     lambda: min_rank_bruteforce(Z1, Z1_SHIFTS12, F(3, 4), 6, exact=True),
+     6, _run(-6, -2) + ((0,),), _weights(*["1/6"] * 6), F(2, 3)),
+    ("z1-shifts12-r6-delta1/2",
+     lambda: min_rank_bruteforce(Z1, Z1_SHIFTS12, F(1, 2), 6, exact=True),
+     9, _run(-6, 2), ALTERNATING9, F(18, 41)),
+    ("rank_z1.json",
+     lambda: _document_search("rank_z1.json", None),
+     5, _run(-4, 0), RUN5, F(2, 5)),
+    ("fg_abelian_mixed.json-r2",
+     lambda: _document_search("fg_abelian_mixed.json", 2),
+     9, tuple((a, t) for a in (-2, -1, 0, 1) for t in (0, 1)) + ((2, 0),),
+     ALTERNATING9, F(18, 41)),
+]
+
+# test_exact_rank_search's Z^2 radius-2 grid: (delta, omega, rank, support, weights, defect).
+Z2_GRID = [
+    (F(3), Z2_UNIT, 1, ((0, 0),), _weights(1), F(2)),
+    (F(3), Z2_CROSS, 1, ((0, 0),), _weights(1), F(2)),
+    (F(2), Z2_UNIT, 2, ((-1, 0), (0, 0)), _weights("1/2", "1/2"), F(1)),
+    (F(2), Z2_CROSS, 3, ((-1, -1), (-1, 0), (0, 0)), _weights(*["1/3"] * 3), F(4, 3)),
+    (F(3, 2), Z2_UNIT, 2, ((-1, 0), (0, 0)), _weights("1/2", "1/2"), F(1)),
+    (F(3, 2), Z2_CROSS, 3, ((-1, -1), (-1, 0), (0, 0)), _weights(*["1/3"] * 3), F(4, 3)),
+    (F(1), Z2_UNIT, 3, ((-2, 0), (-1, 0), (0, 0)), _weights(*["1/3"] * 3), F(2, 3)),
+    (F(3, 4), Z2_UNIT, 3, ((-2, 0), (-1, 0), (0, 0)), _weights(*["1/3"] * 3), F(2, 3)),
+    (F(3, 5), Z2_UNIT, 4, ((-2, 0), (-1, 0), (0, 0), (1, 0)), _weights(*["1/4"] * 4), F(1, 2)),
+    (F(1, 2), Z2_UNIT, 5, tuple((i, 0) for i in range(-2, 3)), RUN5, F(2, 5)),
+]
+for delta, omega, *pinned in Z2_GRID:
+    BRUTEFORCE_CASES.append((
+        f"z2-r2-{len(omega)}shifts-delta{delta}",
+        lambda delta=delta, omega=omega: min_rank_bruteforce(Z2, omega, delta, 2, exact=True),
+        *pinned,
+    ))
+
+
+def _document_search(name, radius):
+    doc = parse_spec(str(EXAMPLE_DIR / name))
+    return min_rank_bruteforce(
+        doc.group, list(doc.omega), doc.params.delta, radius or doc.params.radius
+    )
+
+
+def _key(e):
+    return tuple(e.lattice) + tuple(e.torsion)
+
+
+@pytest.mark.parametrize(
+    "search, rank, support, weights, defect_exact",
+    [case[1:] for case in BRUTEFORCE_CASES],
+    ids=[case[0] for case in BRUTEFORCE_CASES],
+)
+def test_bruteforce_certificate_pinned(search, rank, support, weights, defect_exact):
+    cert = search()
+    assert cert.exact
+    assert cert.rank == rank
+    assert tuple(_key(e) for e in cert.witness.support) == support
+    assert cert.witness.weights == weights
+    assert all(type(w) is Fraction for w in cert.witness.weights)
+    assert cert.defect_exact == defect_exact
+
+
+def _compose(p, q):
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+S3 = sorted(itertools.permutations(range(3)))
+S3_ROTATION = (1, 2, 0)
+S3_ROTATION_INV = (2, 0, 1)
+S3_SWAP = (1, 0, 2)
+
+
+def test_table_certificate_pinned_cyclic():
+    # Z/6 with the shifts 1 and its inverse 5
+    rank, weights = min_rank_table(list(range(6)), lambda a, b: (a + b) % 6, 0, [1, 5], F(1, 2))
+    assert rank == 5
+    assert weights == {g: F(1, 5) for g in range(5)}
+
+
+def test_table_certificate_pinned_symmetric_group():
+    # S3 with a rotation, its inverse and a transposition
+    rank, weights = min_rank_table(
+        S3, _compose, (0, 1, 2), [S3_ROTATION, S3_ROTATION_INV, S3_SWAP], F(1)
+    )
+    assert rank == 4
+    assert weights == {
+        (0, 1, 2): F(3, 10),
+        (0, 2, 1): F(1, 5),
+        (1, 0, 2): F(3, 10),
+        (2, 1, 0): F(1, 5),
+    }
