@@ -4,9 +4,6 @@ Subcommands: `entropy` (eigenvalue route), `peters` (sumset growth route),
 `rank` (delta-rank search or constructive upper bounds), `verify` (law
 suite). Exit codes: 0 success, 1 computation error, 2 spec/usage error,
 3 verify found failures.
-
-The environment variable DUALENT_THREADS caps worker parallelism for the
-modules that support it (0 or unset picks a default automatically).
 """
 
 from __future__ import annotations

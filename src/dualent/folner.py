@@ -321,6 +321,23 @@ def _min_defect_lp(k: int, structures: Sequence[tuple[list, list, list]]):
     return result.value, result.x[:k]
 
 
+def _mirror_representatives(omega: Sequence, is_identity: Callable, mirror: Callable) -> list:
+    """One shift of each pair {s, mirror(s)}, first occurrences in omega
+    order, with the identity dropped. Translating by s and by its inverse
+    gives the same l1 defect for every weighting, and the identity gives
+    defect 0, so the LP needs one block of rows per pair and none for the
+    identity."""
+    kept = []
+    seen = set()
+    for s in omega:
+        if is_identity(s) or s in seen:
+            continue
+        kept.append(s)
+        seen.add(s)
+        seen.add(mirror(s))
+    return kept
+
+
 def _coordinate_symmetries(group: FgAbelianGroup, omega: Sequence[AbelianElement]):
     """Lattice-coordinate permutations that fix omega setwise; used to skip
     support sets that are relabelings of ones already tested."""
@@ -411,6 +428,7 @@ def min_rank_bruteforce(
     small_ball = len(rest) + 1 <= 40
 
     symmetries = _coordinate_symmetries(group, omega) if using_default_ball else []
+    lp_shifts = _mirror_representatives(omega, AbelianElement.is_zero, AbelianElement.__neg__)
 
     for k in range(1, max_support + 1):
         exact_k = (k <= 12 and small_ball) if exact is None else exact
@@ -428,10 +446,10 @@ def min_rank_bruteforce(
                 if canonical < keys:
                     continue
             support_set = set(support)
-            if analytic_prune and _run_length_infeasible(support_set, omega, delta_frac):
+            if analytic_prune and _run_length_infeasible(support_set, lp_shifts, delta_frac):
                 continue
             structures = [
-                _shift_structure(support, [g + s for g in support]) for s in omega
+                _shift_structure(support, [g + s for g in support]) for s in lp_shifts
             ]
             optimum, raw_weights = _min_defect_lp(len(support), structures)
             accepted = (
@@ -441,15 +459,24 @@ def min_rank_bruteforce(
             )
             if not accepted:
                 continue
-            if any(w <= 0 for w in raw_weights):
-                raise InternalInvariantError(
-                    "zero weight in a minimal-cardinality witness; a smaller "
-                    "support would have been feasible"
-                )
+            # A zero weight means the positive part is a smaller support whose
+            # translates through 0 all leave the search ball. Blend toward the
+            # uniform weighting: defect is convex and at most 2, so the blend
+            # stays below (optimum + delta) / 2 with every weight positive.
+            blended = any(w <= 0 for w in raw_weights)
+            if blended:
+                eps = (delta_frac - optimum) / 4
+                raw_weights = tuple((1 - eps) * w + eps / k for w in raw_weights)
             weights = raw_weights if exact_k else tuple(float(w) for w in raw_weights)
             witness = WeightedFunction(group, tuple(support), tuple(weights))
             achieved = defect(witness, omega)
-            if exact_k and achieved != optimum:
+            if blended:
+                if exact_k and not achieved < delta_frac:
+                    raise InternalInvariantError(
+                        f"blended witness defect {achieved} is not below delta {delta_frac}"
+                    )
+                optimum = achieved
+            elif exact_k and achieved != optimum:
                 raise InternalInvariantError(
                     f"witness defect {achieved} disagrees with LP optimum {optimum}"
                 )
@@ -490,12 +517,17 @@ def min_rank_table(
     pool = sorted((e for e in set(elements) if e != identity), key=repr)
     if max_support is None:
         max_support = len(pool) + 1
+
+    def inverse(s):
+        return next((e for e in elements if multiply(s, e) == identity), None)
+
+    lp_shifts = _mirror_representatives(omega, lambda s: s == identity, inverse)
     for k in range(1, max_support + 1):
         for combo in itertools.combinations(pool, k - 1):
             support = [identity, *combo]
             structures = [
                 _shift_structure(support, [multiply(s, g) for g in support])
-                for s in omega
+                for s in lp_shifts
             ]
             optimum, weights = _min_defect_lp(len(support), structures)
             if optimum < delta_frac:

@@ -6,7 +6,6 @@ and submultiplicativity makes every log(s_n)/n an upper bound for the limit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -58,20 +57,6 @@ class FiniteSubset:
 
     def sorted_elements(self) -> list[AbelianElement]:
         return sorted(self.elements, key=lambda e: e.key())
-
-
-def worker_count() -> int:
-    """Worker cap from DUALENT_THREADS; 0 or unset means automatic."""
-    raw = os.environ.get("DUALENT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"DUALENT_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError("DUALENT_THREADS must be nonnegative")
-    if n == 0:
-        return min(4, os.cpu_count() or 1)
-    return n
 
 
 def sumset(x: FiniteSubset, y: FiniteSubset, cap: int | None = None) -> FiniteSubset:

@@ -137,7 +137,7 @@ def check_conjugacy(trials: int = 100, seed: int = 1) -> LawReport:
             dev = float(max(
                 abs(a - b)
                 for a, b in itertools.zip_longest(
-                    p1.coefficients, p2.coefficients, fillvalue=0
+                    p1.coeffs, p2.coeffs, fillvalue=0
                 )
             ))
             worst = max(worst, dev)

@@ -1,8 +1,15 @@
-"""Dense two-phase primal simplex over exact rationals.
+"""Two-phase primal simplex over exact rationals.
 
 Problems in this package are tiny (tens of variables), so the implementation
 favors robustness: every pivot is a Fraction operation and Bland's rule keeps
 the heavily degenerate instances from cycling.
+
+The tableau is stored dense, but pivots update it sparsely: only the nonzero
+entries of the pivot row are divided, and only rows with a nonzero entry in
+the pivot column are reduced, in the pivot row's nonzero columns alone. The
+skipped updates are exactly the ones that would leave an entry unchanged, so
+every entry, every Bland choice and the optimal vertex are the same as with
+a dense update.
 """
 
 from __future__ import annotations
@@ -27,12 +34,17 @@ class SimplexResult:
 
 
 def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            f = line[col]
-            tableau[r] = [a - f * b for a, b in zip(line, tableau[row])]
+    """Gauss-Jordan step on (row, col) over nonzero entries only."""
+    line = tableau[row]
+    piv = line[col]
+    nonzero = [(j, v / piv) for j, v in enumerate(line) if v]
+    for j, v in nonzero:
+        line[j] = v
+    for r, other in enumerate(tableau):
+        f = other[col]
+        if r != row and f:
+            for j, v in nonzero:
+                other[j] -= f * v
     basis[row] = col
 
 

@@ -106,6 +106,30 @@ class TestDefect:
         f = WeightedFunction.point_mass(z1.element((0,)))
         assert defect(f, [z1.element((1,))]) == 2
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-6, 6), st.integers(0, 1)),
+            st.integers(1, 30),
+            min_size=1,
+            max_size=8,
+        ),
+        st.tuples(st.integers(-5, 5), st.integers(0, 1)),
+        st.booleans(),
+    )
+    def test_shift_and_its_negative_agree_exactly(self, raw, shift, with_torsion):
+        # the identity behind solving one LP block per pair {s, -s}
+        g = FgAbelianGroup(1, (2,)) if with_torsion else FgAbelianGroup(1)
+
+        def element(pair):
+            return g.element(pair[:1], pair[1:]) if with_torsion else g.element(pair[:1])
+
+        points = {element(p): w for p, w in raw.items()}
+        total = sum(points.values())
+        f = WeightedFunction(g, tuple(points), tuple(F(w, total) for w in points.values()))
+        s = element(shift)
+        assert defect(f, [s]) == defect(f, [-s])
+
 
 class TestConvolution:
     def test_point_mass_is_identity(self, z1):
@@ -252,6 +276,20 @@ class TestMinRank:
                 3,
                 candidates=[z1.element((1,)), z1.element((2,))],
             )
+
+    def test_zero_weight_optimum_is_blended_to_a_positive_witness(self, z2):
+        # The LP optimum on {0, (-2,-2), (0,1)} puts weight 0 on 0; the pair
+        # that carries the weight has no translate through 0 inside the
+        # ball, so rank 3 is right and the witness must be made positive.
+        omega = [z2.element((2, 3)), z2.element((-2, -3))]
+        for delta in (F(2), F(3, 2)):
+            cert = min_rank_bruteforce(z2, omega, delta, 2)
+            assert cert.rank == 3
+            assert cert.exact
+            assert all(w > 0 for w in cert.witness.weights)
+            assert sum(cert.witness.weights) == 1
+            assert cert.defect_exact == defect(cert.witness, omega)
+            assert cert.defect_exact < delta
 
     def test_torsion_direction_is_cheap(self):
         # shifting along a finite factor is absorbed by averaging over it

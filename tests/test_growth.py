@@ -12,7 +12,6 @@ from dualent.growth import (
     growth_series,
     growth_rate_estimate,
     sumset,
-    worker_count,
 )
 from tests.test_groups import unimodular_strategy
 
@@ -174,15 +173,3 @@ class TestRateEstimate:
         for n, s in enumerate(series.sizes, start=1):
             assert s <= 4**n
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("DUALENT_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("DUALENT_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("DUALENT_THREADS", "-1")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("DUALENT_THREADS", "lots")
-    with pytest.raises(ValueError):
-        worker_count()

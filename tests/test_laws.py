@@ -1,5 +1,6 @@
 import pytest
 
+from dualent import laws
 from dualent.groups import IntMatrix
 from dualent.laws import (
     LawReport,
@@ -14,6 +15,7 @@ from dualent.laws import (
     random_unimodular,
     run_all_laws,
 )
+from dualent.spectral import IntPolynomial
 import random
 
 
@@ -59,6 +61,27 @@ class TestAlgebraicLaws:
         rep = check_conjugacy(trials=100, seed=1)
         assert rep.passed
         assert rep.max_deviation == 0.0
+
+    def test_conjugacy_failure_is_reported(self, monkeypatch):
+        # force the second characteristic polynomial of the one trial off by
+        # one in its constant term: the law must report, not crash
+        real = laws.char_poly
+        calls = []
+
+        def skewed(m):
+            p = real(m)
+            calls.append(m)
+            if len(calls) == 2:
+                return IntPolynomial(p.coeffs[:-1] + (p.coeffs[-1] + 1,))
+            return p
+
+        monkeypatch.setattr(laws, "char_poly", skewed)
+        rep = check_conjugacy(trials=1, seed=1)
+        assert isinstance(rep, LawReport)
+        assert not rep.passed
+        assert len(rep.failures) == 1
+        assert rep.failures[0].deviation == 1.0
+        assert rep.max_deviation == 1.0
 
     def test_product_bounds_clean(self):
         rep = check_product_bounds(trials=100, seed=2)
