@@ -42,7 +42,7 @@ def main() -> int:
         t0 = time.time()
         cert = min_rank_bruteforce(group, omega, delta, args.radius)
         elapsed = time.time() - t0
-        print(f"{str(delta):>8s} {cert.rank:5d} {str(cert.defect):>10s} {elapsed:7.2f}s")
+        print(f"{str(delta):>8s} {cert.rank:5d} {str(cert.defect_exact):>10s} {elapsed:7.2f}s")
         if cert.rank < previous:
             print("  WARNING: rank decreased while delta tightened")
         previous = cert.rank

@@ -1,7 +1,8 @@
 """Amenable delta-rank machinery: translation defects of finitely supported
 weight functions, brute-force minimum-support rank search backed by exact
 linear programming, and the constructive Folner-set upper bounds (intervals,
-lattice parallelepipeds, convolution towers).
+lattice parallelepipeds, convolution towers). Both rank searches number
+their points once and run one exact core, `_search_supports`, on indices.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .groups import (
 from .growth import SumsetCapError
 from .simplex import solve_lp
 
-FLOAT_MARGIN = 1e-9
 SUM_TOLERANCE = 1e-12
 
 
@@ -338,50 +338,86 @@ def _mirror_representatives(omega: Sequence, is_identity: Callable, mirror: Call
     return kept
 
 
-def _coordinate_symmetries(group: FgAbelianGroup, omega: Sequence[AbelianElement]):
-    """Lattice-coordinate permutations that fix omega setwise; used to skip
-    support sets that are relabelings of ones already tested."""
-    p = group.rank
-    if p < 2:
-        return []
+def _coordinate_symmetries(group: FgAbelianGroup, omega: Sequence[AbelianElement], points: list):
+    """Lattice-coordinate permutations that fix omega setwise, as maps on the
+    indices of points, which they must keep (a sup-norm ball does); used to
+    skip supports that are relabelings of ones already tested."""
+
+    def permuted(e, perm):
+        return (tuple(e.lattice[i] for i in perm), e.torsion)
+
+    index = {e.key(): i for i, e in enumerate(points)}
     omega_keys = frozenset(e.key() for e in omega)
-    out = []
-    for perm in itertools.permutations(range(p)):
-        if perm == tuple(range(p)):
-            continue
-        mapped = frozenset(
-            AbelianElement(group, tuple(e.lattice[i] for i in perm), e.torsion).key()
-            for e in omega
-        )
-        if mapped == omega_keys:
-            out.append(perm)
-    return out
+    return [
+        [index[permuted(e, perm)] for e in points]
+        for perm in itertools.permutations(range(group.rank))
+        if perm != tuple(range(group.rank))
+        and frozenset(permuted(e, perm) for e in omega) == omega_keys
+    ]
 
 
-def _apply_perm(e: AbelianElement, perm: tuple[int, ...]) -> AbelianElement:
-    return AbelianElement(e.group, tuple(e.lattice[i] for i in perm), e.torsion)
+def _longest_run(members: set, row: Sequence[int]) -> int:
+    """Longest chain i, row[i], row[row[i]], ... inside members; row must be
+    acyclic, or a run could have no first member."""
+    longest = 0
+    for i in members - {row[i] for i in members}:
+        length = 0
+        while i in members:
+            length, i = length + 1, row[i]
+        longest = max(longest, length)
+    return longest
 
 
-def _run_length_infeasible(support_set: set, omega: Sequence[AbelianElement], delta: Fraction) -> bool:
-    """Sound pruning: walking a support along an acyclic shift splits it into
-    runs, and any normalized weighting pays at least 2/run along the longest
-    run (climb to the peak and back down). When that floor already meets
-    delta, no LP is needed."""
-    for s in omega:
-        if all(c == 0 for c in s.lattice):
-            continue
-        starts = [g for g in support_set if g - s not in support_set]
-        longest = 0
-        for g in starts:
-            length = 0
-            cur = g
-            while cur in support_set:
-                length += 1
-                cur = cur + s
-            longest = max(longest, length)
-        if longest and Fraction(2, longest) >= delta:
-            return True
-    return False
+def _search_supports(
+    n: int,
+    succ: Sequence[Sequence[int]],
+    run_shifts: Sequence[int],
+    symmetries: Sequence[Sequence[int]],
+    delta: Fraction,
+    max_support: Optional[int],
+) -> Optional[tuple[int, tuple[int, ...], Optional[Fraction], tuple]]:
+    """The rank search on points 0..n-1, point 0 the identity: supports
+    (0, *combo) by size, then lexicographically, so the first whose exact LP
+    optimum is below delta is canonical. succ[s][i] is the index of LP shift
+    s applied to point i, or -1 outside the points.
+
+    Two sound prunings skip the LP. Along an acyclic shift (run_shifts) any
+    normalized weighting pays at least 2/run on the longest run, climbing to
+    the peak and back down. A symmetry (an index permutation fixing 0 and
+    every defect) may map the support to an earlier one.
+
+    Returns (k, support, optimum, weights), or None when no support of size
+    at most max_support (default n) is accepted. optimum is None when a zero
+    weight was blended away; the weights' defect must then be derived again.
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if max_support is None:
+        max_support = n
+    if max_support < 1:
+        raise ValueError("max_support must be at least 1")
+    short = 2 // delta  # a run this long or shorter leaves defect >= 2/run >= delta
+    for k in range(1, min(max_support, n) + 1):
+        for combo in itertools.combinations(range(1, n), k - 1):
+            if any(tuple(sorted(perm[i] for i in combo)) < combo for perm in symmetries):
+                continue
+            support = (0, *combo)
+            members = set(support)
+            if any(_longest_run(members, succ[s]) <= short for s in run_shifts):
+                continue
+            structures = [_shift_structure(support, [row[i] for i in support]) for row in succ]
+            optimum, weights = _min_defect_lp(k, structures)
+            if not optimum < delta:
+                continue
+            if any(w <= 0 for w in weights):
+                # The positive part is a smaller support whose translates
+                # through 0 all leave the points. Defect is convex and at
+                # most 2, so this blend toward the uniform weighting stays
+                # below (optimum + delta) / 2 with every weight positive.
+                eps = (delta - optimum) / 4
+                return k, support, None, tuple((1 - eps) * w + eps / k for w in weights)
+            return k, support, optimum, tuple(weights)
+    return None
 
 
 def min_rank_bruteforce(
@@ -392,16 +428,18 @@ def min_rank_bruteforce(
     max_support: Optional[int] = None,
     exact: Optional[bool] = None,
     candidates: Optional[Sequence[AbelianElement]] = None,
-    analytic_prune: bool = True,
 ) -> RankCertificate:
     """Smallest support size admitting a normalized weighting whose defect
     under every shift in omega stays below delta, searched over supports
-    containing 0 inside the sup-norm ball of the given radius.
+    containing 0 inside the sup-norm ball of the given radius, or inside
+    candidates.
 
-    Supports are enumerated by cardinality and then lexicographically, so the
-    returned witness is the canonical first success. Containing 0 loses no
-    generality: translating a support translates the weighting and leaves
-    every defect unchanged.
+    Supports are enumerated by cardinality and then lexicographically in
+    key() order, so the returned witness is the canonical first success.
+    Containing 0 loses no generality: translating a support translates the
+    weighting and leaves every defect unchanged. The search is always exact
+    (`exact` accepts None or True): it runs `_search_supports` on the point
+    indices and derives the witness defect again over the full omega.
     """
     omega = list(omega)
     if not omega:
@@ -409,91 +447,55 @@ def min_rank_bruteforce(
     for s in omega:
         if s.group != group:
             raise ShapeError("omega element outside the group")
+    if exact is not None and not exact:
+        raise ValueError("the rank search is always exact; exact=False is not supported")
     delta_frac = exact_delta(delta)
-    if delta_frac <= 0:
-        raise ValueError("delta must be positive")
     if radius < 1:
         raise ValueError("radius must be at least 1")
 
     zero = group.zero()
-    using_default_ball = candidates is None
-    pool = group.ball(radius) if using_default_ball else list(candidates)
+    pool = group.ball(radius) if candidates is None else list(candidates)
     if zero not in pool:
         raise ValueError("candidate set must contain 0")
-    rest = sorted((e for e in set(pool) if e != zero), key=lambda e: e.key())
-    if max_support is None:
-        max_support = len(rest) + 1
-    if max_support < 1:
-        raise ValueError("max_support must be at least 1")
-    small_ball = len(rest) + 1 <= 40
-
-    symmetries = _coordinate_symmetries(group, omega) if using_default_ball else []
+    points = [zero, *sorted((e for e in set(pool) if e != zero), key=lambda e: e.key())]
+    index = {e: i for i, e in enumerate(points)}
     lp_shifts = _mirror_representatives(omega, AbelianElement.is_zero, AbelianElement.__neg__)
-
-    for k in range(1, max_support + 1):
-        exact_k = (k <= 12 and small_ball) if exact is None else exact
-        for combo in itertools.combinations(rest, k - 1):
-            support = [zero, *combo]
-            if symmetries:
-                keys = tuple(sorted(e.key() for e in support))
-                canonical = min(
-                    (
-                        tuple(sorted(_apply_perm(e, perm).key() for e in support))
-                        for perm in symmetries
-                    ),
-                    default=keys,
-                )
-                if canonical < keys:
-                    continue
-            support_set = set(support)
-            if analytic_prune and _run_length_infeasible(support_set, lp_shifts, delta_frac):
-                continue
-            structures = [
-                _shift_structure(support, [g + s for g in support]) for s in lp_shifts
-            ]
-            optimum, raw_weights = _min_defect_lp(len(support), structures)
-            accepted = (
-                optimum < delta_frac
-                if exact_k
-                else float(optimum) <= float(delta_frac) - FLOAT_MARGIN
+    found = _search_supports(
+        len(points),
+        [[index.get(e + s, -1) for e in points] for s in lp_shifts],
+        [r for r, s in enumerate(lp_shifts) if any(s.lattice)],
+        _coordinate_symmetries(group, omega, points) if candidates is None else [],
+        delta_frac,
+        max_support,
+    )
+    if found is None:
+        size = len(points) if max_support is None else max_support
+        raise RankSearchExhausted(
+            f"no support of size <= {size} within radius {radius} achieves "
+            f"defect < {delta}; retry with a larger radius"
+        )
+    k, support, optimum, weights = found
+    witness = WeightedFunction(group, tuple(points[i] for i in support), weights)
+    achieved = defect(witness, omega)
+    if optimum is None:
+        if not achieved < delta_frac:
+            raise InternalInvariantError(
+                f"blended witness defect {achieved} is not below delta {delta_frac}"
             )
-            if not accepted:
-                continue
-            # A zero weight means the positive part is a smaller support whose
-            # translates through 0 all leave the search ball. Blend toward the
-            # uniform weighting: defect is convex and at most 2, so the blend
-            # stays below (optimum + delta) / 2 with every weight positive.
-            blended = any(w <= 0 for w in raw_weights)
-            if blended:
-                eps = (delta_frac - optimum) / 4
-                raw_weights = tuple((1 - eps) * w + eps / k for w in raw_weights)
-            weights = raw_weights if exact_k else tuple(float(w) for w in raw_weights)
-            witness = WeightedFunction(group, tuple(support), tuple(weights))
-            achieved = defect(witness, omega)
-            if blended:
-                if exact_k and not achieved < delta_frac:
-                    raise InternalInvariantError(
-                        f"blended witness defect {achieved} is not below delta {delta_frac}"
-                    )
-                optimum = achieved
-            elif exact_k and achieved != optimum:
-                raise InternalInvariantError(
-                    f"witness defect {achieved} disagrees with LP optimum {optimum}"
-                )
-            return RankCertificate(
-                rank=k,
-                witness=witness,
-                defect=float(optimum),
-                delta=float(delta_frac),
-                omega=tuple(omega),
-                search_radius=radius,
-                exhaustive_within_radius=True,
-                exact=exact_k,
-                defect_exact=optimum if exact_k else None,
-            )
-    raise RankSearchExhausted(
-        f"no support of size <= {max_support} within radius {radius} achieves "
-        f"defect < {delta}; retry with a larger radius"
+    elif achieved != optimum:
+        raise InternalInvariantError(
+            f"witness defect {achieved} disagrees with LP optimum {optimum}"
+        )
+    return RankCertificate(
+        rank=k,
+        witness=witness,
+        defect=float(achieved),
+        delta=float(delta_frac),
+        omega=tuple(omega),
+        search_radius=radius,
+        exhaustive_within_radius=True,
+        exact=True,
+        defect_exact=achieved,
     )
 
 
@@ -506,36 +508,31 @@ def min_rank_table(
     max_support: Optional[int] = None,
 ) -> tuple[int, dict]:
     """Rank search over an explicit finite group given by a multiplication
-    table. Left translation replaces lattice shifts; everything else is the
-    same exact LP. Returns the rank and the witness weight map."""
+    table. Left translation replaces lattice shifts and supports are listed
+    in repr order; the search is `_search_supports` without prunings.
+    Returns the rank and the witness weight map."""
     omega = list(omega)
     if not omega:
         raise ValueError("omega must be nonempty")
-    delta_frac = exact_delta(delta)
-    if delta_frac <= 0:
-        raise ValueError("delta must be positive")
-    pool = sorted((e for e in set(elements) if e != identity), key=repr)
-    if max_support is None:
-        max_support = len(pool) + 1
+    points = [identity, *sorted((e for e in set(elements) if e != identity), key=repr)]
+    index = {e: i for i, e in enumerate(points)}
+    rows = {s: [index.get(multiply(s, g), -1) for g in points] for s in omega}
 
     def inverse(s):
-        return next((e for e in elements if multiply(s, e) == identity), None)
+        return points[rows[s].index(0)] if 0 in rows[s] else None
 
     lp_shifts = _mirror_representatives(omega, lambda s: s == identity, inverse)
-    for k in range(1, max_support + 1):
-        for combo in itertools.combinations(pool, k - 1):
-            support = [identity, *combo]
-            structures = [
-                _shift_structure(support, [multiply(s, g) for g in support])
-                for s in lp_shifts
-            ]
-            optimum, weights = _min_defect_lp(len(support), structures)
-            if optimum < delta_frac:
-                return k, dict(zip(support, weights))
-    raise RankSearchExhausted(
-        f"no support of size <= {max_support} in the finite group achieves "
-        f"defect < {delta}"
+    found = _search_supports(
+        len(points), [rows[s] for s in lp_shifts], [], [], exact_delta(delta), max_support
     )
+    if found is None:
+        size = len(points) if max_support is None else max_support
+        raise RankSearchExhausted(
+            f"no support of size <= {size} in the finite group achieves "
+            f"defect < {delta}"
+        )
+    k, support, _, weights = found
+    return k, {points[i]: w for i, w in zip(support, weights)}
 
 
 # --- Folner constructions --------------------------------------------------

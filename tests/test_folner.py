@@ -339,6 +339,23 @@ class TestMinRankTable:
         with pytest.raises(RankSearchExhausted):
             min_rank_table(elems, mul, 0, [1], F(1, 10), max_support=2)
 
+    def test_zero_max_support_is_rejected(self):
+        elems = list(range(3))
+        mul = lambda a, b: (a + b) % 3
+        with pytest.raises(ValueError):
+            min_rank_table(elems, mul, 0, [1], F(1, 10), max_support=0)
+
+    @pytest.mark.parametrize("n", (3, 4, 6))
+    @pytest.mark.parametrize("delta", (F(1, 2), F(1), F(3, 2)))
+    def test_agrees_with_bruteforce_on_cyclic_groups(self, n, delta):
+        # the radius-1 ball of Z/n is all of Z/n
+        table_rank, _ = min_rank_table(
+            list(range(n)), lambda a, b: (a + b) % n, 0, [1, n - 1], delta
+        )
+        g = FgAbelianGroup(0, (n,))
+        omega = [g.element((), (1,)), g.element((), (n - 1,))]
+        assert table_rank == min_rank_bruteforce(g, omega, delta, 1).rank
+
 
 class TestFolnerConstructions:
     def test_choose_folner_constant_oracles(self):

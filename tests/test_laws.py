@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
 from dualent import laws
-from dualent.groups import IntMatrix
+from dualent.groups import FgAbelianGroup, IntMatrix
 from dualent.laws import (
     LawReport,
     LawInstance,
+    RankComparison,
     check_conjugacy,
     check_peters_vs_spectral,
     check_power_law,
@@ -107,6 +110,26 @@ class TestRankLaws:
         assert rep.passed
         assert rep.failures == ()
         assert rep.inconclusive == ()
+
+    def test_violated_rank_law_is_reported(self):
+        # the lower side needs a 5-point run below delta 1/2, while the
+        # identity shift upstairs is met by a point mass
+        z1 = FgAbelianGroup(1)
+        rep = check_quotient_rank([
+            RankComparison(
+                "forced-violation",
+                z1, (z1.element((1,)), z1.element((-1,))),
+                z1, (z1.element((0,)),),
+                Fraction(1, 2), 6,
+            ),
+        ])
+        assert not rep.passed
+        assert rep.inconclusive == ()
+        assert len(rep.failures) == 1
+        inputs = dict(rep.failures[0].inputs)
+        assert inputs["lower_rank"] == 5
+        assert inputs["upper_rank"] == 1
+        assert rep.failures[0].deviation == 4.0
 
 
 class TestGrowthLaw:

@@ -51,6 +51,13 @@ BRUTEFORCE_CASES = [
      lambda: _document_search("fg_abelian_mixed.json", 2),
      9, tuple((a, t) for a in (-2, -1, 0, 1) for t in (0, 1)) + ((2, 0),),
      ALTERNATING9, F(18, 41)),
+    # 49-point balls: the certificate is exact whatever the ball size
+    ("catmap_z2.json-r3",
+     lambda: _document_search("catmap_z2.json", 3),
+     5, tuple((i, 0) for i in range(-3, 2)), RUN5, F(2, 5)),
+    ("first-coordinate-killed",
+     lambda: min_rank_bruteforce(Z2, [Z2.element((0, 1)), Z2.element((0, -1))], F(1, 2), 3),
+     5, tuple((0, i) for i in range(-3, 2)), RUN5, F(2, 5)),
 ]
 
 # test_exact_rank_search's Z^2 radius-2 grid: (delta, omega, rank, support, weights, defect).
