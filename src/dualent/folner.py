@@ -2,7 +2,9 @@
 weight functions, brute-force minimum-support rank search backed by exact
 linear programming, and the constructive Folner-set upper bounds (intervals,
 lattice parallelepipeds, convolution towers). Both rank searches number
-their points once and run one exact core, `_search_supports`, on indices.
+their points once and run one exact core, `_search_supports`, on indices;
+it enumerates only the supports that hold a run longer than 2/delta along
+every shift of infinite order, since no other support can succeed.
 """
 
 from __future__ import annotations
@@ -356,16 +358,64 @@ def _coordinate_symmetries(group: FgAbelianGroup, omega: Sequence[AbelianElement
     ]
 
 
-def _longest_run(members: set, row: Sequence[int]) -> int:
-    """Longest chain i, row[i], row[row[i]], ... inside members; row must be
-    acyclic, or a run could have no first member."""
-    longest = 0
-    for i in members - {row[i] for i in members}:
-        length = 0
-        while i in members:
-            length, i = length + 1, row[i]
-        longest = max(longest, length)
-    return longest
+def _run_windows(n: int, row: Sequence[int], length: int) -> list[tuple[int, ...]]:
+    """Every chain i, row[i], row[row[i]], ... of `length` points, as a
+    sorted tuple of indices; row must be acyclic, so no point repeats."""
+    windows = []
+    for i in range(n):
+        chain = [i]
+        while len(chain) < length and chain[-1] >= 0:
+            chain.append(row[chain[-1]])
+        if chain[-1] >= 0:
+            windows.append(tuple(sorted(chain)))
+    return windows
+
+
+def _run_feasible_combos(n: int, k: int, windows: Sequence[Sequence[tuple[int, ...]]]):
+    """combinations(range(1, n), k - 1) in their lex order, restricted to the
+    combos whose support (0, *combo) contains a whole window of every shift.
+
+    Backtracks over prefixes. A window stays alive while its points up to
+    the last chosen index are all chosen and at most the remaining slots of
+    its points are still missing; a prefix is abandoned once some shift has
+    no window alive. Each window is kept as its missing points, ascending.
+    """
+    slots = k - 1
+    alive = []
+    for shift_windows in windows:
+        missing = [tuple(p for p in w if p) for w in shift_windows]  # 0 is chosen
+        if () in missing:
+            continue  # point 0 alone is a window: this shift rules nothing out
+        missing = [m for m in missing if len(m) <= slots]
+        if not missing:
+            return
+        alive.append(missing)
+    if not alive:
+        yield from itertools.combinations(range(1, n), slots)
+        return
+    combo = []
+
+    def extend(last: int, left: int, alive: list):
+        if left == 0:
+            yield tuple(combo)
+            return
+        # Choosing x keeps a window whose next missing point is x, or one
+        # whose missing points all lie above x and fit in left - 1 slots;
+        # past stop some shift keeps neither, or no room is left.
+        below = [max((m[0] if m else n for m in ms if len(m) < left), default=0) for ms in alive]
+        firsts = [{m[0] for m in ms if m} for ms in alive]
+        stop = min([n - left] + [max([b - 1, *f]) for b, f in zip(below, firsts)])
+        for x in range(last + 1, stop + 1):
+            if all(x < b or x in f for b, f in zip(below, firsts)):
+                combo.append(x)
+                yield from extend(x, left - 1, [
+                    [m[1:] if m[:1] == (x,) else m
+                     for m in ms if m[:1] == (x,) or (len(m) < left and (not m or m[0] > x))]
+                    for ms in alive
+                ])
+                combo.pop()
+
+    yield from extend(0, slots, alive)
 
 
 def _search_supports(
@@ -382,9 +432,12 @@ def _search_supports(
     s applied to point i, or -1 outside the points.
 
     Two sound prunings skip the LP. Along an acyclic shift (run_shifts) any
-    normalized weighting pays at least 2/run on the longest run, climbing to
-    the peak and back down. A symmetry (an index permutation fixing 0 and
-    every defect) may map the support to an earlier one.
+    normalized weighting pays at least 2/run on its longest run, climbing
+    to the peak and back down, so only supports holding a run of more than
+    2/delta points along every such shift can succeed; the enumeration
+    generates only those (`_run_feasible_combos`), in the same lex order.
+    A symmetry (an index permutation fixing 0 and every defect) may map the
+    support to an earlier one.
 
     Returns (k, support, optimum, weights), or None when no support of size
     at most max_support (default n) is accepted. optimum is None when a zero
@@ -397,14 +450,12 @@ def _search_supports(
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
     short = 2 // delta  # a run this long or shorter leaves defect >= 2/run >= delta
+    windows = [_run_windows(n, succ[s], short + 1) for s in run_shifts]
     for k in range(1, min(max_support, n) + 1):
-        for combo in itertools.combinations(range(1, n), k - 1):
+        for combo in _run_feasible_combos(n, k, windows):
             if any(tuple(sorted(perm[i] for i in combo)) < combo for perm in symmetries):
                 continue
             support = (0, *combo)
-            members = set(support)
-            if any(_longest_run(members, succ[s]) <= short for s in run_shifts):
-                continue
             structures = [_shift_structure(support, [row[i] for i in support]) for row in succ]
             optimum, weights = _min_defect_lp(k, structures)
             if not optimum < delta:

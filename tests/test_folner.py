@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,8 @@ from dualent.folner import (
     RankSearchExhausted,
     DegenerateBasisError,
     Parallelepiped,
+    _run_feasible_combos,
+    _run_windows,
     adapted_basis,
     choose_folner_constant,
     convolution,
@@ -311,6 +314,109 @@ class TestMinRank:
         )
         assert cert_a.rank == cert_b.rank
         assert cert_a.defect_exact == cert_b.defect_exact
+
+
+def _longest_run(members, row):
+    """Reference for the run-length filter: the longest chain i, row[i],
+    row[row[i]], ... inside members (row acyclic)."""
+    longest = 0
+    for i in members - {row[i] for i in members}:
+        length = 0
+        while i in members:
+            length, i = length + 1, row[i]
+        longest = max(longest, length)
+    return longest
+
+
+def _numbered_ball(group, radius, shifts):
+    """Points and successor rows numbered as min_rank_bruteforce numbers them:
+    0 first, then the rest of the ball in key() order."""
+    zero = group.zero()
+    points = [zero, *sorted((e for e in group.ball(radius) if e != zero), key=lambda e: e.key())]
+    index = {e: i for i, e in enumerate(points)}
+    return len(points), [[index.get(e + s, -1) for e in points] for s in shifts]
+
+
+Z1 = FgAbelianGroup(1)
+Z2 = FgAbelianGroup(2)
+ZC2 = FgAbelianGroup(1, (2,))
+
+# (id, group, radius, run shifts, largest support size checked)
+RUN_GENERATOR_CASES = [
+    ("z-unit", Z1, 4, [Z1.element((1,))], 7),
+    ("z-unit-and-two", Z1, 5, [Z1.element((1,)), Z1.element((2,))], 7),
+    ("z2-axes", Z2, 1, [Z2.element((1, 0)), Z2.element((0, 1))], 7),
+    ("z2-non-axis", Z2, 2, [Z2.element((1, 1)), Z2.element((2, -1))], 5),
+    ("zxz2-lattice", ZC2, 2, [ZC2.element((1,), (0,))], 6),
+    ("zxz2-mixed", ZC2, 2, [ZC2.element((1,), (1,)), ZC2.element((2,), (0,))], 6),
+    ("no-run-shifts", Z2, 1, [], 5),
+]
+
+
+class TestRunDrivenEnumeration:
+    @pytest.mark.parametrize("short", range(5))
+    @pytest.mark.parametrize(
+        "group, radius, shifts, max_k",
+        [case[1:] for case in RUN_GENERATOR_CASES],
+        ids=[case[0] for case in RUN_GENERATOR_CASES],
+    )
+    def test_generator_matches_filtered_combinations(self, group, radius, shifts, max_k, short):
+        n, succ = _numbered_ball(group, radius, shifts)
+        windows = [_run_windows(n, row, short + 1) for row in succ]
+        for k in range(1, max_k + 1):
+            expected = [
+                c for c in itertools.combinations(range(1, n), k - 1)
+                if all(_longest_run({0, *c}, row) > short for row in succ)
+            ]
+            assert list(_run_feasible_combos(n, k, windows)) == expected
+
+    @pytest.mark.parametrize(
+        "delta, rank, support, weights, defect_exact",
+        [
+            # delta > 2: no run is needed, the point mass wins
+            (F(5, 2), 1, ((0,),), (F(1),), F(2)),
+            (F(9, 4), 1, ((0,),), (F(1),), F(2)),
+            # delta = 2: a run of two points along each of 1 and 2
+            (F(2), 3, ((-3,), (-2,), (0,)), (F(1, 3),) * 3, F(4, 3)),
+        ],
+    )
+    def test_loose_deltas_keep_their_certificates(self, delta, rank, support, weights, defect_exact):
+        omega = [Z1.element((s,)) for s in (1, -1, 2, -2)]
+        cert = min_rank_bruteforce(Z1, omega, delta, 4)
+        assert cert.rank == rank
+        assert tuple(tuple(e.lattice) for e in cert.witness.support) == support
+        assert cert.witness.weights == weights
+        assert cert.defect_exact == defect_exact
+
+    def test_non_axis_and_mixed_shifts_at_delta_two(self):
+        nonaxis = [Z2.element(s) for s in ((1, 1), (-1, -1), (2, -1), (-2, 1))]
+        cert = min_rank_bruteforce(Z2, nonaxis, F(2), 2)
+        assert cert.rank == 3
+        assert [tuple(e.lattice) for e in cert.witness.support] == [(-2, 1), (-1, -1), (0, 0)]
+        assert cert.defect_exact == F(4, 3)
+        mixed = [ZC2.element((1,), (1,)), ZC2.element((-1,), (1,))]
+        cert = min_rank_bruteforce(ZC2, mixed, F(2), 2)
+        assert cert.rank == 2
+        assert [e.key() for e in cert.witness.support] == [((-1,), (1,)), ((0,), (0,))]
+        assert cert.defect_exact == 1
+
+    def test_ball_too_small_for_any_window_is_exhausted(self):
+        omega = [Z1.element((1,)), Z1.element((-1,))]
+        with pytest.raises(
+            RankSearchExhausted,
+            match=r"^no support of size <= 7 within radius 3 achieves defect < 1/10; "
+                  r"retry with a larger radius$",
+        ):
+            min_rank_bruteforce(Z1, omega, F(1, 10), 3)
+
+    def test_support_budget_below_the_needed_run_is_exhausted(self):
+        # delta = 1/2 needs a run of 5 points; 4 slots cannot hold one
+        omega = [Z1.element((1,)), Z1.element((-1,))]
+        with pytest.raises(
+            RankSearchExhausted,
+            match=r"^no support of size <= 4 within radius 8 achieves defect < 1/2; ",
+        ):
+            min_rank_bruteforce(Z1, omega, F(1, 2), 8, max_support=4)
 
 
 class TestMinRankTable:

@@ -6,6 +6,10 @@ landing on these same vertices: the certificates are documented output.
 """
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +18,7 @@ from dualent.folner import min_rank_bruteforce, min_rank_table
 from dualent.groups import FgAbelianGroup
 from dualent.specdoc import parse_spec
 
-from tests.conftest import EXAMPLE_DIR
+from tests.conftest import EXAMPLE_DIR, REPO_ROOT
 
 F = Fraction
 
@@ -105,6 +109,28 @@ def test_bruteforce_certificate_pinned(search, rank, support, weights, defect_ex
     assert cert.witness.weights == weights
     assert all(type(w) is Fraction for w in cert.witness.weights)
     assert cert.defect_exact == defect_exact
+
+
+def test_cli_catmap_document_radius_certificate_pinned():
+    # The document radius 8 is a 289-point ball; run in a child with a time
+    # limit so a search that cannot finish fails instead of hanging.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dualent.cli", "rank",
+         str(EXAMPLE_DIR / "catmap_z2.json"), "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cert = json.loads(proc.stdout)
+    assert cert["search_radius"] == 8
+    assert cert["rank"] == 5
+    assert cert["witness"]["support"] == [[i, 0] for i in range(-4, 1)]
+    assert cert["witness"]["weights"] == ["1/5"] * 5
+    assert cert["defect_exact"] == "2/5"
 
 
 def _compose(p, q):
