@@ -390,9 +390,6 @@ def _run_feasible_combos(n: int, k: int, windows: Sequence[Sequence[tuple[int, .
         if not missing:
             return
         alive.append(missing)
-    if not alive:
-        yield from itertools.combinations(range(1, n), slots)
-        return
     combo = []
 
     def extend(last: int, left: int, alive: list):
