@@ -1,0 +1,42 @@
+"""Pins the exact stdout of `dualent peters` on the abelian example documents,
+and keeps numpy out of the CLI's import path.
+
+The files under tests/golden/peters/ are the recorded outputs of
+`python -m dualent.cli peters docs/examples/<name>.json --format <fmt>`.
+Any change to the sumset kernel must leave these bytes as they are.
+"""
+
+import io
+import pathlib
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from dualent.cli import EXIT_OK, main
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden" / "peters"
+DOCUMENTS = ("catmap_z2", "fg_abelian_mixed", "torus_rotation")
+FORMATS = ("json", "csv")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_peters_output_is_byte_identical(example_dir, name, fmt):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["peters", str(example_dir / f"{name}.json"), "--format", fmt])
+    assert code == EXIT_OK, err.getvalue()
+    assert out.getvalue().encode() == (GOLDEN_DIR / f"{name}.{fmt}").read_bytes()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported lazily inside the routines that need it, so the CLI
+    # starts without paying for it.
+    code = "import sys, dualent.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
