@@ -1,15 +1,27 @@
 """Entropy from iterated sumset growth: the size of
 E + gamma(E) + ... + gamma^(n-1)(E) grows exponentially at the entropy rate,
 and submultiplicativity makes every log(s_n)/n an upper bound for the limit.
+
+`growth_series` keeps each sumset as one sorted numpy array of packed keys
+per torsion value. A lattice point is packed into one integer in balanced
+mixed radix: digit i lies in [-B_i, B_i] and radix i is 2 B_i + 1, where B_i
+is the sum over the layers E, gamma(E), ... reached so far of the largest
+|coordinate i|. Every point of the sumset lies in that box, so the packing
+is injective on it, and it is linear, so packing a sum is adding the packed
+keys. The radices follow the depth reached: each step re-packs the arrays
+for the new bounds. Keys are int64 while the product of the radices stays
+below 2^62, and Python ints in object arrays beyond that, with the same code;
+either way the sizes are exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .groups import AbelianAutomorphism, AbelianElement, FgAbelianGroup, ShapeError
+from .groups import AbelianAutomorphism, AbelianElement, FgAbelianGroup, ShapeError, _torsion_add
 from .spectral import EntropyEstimate
 
 DEFAULT_CAP = 5_000_000
@@ -99,25 +111,47 @@ class GrowthSeries:
         return [math.log(s) / (n + 1) for n, s in enumerate(self.sizes)]
 
 
-def _fast_encoding(group: FgAbelianGroup):
-    """Cheap hashable encodings for hot sumset loops. Only the group's
-    shape matters; decoding is never needed because only sizes are kept."""
-    if group.torsion:
-        orders = group.torsion
-        def enc(e: AbelianElement):
-            return e.lattice + e.torsion
-        def add(a, b):
-            p = group.rank
-            lat = tuple(a[i] + b[i] for i in range(p))
-            tor = tuple((a[p + i] + b[p + i]) % orders[i] for i in range(len(orders)))
-            return lat + tor
-        return enc, add
-    if group.rank == 1:
-        return (lambda e: e.lattice[0]), (lambda a, b: a + b)
-    if group.rank == 2:
-        # Integer pairs below 2^53 stay exact as complex components.
-        return (lambda e: complex(e.lattice[0], e.lattice[1])), (lambda a, b: a + b)
-    return (lambda e: e.lattice), (lambda a, b: tuple(x + y for x, y in zip(a, b)))
+def _layout(np, bounds: Sequence[int]):
+    """Place values of the balanced mixed radix whose digit i lies in
+    [-B_i, B_i] (radix 2 B_i + 1), and the key dtype: int64 while the
+    product of the radices, which bounds every key sum, stays below 2^62."""
+    weights, product = [], 1
+    for b in bounds:
+        weights.append(product)
+        product *= 2 * b + 1
+    return weights, (np.int64 if product < 2**62 else object)
+
+
+def _pack(lattice: Sequence[int], weights: Sequence[int]) -> int:
+    return sum(c * w for c, w in zip(lattice, weights))
+
+
+def _repack(np, keys, bounds: Sequence[int], weights: Sequence[int], dtype):
+    """Decodes keys packed with digit bounds `bounds` and encodes the same
+    digits with the place values `weights`; keys stay in sorted order."""
+    rest = keys.astype(dtype, copy=False)
+    out = np.zeros(len(keys), dtype=dtype)
+    for b, w in zip(bounds, weights):
+        digit = (rest + b) % (2 * b + 1) - b
+        rest = (rest - digit) // (2 * b + 1)
+        out += digit * w
+    return out
+
+
+def _distinct(np, parts: list):
+    """The sorted distinct keys among a + x over the pairs (a, x) in parts,
+    each a sorted key array and a packed shift. The stable sort is a merge
+    of the sorted runs, and stays fast on Python-int arrays."""
+    keys = np.empty(sum(len(a) for a, _ in parts), dtype=parts[0][0].dtype)
+    start = 0
+    for a, x in parts:
+        np.add(a, x, out=keys[start:start + len(a)])
+        start += len(a)
+    keys.sort(kind="stable")
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def growth_series(
@@ -131,35 +165,60 @@ def growth_series(
 
     Stops early when the next sumset would exceed cap (soft stop: the capped
     flag is set and only fully computed sizes are reported).
+
+    Each sumset is one sorted array of packed lattice keys per torsion value
+    (see the module docstring); a step adds every shift to every array,
+    sorts, and drops repeats.
     """
+    import numpy as np  # deferred so that importing the CLI stays cheap
+
     if auto.group != base.group:
         raise ShapeError("automorphism and base set live on different groups")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     group = auto.group
-    zero = group.zero()
-    e_elems = sorted(base.elements | {zero}, key=lambda e: e.key())
+    orders = group.torsion
+    layer = sorted(base.elements | {group.zero()}, key=lambda e: e.key())
 
-    enc, add = _fast_encoding(group)
-    current = {enc(e) for e in e_elems}
-    sizes = [len(current)]
+    def layer_bounds(elements):
+        return [max(abs(e.lattice[i]) for e in elements) for i in range(group.rank)]
+
+    bounds = layer_bounds(layer)
+    weights, dtype = _layout(np, bounds)
+    buckets: dict[tuple[int, ...], list[int]] = {}
+    for e in layer:
+        buckets.setdefault(e.torsion, []).append(_pack(e.lattice, weights))
+    current = {t: np.array(sorted(keys), dtype=dtype) for t, keys in buckets.items()}
+    sizes = [len(layer)]
     capped = False
-    iterate = list(e_elems)
     for _ in range(1, n_max):
-        iterate = [auto.apply(e) for e in iterate]
-        shifts = [enc(e) for e in iterate]
-        nxt: set = set()
-        aborted = False
-        for sh in shifts:
-            nxt.update(add(p, sh) for p in current)
-            if len(nxt) > cap:
-                aborted = True
-                break
-        if aborted:
-            capped = True
+        layer = [auto.apply(e) for e in layer]
+        old_bounds = bounds
+        bounds = [b + m for b, m in zip(bounds, layer_bounds(layer))]
+        new_weights, new_dtype = _layout(np, bounds)
+        if new_weights != weights or new_dtype is not dtype:
+            weights, dtype = new_weights, new_dtype
+            current = {
+                t: _repack(np, keys, old_bounds, weights, dtype)
+                for t, keys in current.items()
+            }
+        shifts = [(_pack(e.lattice, weights), e.torsion) for e in layer]
+        pending: dict[tuple[int, ...], list] = {}
+        held = 0
+        for (t, keys), (x, u) in itertools.product(current.items(), shifts):
+            pending.setdefault(_torsion_add(t, u, orders), []).append((keys, x))
+            held += len(keys)
+            if held > cap:
+                # Drop repeats before materialising more than cap sums.
+                pending = {s: [(_distinct(np, parts), 0)] for s, parts in pending.items()}
+                held = sum(len(parts[0][0]) for parts in pending.values())
+                if held > cap:
+                    capped = True
+                    break
+        if capped:
             break
-        current = nxt
-        sizes.append(len(current))
+        current = {s: _distinct(np, parts) for s, parts in pending.items()}
+        sizes.append(sum(len(keys) for keys in current.values()))
     return GrowthSeries(sizes=tuple(sizes), capped=capped)
 
 

@@ -20,7 +20,7 @@ UNIT_CIRCLE_SNAP = 1e-10
 
 DEFAULT_ROOT_TOL = 1e-12
 
-_ABERTH_MAX_ITERATIONS = 500
+_ABERTH_MAX_ITERATIONS = 2000
 
 
 class RootFindingError(ArithmeticError):

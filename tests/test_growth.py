@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualent.groups import FgAbelianGroup, IntMatrix, AbelianAutomorphism, ShapeError
 from dualent.growth import (
+    DEFAULT_CAP,
     FiniteSubset,
     GrowthSeries,
     SumsetCapError,
@@ -173,3 +174,114 @@ class TestRateEstimate:
         for n, s in enumerate(series.sizes, start=1):
             assert s <= 4**n
 
+
+
+# --- the packed kernel against a plain int-tuple sumset -------------------
+
+COLLISION_MATRIX = ((2**20 + 1, 2**20), (1, 1))
+COLLISION_BASE = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+CAT = ((2, 1), (1, 1))
+
+
+def naive_series(auto, base, n_max, cap):
+    """Sizes and capped flag of growth_series, from Python sets of flat int
+    tuples: lattice coordinates added, torsion coordinates added mod their
+    orders, the layers gamma^k(E) taken from auto.apply."""
+    group = auto.group
+    p, orders = group.rank, group.torsion
+
+    def flat(e):
+        return tuple(e.lattice) + tuple(e.torsion)
+
+    def add(a, b):
+        lat = tuple(a[i] + b[i] for i in range(p))
+        tor = tuple((a[p + k] + b[p + k]) % d for k, d in enumerate(orders))
+        return lat + tor
+
+    layer = list(base.elements | {group.zero()})
+    current = {flat(e) for e in layer}
+    sizes = [len(current)]
+    for _ in range(1, n_max):
+        layer = [auto.apply(e) for e in layer]
+        current = {add(a, flat(b)) for a in current for b in layer}
+        if len(current) > cap:
+            return tuple(sizes), True
+        sizes.append(len(current))
+    return tuple(sizes), False
+
+
+GROUPS = {
+    "Z": FgAbelianGroup(1),
+    "Z2": FgAbelianGroup(2),
+    "Z3": FgAbelianGroup(3),
+    "ZxZ/2": FgAbelianGroup(1, (2,)),
+    "Z2xZ/3": FgAbelianGroup(2, (3,)),
+}
+
+
+@st.composite
+def growth_instances(draw):
+    group = GROUPS[draw(st.sampled_from(sorted(GROUPS)))]
+    p, orders = group.rank, group.torsion
+    if p == 1:
+        lattice = draw(st.sampled_from([((1,),), ((-1,),)]))
+    else:
+        lattice = draw(unimodular_strategy(p, factors=4))
+    # Multiplying by a unit mod d is an automorphism of Z/d.
+    units = [draw(st.sampled_from([u for u in range(1, d) if math.gcd(u, d) == 1]))
+             for d in orders]
+    torsion_map = {
+        t: tuple(u * x for u, x in zip(units, t)) for t in group.torsion_tuples()
+    }
+    mixing = [
+        tuple(draw(st.integers(0, d - 1)) for d in orders) for _ in range(p)
+    ]
+    auto = AbelianAutomorphism.build(group, lattice, torsion_map, mixing)
+    point = st.tuples(
+        *([st.integers(-2, 2)] * p), *(st.integers(0, d - 1) for d in orders)
+    )
+    base = FiniteSubset.of(group, draw(st.lists(point, min_size=1, max_size=4)))
+    n_max = draw(st.integers(1, 5))
+    cap = draw(st.one_of(st.integers(1, 200), st.just(DEFAULT_CAP)))
+    return auto, base, n_max, cap
+
+
+class TestPackedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(growth_instances())
+    def test_matches_plain_tuple_sumsets(self, instance):
+        auto, base, n_max, cap = instance
+        series = growth_series(auto, base, n_max, cap=cap)
+        assert (series.sizes, series.capped) == naive_series(auto, base, n_max, cap)
+
+    def test_collision_matrix_sizes_are_exact(self, z2):
+        # The packed keys pass 2^62 here and move to Python ints; a float or
+        # complex encoding merges distinct points from depth 4 on and gives
+        # (6, 27, 117, 234, 273, 312).
+        auto = AbelianAutomorphism.from_matrix(z2, COLLISION_MATRIX)
+        base = FiniteSubset.of(z2, COLLISION_BASE)
+        series = growth_series(auto, base, 6)
+        expected = (6, 27, 117, 504, 2169, 9333)
+        assert naive_series(auto, base, 6, DEFAULT_CAP) == (expected, False)
+        assert series.sizes == expected
+        assert not series.capped
+
+    def test_collision_matrix_cap_on_python_int_keys(self, z2):
+        auto = AbelianAutomorphism.from_matrix(z2, COLLISION_MATRIX)
+        base = FiniteSubset.of(z2, COLLISION_BASE)
+        series = growth_series(auto, base, 8, cap=50_000)
+        assert (series.sizes, series.capped) == naive_series(auto, base, 8, 50_000)
+        assert series.sizes == (6, 27, 117, 504, 2169, 9333, 40158)
+        assert series.capped
+
+    def test_deep_capped_run_stops_at_the_cap(self, z2):
+        # Every coordinate stays far below 2^53 here, so these sizes, recorded
+        # with a float-based encoding, are exact. Radices sized for depth 40
+        # up front would force Python-int keys long before the cap is hit.
+        auto = AbelianAutomorphism.from_matrix(z2, CAT)
+        ball = FiniteSubset.of(z2, itertools.product((-1, 0, 1), repeat=2))
+        series = growth_series(auto, ball, 40, cap=2_000_000)
+        assert series.sizes == (
+            9, 37, 117, 333, 905, 2409, 6353, 16685, 43741, 114581, 300049, 785617,
+        )
+        assert series.capped

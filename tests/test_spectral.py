@@ -155,3 +155,31 @@ def test_entropy_power_scaling(m, k):
 def test_char_poly_conjugation_invariant(m, p):
     conj = p * m * p.inverse()
     assert char_poly(conj).coeffs == char_poly(m).coeffs
+
+
+# A 12x12 unimodular matrix with eigenvalues at least 1e-3 apart on which
+# Aberth iteration from the 1 + max|c_i| start radius needs between 500 and
+# 600 steps to converge.
+ABERTH_SLOW_MATRIX = (
+    (-2, 2, 2, 1, 4, -2, 0, -2, -6, 0, -6, -12),
+    (0, 4, 2, -2, -4, -3, -1, -4, 1, 0, 2, 4),
+    (2, 0, 0, -2, -8, 1, 0, 1, 8, 0, 6, 12),
+    (1, 0, 0, 0, -3, -2, 0, 0, 3, 1, 2, 4),
+    (-2, -12, -6, 1, 18, 12, 0, 12, -7, 2, -6, -13),
+    (0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0),
+    (-3, 2, 2, 1, 9, 0, 0, -2, -11, 0, -8, -16),
+    (-2, -12, -6, 2, 26, 12, 0, 12, -15, 2, -8, -16),
+    (0, -10, -5, 4, 12, 8, 2, 10, -4, 0, -4, -8),
+    (0, -1, -1, 0, 1, 1, 0, 1, 0, 0, 0, 0),
+    (5, 0, 0, 0, -13, -3, 0, -2, 13, 0, 15, 30),
+    (-5, 0, 0, 0, 14, 3, 0, 2, -14, 0, -15, -30),
+)
+
+
+def test_slowly_converging_aberth_matches_numpy_log_mahler():
+    import numpy as np
+
+    m = IntMatrix(ABERTH_SLOW_MATRIX)
+    moduli = np.abs(np.linalg.eigvals(np.array(ABERTH_SLOW_MATRIX, dtype=float)))
+    expected = float(sum(math.log(r) for r in moduli if r > 1))
+    assert eigen_entropy(m).value == pytest.approx(expected, abs=1e-6)
