@@ -21,7 +21,9 @@ from .groups import (
     FgAbelianGroup,
     IntMatrix,
     InternalInvariantError,
+    NotInvertibleError,
     ShapeError,
+    _fraction_inverse,
 )
 from .growth import SumsetCapError
 from .simplex import solve_lp
@@ -598,24 +600,6 @@ def choose_folner_constant(p: int, delta) -> int:
     return c
 
 
-def _fraction_matrix_inverse(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise DegenerateBasisError("basis vectors are linearly dependent")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 @dataclass(frozen=True)
 class Parallelepiped:
     """Region {sum s_i v_i : |s_i| <= t} spanned by rational basis vectors,
@@ -635,9 +619,11 @@ class Parallelepiped:
         object.__setattr__(self, "basis", vs)
         object.__setattr__(self, "t", t)
         columns = [[vs[i][j] for i in range(p)] for j in range(p)]
-        object.__setattr__(self, "_inverse", tuple(
-            tuple(row) for row in _fraction_matrix_inverse(columns)
-        ))
+        try:
+            inverse = _fraction_inverse(columns)
+        except NotInvertibleError:
+            raise DegenerateBasisError("basis vectors are linearly dependent") from None
+        object.__setattr__(self, "_inverse", tuple(tuple(row) for row in inverse))
 
     @property
     def dimension(self) -> int:

@@ -76,14 +76,8 @@ class IntMatrix:
             )
         )
 
-    def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
-
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.dim))
-
-    def max_abs_entry(self) -> int:
-        return max(abs(x) for row in self.entries for x in row)
 
     def det(self) -> int:
         # Bareiss fraction-free elimination; every division below is exact.

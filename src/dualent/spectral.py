@@ -8,7 +8,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .groups import IntMatrix, _as_int
@@ -48,12 +47,6 @@ class IntPolynomial:
         for c in self.coeffs:
             out = out * x + c
         return out
-
-    def derivative(self) -> "IntPolynomial":
-        n = self.degree
-        if n == 0:
-            raise ValueError("derivative of a constant is the zero polynomial")
-        return IntPolynomial(tuple(c * (n - i) for i, c in enumerate(self.coeffs[:-1])))
 
     def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
         out = [0] * (self.degree + other.degree + 1)
@@ -95,97 +88,89 @@ def char_poly(matrix: IntMatrix) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Square-free decomposition (exact, over Q, results renormalized to Z)
+# Square-free decomposition (exact, over Z: primitive pseudo-remainder gcds,
+# no rationals). Polynomials are integer coefficient lists, leading first.
 
 
-def _f_norm(p: list[Fraction]) -> list[Fraction]:
-    i = 0
-    while i < len(p) and p[i] == 0:
-        i += 1
-    return p[i:] or [Fraction(0)]
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by its content, leading coefficient positive; leading zeros
+    are dropped and the zero polynomial comes back as []."""
+    p = p[next((i for i, c in enumerate(p) if c), len(p)):]
+    if not p:
+        return []
+    g = math.gcd(*p)
+    if p[0] < 0:
+        g = -g
+    return [c // g for c in p]
 
-def _f_is_zero(p: list[Fraction]) -> bool:
-    return all(c == 0 for c in p)
 
-def _f_monic(p: list[Fraction]) -> list[Fraction]:
-    lead = p[0]
-    return [c / lead for c in p]
-
-def _f_deriv(p: list[Fraction]) -> list[Fraction]:
+def _derivative(p: list[int]) -> list[int]:
     n = len(p) - 1
-    if n == 0:
-        return [Fraction(0)]
     return [c * (n - i) for i, c in enumerate(p[:-1])]
 
-def _f_divmod(num: list[Fraction], den: list[Fraction]):
-    num = num[:]
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 1)
-    while len(num) >= len(den) and not _f_is_zero(num):
-        shift = len(num) - len(den)
-        factor = num[0] / den[0]
-        q[len(q) - 1 - shift] = factor
-        for i, c in enumerate(den):
-            num[i] -= factor * c
-        num = _f_norm(num)
-        if num == [Fraction(0)]:
-            break
-    return _f_norm(q), num
 
-def _f_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _f_norm(a[:]), _f_norm(b[:])
-    while not _f_is_zero(b):
-        _, r = _f_divmod(a, b)
-        a, b = b, _f_norm(r)
-    return _f_monic(a) if not _f_is_zero(a) else [Fraction(1)]
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of lc(b)^k * a on division by b for some k >= 0, possibly
+    with leading zeros; a itself when deg a < deg b."""
+    lead, tail = b[0], b[1:]
+    r = a
+    for _ in range(len(a) - len(b) + 1):
+        q = r[0]
+        if q:
+            r = [lead * x - q * y for x, y in zip(r[1:], tail)] + [
+                lead * x for x in r[len(b):]
+            ]
+        else:
+            r = r[1:]
+    return r
 
-def _f_exact_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    q, r = _f_divmod(a, b)
-    if not _f_is_zero(r):
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd with positive leading coefficient, by the primitive
+    pseudo-remainder sequence (Brown 1971); either argument may be zero."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b in Z[x]; raises ArithmeticError unless b divides a exactly."""
+    r, q = list(a), []
+    for i in range(len(a) - len(b) + 1):
+        c, rem = divmod(r[i], b[0])
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q.append(c)
+        if c:
+            for j in range(1, len(b)):
+                r[i + j] -= c * b[j]
+    if any(r[len(q):]):
         raise ArithmeticError("inexact polynomial division")
     return q
 
-def _f_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    width = max(len(a), len(b))
-    pa = [Fraction(0)] * (width - len(a)) + a
-    pb = [Fraction(0)] * (width - len(b)) + b
-    return _f_norm([x - y for x, y in zip(pa, pb)])
-
-
-def _to_int_poly(p: list[Fraction]) -> IntPolynomial:
-    lcm = 1
-    for c in p:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in p]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, abs(c))
-    ints = [c // content for c in ints]
-    if ints[0] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(tuple(ints))
-
 
 def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun's algorithm: returns primitive square-free factors with their
-    multiplicities, so p = lead * prod f_i^i up to sign."""
+    """Yun's algorithm over Z: returns the primitive square-free factors f_i
+    (positive leading coefficient, nonconstant) with their multiplicities i,
+    in increasing i, so p = content * prod f_i^i up to sign. Every gcd is a
+    primitive pseudo-remainder gcd and every division is exact in Z[x]."""
     if p.degree == 0:
         return []
-    f = [Fraction(c) for c in p.coeffs]
-    fp = _f_deriv(f)
-    u = _f_gcd(f, fp)
-    if len(u) == 1:
-        return [(_to_int_poly(f), 1)]
-    v = _f_exact_div(f, u)
-    w = _f_exact_div(fp, u)
+    f = _primitive(list(p.coeffs))
+    fp = _derivative(f)
+    u = _gcd(f, fp)
+    v, w = _exact_quotient(f, u), _exact_quotient(fp, u)
     out = []
     i = 1
     while len(v) > 1:
-        z = _f_sub(w, _f_deriv(v))
-        h = _f_gcd(v, z)
+        # deg w = deg v - 1 throughout, so z has the length of v'; it is
+        # zero exactly when every remaining factor has multiplicity i.
+        z = [x - y for x, y in zip(w, _derivative(v))]
+        h = _gcd(v, z)
         if len(h) > 1:
-            out.append((_to_int_poly(h), i))
-        v = _f_exact_div(v, h)
-        w = _f_exact_div(z, h)
+            out.append((IntPolynomial(tuple(h)), i))
+        v, w = _exact_quotient(v, h), _exact_quotient(z, h)
         i += 1
     return out
 
@@ -194,7 +179,7 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
 # Root finding
 
 
-def _aberth_simple_roots(coeffs: Sequence[int], tol: float) -> list[complex]:
+def _aberth_simple_roots(coeffs: Sequence[int]) -> list[complex]:
     """All roots of a square-free polynomial by Aberth-Ehrlich simultaneous
     iteration in double precision."""
     n = len(coeffs) - 1
@@ -203,7 +188,7 @@ def _aberth_simple_roots(coeffs: Sequence[int], tol: float) -> list[complex]:
     cs = [complex(c) for c in coeffs]
     dcs = [c * (n - i) for i, c in enumerate(cs[:-1])]
     lead = abs(cs[0])
-    radius = 1.0 + max(abs(c) / lead for c in cs[1:]) if n > 0 else 1.0
+    radius = 1.0 + max(abs(c) / lead for c in cs[1:])
 
     roots = [
         radius * cmath.exp(2j * math.pi * (k / n) + 0.4j)
@@ -259,10 +244,7 @@ def _residual_ok(p: IntPolynomial, r: complex, tol: float) -> bool:
     mod = abs(r)
     for c in p.coeffs:
         scale = scale * mod + abs(c)
-    value = 0j
-    for c in p.coeffs:
-        value = value * r + c
-    return abs(value) <= tol * max(scale, 1.0)
+    return abs(p(r)) <= tol * max(scale, 1.0)
 
 
 def complex_roots(p: IntPolynomial, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
@@ -275,7 +257,7 @@ def complex_roots(p: IntPolynomial, tol: float = DEFAULT_ROOT_TOL) -> list[compl
     """
     roots: list[complex] = []
     for factor, mult in squarefree_decomposition(p):
-        for r in _aberth_simple_roots(factor.coeffs, tol):
+        for r in _aberth_simple_roots(factor.coeffs):
             if not _residual_ok(factor, r, max(tol, 1e-11)):
                 raise RootFindingError(
                     f"root {r!r} fails the residual contract for {factor.coeffs}"

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from dualent.laws import (
     random_unimodular,
     run_all_laws,
 )
-from dualent.spectral import IntPolynomial
+from dualent.spectral import IntPolynomial, eigen_entropy
 import random
 
 
@@ -96,6 +97,69 @@ class TestAlgebraicLaws:
         # inputs recorded per instance would appear inside failures; with a
         # passing run the seed plus index is the reproduction recipe
         assert rep.instances == 10
+
+
+def _fault_on_call(monkeypatch, bad_call):
+    """Patch laws.eigen_entropy to add 1.0 to the value of call number
+    bad_call (0-based); returns the list of matrices it was called with."""
+    real = laws.eigen_entropy
+    seen = []
+
+    def faulty(m, *args, **kwargs):
+        est = real(m, *args, **kwargs)
+        seen.append(m)
+        if len(seen) == bad_call + 1:
+            return dataclasses.replace(est, value=est.value + 1.0)
+        return est
+
+    monkeypatch.setattr(laws, "eigen_entropy", faulty)
+    return seen
+
+
+class TestLawFailureReports:
+    def test_power_law_failure_records_matrix_k_and_seed(self, monkeypatch):
+        # two calls per trial (base, power): corrupt the power of trial 2
+        seen = _fault_on_call(monkeypatch, 2 * 2 + 1)
+        rep = check_power_law(trials=4, seed=5)
+        assert not rep.passed
+        assert len(rep.failures) == 1
+        failure = rep.failures[0]
+        assert failure.index == 2
+        assert failure.deviation == pytest.approx(1.0)
+        inputs = dict(failure.inputs)
+        assert set(inputs) == {"matrix", "k", "seed"}
+        assert inputs["seed"] == 5
+        m = IntMatrix(inputs["matrix"])
+        assert m == seen[4]
+        assert m.power(inputs["k"]) == seen[5]
+        # the recorded inputs reproduce the instance, which holds on the
+        # real function
+        monkeypatch.undo()
+        dev = abs(eigen_entropy(m.power(inputs["k"])).value
+                  - abs(inputs["k"]) * eigen_entropy(m).value)
+        assert dev <= rep.tolerance
+        assert check_power_law(trials=4, seed=5).passed
+
+    def test_product_failure_records_both_factors_and_seed(self, monkeypatch):
+        # three calls per trial (m1, m2, block sum): corrupt the sum of trial 1
+        seen = _fault_on_call(monkeypatch, 3 * 1 + 2)
+        rep = check_product_bounds(trials=3, seed=6)
+        assert not rep.passed
+        assert len(rep.failures) == 1
+        failure = rep.failures[0]
+        assert failure.index == 1
+        assert failure.deviation == pytest.approx(1.0)
+        inputs = dict(failure.inputs)
+        assert set(inputs) == {"m1", "m2", "seed"}
+        assert inputs["seed"] == 6
+        m1, m2 = IntMatrix(inputs["m1"]), IntMatrix(inputs["m2"])
+        assert (m1, m2) == (seen[3], seen[4])
+        assert IntMatrix.block_diag(m1, m2) == seen[5]
+        monkeypatch.undo()
+        h12 = eigen_entropy(IntMatrix.block_diag(m1, m2)).value
+        dev = abs(h12 - eigen_entropy(m1).value - eigen_entropy(m2).value)
+        assert dev <= rep.tolerance
+        assert check_product_bounds(trials=3, seed=6).passed
 
 
 class TestRankLaws:

@@ -58,6 +58,69 @@ def test_squarefree_decomposition_splits_powers():
     assert by_mult[1] == (1, 2)
 
 
+def _power(p: IntPolynomial, m: int) -> IntPolynomial:
+    out = IntPolynomial((1,))
+    for _ in range(m):
+        out = out * p
+    return out
+
+
+def _recombine(parts) -> IntPolynomial:
+    out = IntPolynomial((1,))
+    for f, mult in parts:
+        out = out * _power(f, mult)
+    return out
+
+
+nonzero = st.integers(-4, 4).filter(bool)
+factor_strategy = st.builds(
+    lambda lead, rest: IntPolynomial((lead,) + tuple(rest)),
+    nonzero,
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nonzero, st.lists(st.tuples(factor_strategy, st.integers(1, 3)), min_size=1, max_size=4))
+def test_squarefree_decomposition_recombines_to_primitive_part(c, factors):
+    p = IntPolynomial((c,))
+    for g, m in factors:
+        p = p * _power(g, m)
+    parts = squarefree_decomposition(p)
+    for f, mult in parts:
+        assert f.degree >= 1
+        assert f.coeffs[0] > 0
+        assert math.gcd(*f.coeffs) == 1
+    mults = [mult for _, mult in parts]
+    assert mults == sorted(set(mults))
+    content = math.gcd(*p.coeffs)
+    primitive = tuple(x // content for x in p.coeffs)
+    assert _recombine(parts).coeffs in (primitive, tuple(-x for x in primitive))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nonzero,
+    st.dictionaries(st.integers(-6, 6), st.integers(1, 3), min_size=1, max_size=5),
+)
+def test_squarefree_decomposition_groups_linear_factors_by_multiplicity(c, roots):
+    p = IntPolynomial((c,))
+    for a, m in roots.items():
+        p = p * _power(IntPolynomial((1, -a)), m)
+    expected = {}
+    for a, m in roots.items():
+        expected[m] = expected.get(m, IntPolynomial((1,))) * IntPolynomial((1, -a))
+    got = {mult: f for f, mult in squarefree_decomposition(p)}
+    assert got == expected
+
+
+def test_squarefree_decomposition_of_cyclotomic_products():
+    x40 = IntPolynomial((1,) + (0,) * 39 + (-1,))
+    assert squarefree_decomposition(x40) == [(x40, 1)]
+    x12 = IntPolynomial((1,) + (0,) * 11 + (-1,))
+    assert squarefree_decomposition(_power(x12, 3)) == [(x12, 3)]
+
+
 def test_complex_roots_golden_ratio_pair():
     roots = sorted(complex_roots(IntPolynomial((1, -3, 1))), key=abs)
     phi2 = (3 + math.sqrt(5)) / 2
