@@ -1,0 +1,62 @@
+"""Pins the exact stdout and exit code of `dualent rank` with the constructive
+upper-bound methods (interval, parallelepiped, convolution tower) on the
+example documents, and the spec error of a method that does not apply.
+
+The files under tests/golden/rank/ are the recorded outputs of
+`python -m dualent.cli rank docs/examples/<name>.json --method <method>
+--format <fmt>`, named `<name>-<method>.<fmt>`. Rerun this module as a
+script (`PYTHONPATH=src python -m tests.test_rank_cli_golden`) to rewrite
+them after a deliberate change of output.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from dualent.cli import EXIT_OK, EXIT_SPEC, main
+
+from tests.conftest import EXAMPLE_DIR, REPO_ROOT
+
+GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "rank"
+RUNS = (
+    ("rank_z1", "interval"),
+    ("rank_z1", "parallelepiped"),
+    ("rank_z1", "tower"),
+    ("catmap_z2", "parallelepiped"),
+    ("fg_abelian_mixed", "tower"),
+)
+FORMATS = ("json", "text", "csv")
+
+
+def _rank(name: str, method: str, fmt: str) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["rank", str(EXAMPLE_DIR / f"{name}.json"), "--method", method, "--format", fmt]
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name,method", RUNS)
+def test_upper_bound_output_is_byte_identical(name, method, fmt):
+    code, out, err = _rank(name, method, fmt)
+    assert code == EXIT_OK, err
+    assert out.encode() == (GOLDEN_DIR / f"{name}-{method}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_interval_on_a_rank_two_group_is_a_spec_error(fmt):
+    code, out, err = _rank("catmap_z2", "interval", fmt)
+    assert code == EXIT_SPEC
+    assert out == ""
+    assert err == "spec error: group: --method interval needs the rank-1 torsion-free group\n"
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    for name, method in RUNS:
+        for fmt in FORMATS:
+            code, out, err = _rank(name, method, fmt)
+            assert code == EXIT_OK, err
+            (GOLDEN_DIR / f"{name}-{method}.{fmt}").write_text(out)
