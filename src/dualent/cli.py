@@ -142,26 +142,23 @@ def _run_peters(doc: SpecDocument, args) -> object:
     return growth_rate_estimate(series)
 
 
-def _box_points(rank: int, halfwidth: int) -> list[tuple[int, ...]]:
-    return [
-        tuple(c)
-        for c in itertools.product(range(-halfwidth, halfwidth + 1), repeat=rank)
-    ]
-
-
-def _upper_bound_certificate(witness, delta_frac, omega, radius) -> RankCertificate:
-    d = defect(witness, omega)
-    return RankCertificate(
-        rank=len(witness.support),
-        witness=witness,
-        defect=float(d),
-        delta=float(delta_frac),
-        omega=tuple(omega),
-        search_radius=radius,
-        exhaustive_within_radius=False,
-        exact=witness.exact,
-        defect_exact=d if witness.exact else None,
-    )
+def _first_upper_bound(witnesses, delta_frac, omega, exhausted: str) -> RankCertificate:
+    """The first (radius, witness) pair whose defect is below delta, as a
+    non-exhaustive certificate; RankSearchExhausted(exhausted) if none is."""
+    for radius, witness in witnesses:
+        d = defect(witness, omega)
+        if d < delta_frac:
+            return RankCertificate(
+                rank=len(witness.support),
+                witness=witness,
+                defect=float(d),
+                delta=float(delta_frac),
+                omega=tuple(omega),
+                search_radius=radius,
+                exhaustive_within_radius=False,
+                defect_exact=d,
+            )
+    raise RankSearchExhausted(exhausted)
 
 
 def _rank_interval(doc: SpecDocument, omega, delta_frac) -> RankCertificate:
@@ -170,11 +167,10 @@ def _rank_interval(doc: SpecDocument, omega, delta_frac) -> RankCertificate:
         group.rank == 1 and not group.torsion,
         "group", "--method interval needs the rank-1 torsion-free group",
     )
-    for halfwidth in range(0, 200001):
-        witness = interval_folner(halfwidth)
-        if defect(witness, omega) < delta_frac:
-            return _upper_bound_certificate(witness, delta_frac, omega, halfwidth)
-    raise RankSearchExhausted("no interval of halfwidth <= 200000 reaches the tolerance")
+    return _first_upper_bound(
+        ((h, interval_folner(h)) for h in range(0, 200001)),
+        delta_frac, omega, "no interval of halfwidth <= 200000 reaches the tolerance",
+    )
 
 
 def _rank_parallelepiped(doc: SpecDocument, omega, delta_frac) -> RankCertificate:
@@ -189,12 +185,9 @@ def _rank_parallelepiped(doc: SpecDocument, omega, delta_frac) -> RankCertificat
     )
     chi = Parallelepiped(basis, Fraction(1))
     limit = 2000 if group.rank == 1 else 60
-    for c in range(1, limit + 1):
-        witness = parallelepiped_folner(chi, c)
-        if defect(witness, omega) < delta_frac:
-            return _upper_bound_certificate(witness, delta_frac, omega, c)
-    raise RankSearchExhausted(
-        f"no axis box of halfwidth <= {limit} reaches the tolerance"
+    return _first_upper_bound(
+        ((c, parallelepiped_folner(chi, c)) for c in range(1, limit + 1)),
+        delta_frac, omega, f"no axis box of halfwidth <= {limit} reaches the tolerance",
     )
 
 
@@ -208,11 +201,10 @@ def _rank_tower(doc: SpecDocument, omega, delta_frac, cap) -> RankCertificate:
         seed_support.add(s)
         seed_support.add(-s)
     f = WeightedFunction.uniform(group, sorted(seed_support, key=lambda e: e.key()))
-    for depth in range(1, 61):
-        witness = convolution_tower(f, auto, depth, cap=cap)
-        if defect(witness, omega) < delta_frac:
-            return _upper_bound_certificate(witness, delta_frac, omega, depth)
-    raise RankSearchExhausted("convolution tower did not reach the tolerance by depth 60")
+    return _first_upper_bound(
+        ((depth, convolution_tower(f, auto, depth, cap=cap)) for depth in range(1, 61)),
+        delta_frac, omega, "convolution tower did not reach the tolerance by depth 60",
+    )
 
 
 def _run_rank(doc: SpecDocument, args) -> object:

@@ -25,10 +25,8 @@ from .groups import (
     ShapeError,
     _fraction_inverse,
 )
-from .growth import SumsetCapError
+from .growth import DEFAULT_CAP, SumsetCapError
 from .simplex import solve_lp
-
-SUM_TOLERANCE = 1e-12
 
 
 class RankSearchExhausted(ArithmeticError):
@@ -62,14 +60,13 @@ def exact_delta(delta) -> Fraction:
 class WeightedFunction:
     """A normalized nonnegative weight function with finite support.
 
-    Weights are exact rationals unless any input was a float, in which case
-    the whole function is flagged inexact and sums are checked to 1e-12.
+    Weights are exact rationals: each is an int or a Fraction (floats and
+    bools raise TypeError), and they sum to exactly 1.
     """
 
     group: FgAbelianGroup
     support: tuple[AbelianElement, ...]
     weights: tuple
-    exact: bool = True
 
     def __post_init__(self):
         if len(self.support) != len(self.weights):
@@ -81,23 +78,17 @@ class WeightedFunction:
                 raise ShapeError("support element outside the group")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support contains duplicates")
-        exact = all(isinstance(w, (int, Fraction)) for w in self.weights)
-        if exact:
-            ws = tuple(Fraction(w) for w in self.weights)
-            if any(w <= 0 for w in ws):
-                raise ValueError("weights must be positive on the support")
-            if sum(ws) != 1:
-                raise ValueError("weights must sum to 1 exactly")
-        else:
-            ws = tuple(float(w) for w in self.weights)
-            if any(w <= 0 for w in ws):
-                raise ValueError("weights must be positive on the support")
-            if abs(sum(ws) - 1.0) > SUM_TOLERANCE:
-                raise ValueError("float weights must sum to 1 within 1e-12")
+        for w in self.weights:
+            if isinstance(w, bool) or not isinstance(w, (int, Fraction)):
+                raise TypeError(f"weights must be ints or Fractions, got {w!r}")
+        ws = tuple(Fraction(w) for w in self.weights)
+        if any(w <= 0 for w in ws):
+            raise ValueError("weights must be positive on the support")
+        if sum(ws) != 1:
+            raise ValueError("weights must sum to 1 exactly")
         order = sorted(range(len(self.support)), key=lambda i: self.support[i].key())
         object.__setattr__(self, "support", tuple(self.support[i] for i in order))
         object.__setattr__(self, "weights", tuple(ws[i] for i in order))
-        object.__setattr__(self, "exact", exact)
 
     @classmethod
     def uniform(cls, group: FgAbelianGroup, elements: Iterable[AbelianElement]) -> "WeightedFunction":
@@ -121,21 +112,20 @@ class WeightedFunction:
             self.weights,
         )
 
-    def __call__(self, g: AbelianElement):
-        zero = Fraction(0) if self.exact else 0.0
-        return self.value_map().get(g, zero)
+    def __call__(self, g: AbelianElement) -> Fraction:
+        return self.value_map().get(g, Fraction(0))
 
 
-def defect(t: WeightedFunction, omega: Sequence[AbelianElement]):
+def defect(t: WeightedFunction, omega: Sequence[AbelianElement]) -> Fraction:
     """max over s in omega of the l1 distance between T and its s-translate,
-    sum_g |T(g - s) - T(g)|. Exact when the weights are rational."""
+    sum_g |T(g - s) - T(g)|, as an exact rational."""
     if not omega:
         raise ValueError("omega must be nonempty")
     for s in omega:
         if s.group != t.group:
             raise ShapeError("shift outside the function's group")
     val = t.value_map()
-    zero = Fraction(0) if t.exact else 0.0
+    zero = Fraction(0)
     worst = zero
     for s in omega:
         keys = set(t.support) | {e + s for e in t.support}
@@ -152,28 +142,21 @@ def convolution(f: WeightedFunction, g: WeightedFunction, cap: Optional[int] = N
     because both inputs are."""
     if f.group != g.group:
         raise ShapeError("convolution of functions on different groups")
-    exact = f.exact and g.exact
-    zero = Fraction(0) if exact else 0.0
     acc: dict = {}
     for a, wa in zip(f.support, f.weights):
         for b, wb in zip(g.support, g.weights):
             x = a + b
-            acc[x] = acc.get(x, zero) + wa * wb
+            acc[x] = acc.get(x, 0) + wa * wb
         if cap is not None and len(acc) > cap:
             raise SumsetCapError(cap, len(acc))
     support = tuple(acc.keys())
     weights = tuple(acc[x] for x in support)
-    return WeightedFunction(f.group, support, weights, exact=exact)
+    return WeightedFunction(f.group, support, weights)
 
 
 def _transport(f: WeightedFunction, auto: AbelianAutomorphism) -> WeightedFunction:
     """f composed with auto^-1, i.e. the weights pushed forward along auto."""
-    return WeightedFunction(
-        f.group,
-        tuple(auto.apply(e) for e in f.support),
-        f.weights,
-        exact=f.exact,
-    )
+    return WeightedFunction(f.group, tuple(auto.apply(e) for e in f.support), f.weights)
 
 
 def convolution_tower(
@@ -181,7 +164,7 @@ def convolution_tower(
     gamma: AbelianAutomorphism,
     n: int,
     omega: Optional[Sequence[AbelianElement]] = None,
-    cap: Optional[int] = 5_000_000,
+    cap: Optional[int] = DEFAULT_CAP,
 ) -> WeightedFunction:
     """f * (f . gamma^-1) * ... * (f . gamma^-(n-1)).
 
@@ -200,7 +183,6 @@ def convolution_tower(
         result = convolution(result, pushed, cap=cap)
     if omega is not None:
         base = defect(f, omega)
-        slack = 0 if result.exact else SUM_TOLERANCE
         spread = list(omega)
         layer = list(omega)
         for _ in range(1, n):
@@ -208,7 +190,7 @@ def convolution_tower(
             spread.extend(layer)
         for s in spread:
             d = defect(result, [s])
-            if d > base + slack:
+            if d > base:
                 raise InternalInvariantError(
                     f"tower defect {d} exceeds base defect {base} at shift {s}"
                 )

@@ -183,12 +183,6 @@ class FgAbelianGroup:
     def torsion_tuples(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(d) for d in self.torsion))
 
-    def torsion_order(self) -> int:
-        out = 1
-        for d in self.torsion:
-            out *= d
-        return out
-
     def ball(self, radius: int) -> list["AbelianElement"]:
         """All elements with sup-norm lattice part <= radius and any torsion
         part, in sorted canonical order."""

@@ -25,6 +25,7 @@ from .groups import AbelianAutomorphism, AbelianElement, FgAbelianGroup, ShapeEr
 from .spectral import EntropyEstimate
 
 DEFAULT_CAP = 5_000_000
+TAIL_K = 3
 
 
 class SumsetCapError(ArithmeticError):
@@ -222,15 +223,16 @@ def growth_series(
     return GrowthSeries(sizes=tuple(sizes), capped=capped)
 
 
-def growth_rate_estimate(series: GrowthSeries, k: int = 3, tolerance: float = 0.0) -> EntropyEstimate:
-    """Tail-difference estimator log(s_N / s_{N-k}) / k, which cancels the
-    polynomial prefactor of the growth; the crude endpoint log(s_N)/N is
-    reported alongside in the diagnostics."""
+def growth_rate_estimate(series: GrowthSeries) -> EntropyEstimate:
+    """Tail-difference estimator log(s_N / s_{N-k}) / k with k = TAIL_K (or
+    fewer when fewer sizes exist), which cancels the polynomial prefactor of
+    the growth; the crude endpoint log(s_N)/N is reported alongside in the
+    diagnostics. The estimate carries no tolerance (0.0)."""
     s = series.sizes
     n = len(s)
     if n < 3:
         raise ValueError("need at least three computed sizes to estimate a rate")
-    k_eff = min(k, n - 1)
+    k_eff = min(TAIL_K, n - 1)
     value = math.log(s[-1] / s[-1 - k_eff]) / k_eff
     return EntropyEstimate(
         value=value,
@@ -243,5 +245,4 @@ def growth_rate_estimate(series: GrowthSeries, k: int = 3, tolerance: float = 0.
             "capped": series.capped,
             "zero_adjoined": series.zero_adjoined,
         },
-        tolerance=tolerance,
     )

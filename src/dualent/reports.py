@@ -39,7 +39,7 @@ def jsonable(obj):
         return {
             "support": [jsonable(e) for e in obj.support],
             "weights": [jsonable(w) for w in obj.weights],
-            "exact": obj.exact,
+            "exact": True,  # weights are always exact rationals
         }
     if isinstance(obj, EntropyEstimate):
         return {

@@ -72,10 +72,11 @@ class TestWeightedFunction:
         assert [e.lattice[0] for e in f.support] == [-1, 3]
         assert f.weights == (F(3, 4), F(1, 4))
 
-    def test_float_weights_flag_inexact(self, z1):
-        pts = (z1.element((0,)), z1.element((1,)))
-        f = WeightedFunction(z1, pts, (0.5, 0.5))
-        assert not f.exact
+    @pytest.mark.parametrize("weights", [(0.5, 0.5), (F(1, 2), 0.5), (1.0,), (True,)])
+    def test_float_and_bool_weights_rejected(self, z1, weights):
+        pts = tuple(z1.element((i,)) for i in range(len(weights)))
+        with pytest.raises(TypeError):
+            WeightedFunction(z1, pts, weights)
 
     def test_translate_preserves_weights(self, z1):
         f = uniform_run(z1, 3)

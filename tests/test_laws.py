@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from dualent import laws
-from dualent.groups import FgAbelianGroup, IntMatrix
+from dualent.folner import WeightedFunction, sqrt_overlap_check
+from dualent.groups import AbelianAutomorphism, FgAbelianGroup, IntMatrix
+from dualent.growth import FiniteSubset, growth_rate_estimate, growth_series
 from dualent.laws import (
     LawReport,
     LawInstance,
@@ -160,6 +163,82 @@ class TestLawFailureReports:
         dev = abs(h12 - eigen_entropy(m1).value - eigen_entropy(m2).value)
         assert dev <= rep.tolerance
         assert check_product_bounds(trials=3, seed=6).passed
+
+    def test_peters_disagreement_records_label_matrix_base_and_depth(self, monkeypatch):
+        # one estimate per canned instance: push the third one (the 3-D
+        # hyperbolic map on the cube corners) 1.0 away from the spectral value
+        real = laws.growth_rate_estimate
+        seen = []
+
+        def faulty(series):
+            est = real(series)
+            seen.append(series)
+            if len(seen) == 3:
+                return dataclasses.replace(est, value=est.value + 1.0)
+            return est
+
+        monkeypatch.setattr(laws, "growth_rate_estimate", faulty)
+        rep = check_peters_vs_spectral(n_max=10)
+        assert not rep.passed
+        assert rep.inconclusive == ()
+        assert len(rep.failures) == 1
+        failure = rep.failures[0]
+        assert failure.index == 2
+        assert failure.note == "route disagreement"
+        inputs = dict(failure.inputs)
+        assert inputs["label"] == "hyperbolic-3d"
+        assert inputs["n_max"] == 10
+        assert inputs["base"] == tuple(itertools.product((0, 1), repeat=3))
+        matrix = IntMatrix(inputs["matrix"])
+        assert matrix == IntMatrix(((0, 0, 1), (1, 0, 1), (0, 1, 1)))
+        # the recorded inputs reproduce the instance on the real functions
+        monkeypatch.undo()
+        z3 = FgAbelianGroup(3)
+        auto = AbelianAutomorphism.from_matrix(z3, matrix)
+        series = growth_series(auto, FiniteSubset.of(z3, inputs["base"]), inputs["n_max"])
+        assert series == seen[2]
+        estimate = growth_rate_estimate(series).value
+        assert inputs["peters"] == estimate + 1.0
+        assert inputs["spectral"] == eigen_entropy(matrix).value
+        assert abs(estimate - inputs["spectral"]) <= rep.tolerance
+        assert failure.deviation == pytest.approx(abs(inputs["peters"] - inputs["spectral"]))
+        assert check_peters_vs_spectral(n_max=10).passed
+
+    def test_sqrt_overlap_failure_records_support_weights_shift_and_seed(self, monkeypatch):
+        # one check per trial: report trial 3 as violated by 1.0
+        real = laws.sqrt_overlap_check
+        seen = []
+
+        def faulty(func, shift):
+            lhs, rhs, holds = real(func, shift)
+            seen.append((func, shift))
+            if len(seen) == 4:
+                return rhs + 1.0, rhs, False
+            return lhs, rhs, holds
+
+        monkeypatch.setattr(laws, "sqrt_overlap_check", faulty)
+        rep = check_sqrt_overlap(trials=6, seed=7)
+        assert not rep.passed
+        assert len(rep.failures) == 1
+        failure = rep.failures[0]
+        assert failure.index == 3
+        assert failure.deviation == pytest.approx(1.0)
+        inputs = dict(failure.inputs)
+        assert set(inputs) == {"support", "weights", "shift", "seed"}
+        assert inputs["seed"] == 7
+        # the recorded inputs rebuild the same weighting and shift, for which
+        # the real bound holds
+        monkeypatch.undo()
+        group = FgAbelianGroup(len(inputs["shift"]))
+        func = WeightedFunction(
+            group,
+            tuple(group.element(p) for p in inputs["support"]),
+            tuple(Fraction(n, d) for n, d in inputs["weights"]),
+        )
+        shift = group.element(inputs["shift"])
+        assert (func, shift) == seen[3]
+        assert sqrt_overlap_check(func, shift)[2]
+        assert check_sqrt_overlap(trials=6, seed=7).passed
 
 
 class TestRankLaws:
