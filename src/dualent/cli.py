@@ -213,6 +213,10 @@ def _run_rank(doc: SpecDocument, args) -> object:
     delta = _param(args.delta, doc.params.delta, None)
     _require(delta is not None, "params.delta", "rank requires --delta or params.delta")
     delta_frac = exact_delta(delta)
+    if delta_frac <= 0:
+        # No witness has a negative defect, and the upper-bound loops would
+        # only give up after their whole range.
+        raise ValueError("delta must be positive")
     radius = _param(args.radius, doc.params.radius, 8)
     omega = list(doc.omega)
     if args.method == "lp":

@@ -233,30 +233,24 @@ class RankCertificate:
     defect_exact: Optional[Fraction] = field(default=None, compare=False)
 
 
-def _shift_structure(support: Sequence, shifted: Sequence) -> tuple[list, list, list]:
-    """Index bookkeeping for one shift: pairs (i, j) with shifted[i] ==
-    support[j], source indices leaving the support, and target indices not
-    reached. The defect of T under this shift is
+def _shift_structure(images: Sequence[int]) -> tuple[list, list, list]:
+    """Index bookkeeping for one shift of a k-point support, given images[i],
+    the position in the support of the shift of point i, or -1 outside it:
+    pairs (i, j) with images[i] == j, source indices leaving the support, and
+    target indices not reached. The defect of T under this shift is
     sum_pairs |T_i - T_j| + sum_solo_src T_i + sum_solo_dst T_j."""
-    index = {g: j for j, g in enumerate(support)}
-    hit = set()
-    pairs = []
-    solo_src = []
-    for i, sh in enumerate(shifted):
-        j = index.get(sh)
-        if j is None:
-            solo_src.append(i)
-        else:
-            pairs.append((i, j))
-            hit.add(j)
-    solo_dst = [j for j in range(len(support)) if j not in hit]
+    pairs = [(i, j) for i, j in enumerate(images) if j >= 0]
+    solo_src = [i for i, j in enumerate(images) if j < 0]
+    hit = set(images)
+    solo_dst = [j for j in range(len(images)) if j not in hit]
     return pairs, solo_src, solo_dst
 
 
 def _min_defect_lp(k: int, structures: Sequence[tuple[list, list, list]]):
     """Minimize the max translation defect over weights on a k-point support:
     variables are the k weights, one absolute-difference bound per overlap
-    pair per shift, and the defect bound itself."""
+    pair per shift, and the defect bound itself. Every coefficient is 0 or
+    +-1, so the rows are plain ints."""
     pair_vars = []
     offset = k
     for pairs, _, _ in structures:
@@ -271,38 +265,38 @@ def _min_defect_lp(k: int, structures: Sequence[tuple[list, list, list]]):
     t_var = offset
     nvars = t_var + 1
 
-    objective = [Fraction(0)] * nvars
-    objective[t_var] = Fraction(1)
-    eq = [[Fraction(1)] * k + [Fraction(0)] * (nvars - k)]
-    eq_rhs = [Fraction(1)]
+    objective = [0] * nvars
+    objective[t_var] = 1
+    eq = [[1] * k + [0] * (nvars - k)]
+    eq_rhs = [1]
 
     ub = []
     ub_rhs = []
     for (pairs, solo_src, solo_dst), slots in zip(structures, pair_vars):
-        row = [Fraction(0)] * nvars
+        row = [0] * nvars
         for (i, j), slot in zip(pairs, slots):
             if slot is None:
                 continue
-            up = [Fraction(0)] * nvars
+            up = [0] * nvars
             up[i] += 1
             up[j] -= 1
-            up[slot] = Fraction(-1)
-            down = [Fraction(0)] * nvars
+            up[slot] = -1
+            down = [0] * nvars
             down[i] -= 1
             down[j] += 1
-            down[slot] = Fraction(-1)
+            down[slot] = -1
             ub.append(up)
-            ub_rhs.append(Fraction(0))
+            ub_rhs.append(0)
             ub.append(down)
-            ub_rhs.append(Fraction(0))
-            row[slot] = Fraction(1)
+            ub_rhs.append(0)
+            row[slot] = 1
         for i in solo_src:
             row[i] += 1
         for j in solo_dst:
             row[j] += 1
-        row[t_var] = Fraction(-1)
+        row[t_var] = -1
         ub.append(row)
-        ub_rhs.append(Fraction(0))
+        ub_rhs.append(0)
     result = solve_lp(objective, eq, eq_rhs, ub, ub_rhs)
     return result.value, result.x[:k]
 
@@ -420,6 +414,11 @@ def _search_supports(
     A symmetry (an index permutation fixing 0 and every defect) may map the
     support to an earlier one.
 
+    The LP depends only on where each shift's images land inside the
+    support (their positions, -1 outside), which determines every
+    `_shift_structure`. Those positions key a memo that lives for one
+    support size of one call, so each distinct LP is solved once.
+
     Returns (k, support, optimum, weights), or None when no support of size
     at most max_support (default n) is accepted. optimum is None when a zero
     weight was blended away; the weights' defect must then be derived again.
@@ -433,12 +432,17 @@ def _search_supports(
     short = 2 // delta  # a run this long or shorter leaves defect >= 2/run >= delta
     windows = [_run_windows(n, succ[s], short + 1) for s in run_shifts]
     for k in range(1, min(max_support, n) + 1):
+        solved = {}
         for combo in _run_feasible_combos(n, k, windows):
             if any(tuple(sorted(perm[i] for i in combo)) < combo for perm in symmetries):
                 continue
             support = (0, *combo)
-            structures = [_shift_structure(support, [row[i] for i in support]) for row in succ]
-            optimum, weights = _min_defect_lp(k, structures)
+            where = {p: j for j, p in enumerate(support)}
+            images = tuple(tuple(where.get(row[i], -1) for i in support) for row in succ)
+            lp = solved.get(images)
+            if lp is None:
+                lp = solved[images] = _min_defect_lp(k, [_shift_structure(m) for m in images])
+            optimum, weights = lp
             if not optimum < delta:
                 continue
             if any(w <= 0 for w in weights):

@@ -1,19 +1,29 @@
-"""Two-phase primal simplex over exact rationals.
+"""Two-phase primal simplex over exact rationals, pivoted in integers.
 
-Problems in this package are tiny (tens of variables), so the implementation
-favors robustness: every pivot is a Fraction operation and Bland's rule keeps
-the heavily degenerate instances from cycling.
+Problems in this package are small (tens of variables and rows). The
+tableau is integer throughout and shares one positive denominator d: the
+rational tableau is T / d. Each input row, right-hand side included, is
+scaled by the positive lcm of its denominators and gets a slack (or
+artificial) coefficient of 1, which is the same LP with each slack and
+artificial rescaled by a positive factor; the objectives are scaled by a
+positive lcm too (phase 1 weighs each artificial by the inverse of its row's
+scale, so it minimizes the same sum).
 
-The tableau is stored dense, but pivots update it sparsely: only the nonzero
-entries of the pivot row are divided, and only rows with a nonzero entry in
-the pivot column are reduced, in the pivot row's nonzero columns alone. The
-skipped updates are exactly the ones that would leave an entry unchanged, so
-every entry, every Bland choice and the optimal vertex are the same as with
-a dense update.
+A pivot on (r, c) with p = T[r][c] keeps row r and replaces every other row
+i by (p T[i] - T[i][c] T[r]) // d, an exact division (Edmonds 1967;
+Bareiss, Math. Comp. 22, 1968); d becomes p, and if p < 0, which only the
+drive-out of a basic artificial can produce, every row and d are negated.
+
+Bland's rule keeps the heavily degenerate instances from cycling. It reads
+only the signs of the reduced costs and compares ratios by
+cross-multiplication, and positive rescalings of rows and columns change
+neither, so every pivot and the optimal vertex are the ones a Fraction
+tableau of the same LP would take.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -33,41 +43,66 @@ class SimplexResult:
     x: tuple[Fraction, ...]
 
 
-def _pivot(tableau, basis, row, col):
-    """Gauss-Jordan step on (row, col) over nonzero entries only."""
+def _integers(values) -> tuple[list[int], int]:
+    """values times the positive lcm of their denominators, as ints, and
+    that lcm."""
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
+    exact = [v if isinstance(v, int) else Fraction(v) for v in values]
+    scale = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (scale // v.denominator) for v in exact], scale
+
+
+def _pivot(tableau, basis, row, col, d) -> int:
+    """Fraction-free step on (row, col) of the tableau T / d; returns the
+    new denominator."""
     line = tableau[row]
-    piv = line[col]
-    nonzero = [(j, v / piv) for j, v in enumerate(line) if v]
-    for j, v in nonzero:
-        line[j] = v
-    for r, other in enumerate(tableau):
+    p = line[col]
+    nonzero = [(j, b) for j, b in enumerate(line) if b]
+    for i, other in enumerate(tableau):
         f = other[col]
-        if r != row and f:
-            for j, v in nonzero:
-                other[j] -= f * v
+        if i == row or (p == d and not f):
+            continue
+        if p == d:
+            # (p a - f b) / d = a - f b / d: only the pivot row's nonzero
+            # columns change.
+            for j, b in nonzero:
+                other[j] -= f * b // d
+        elif f:
+            tableau[i] = [(p * a - f * b) // d for a, b in zip(other, line)]
+        else:
+            tableau[i] = [p * a // d if a else 0 for a in other]
     basis[row] = col
+    if p < 0:
+        for i, other in enumerate(tableau):
+            tableau[i] = [-a for a in other]
+        p = -p
+    return p
 
 
-def _run_phase(tableau, basis, cost, ncols):
-    """Minimizes cost (a full row over ncols columns) in place. The cost row
-    is carried as the last row of the tableau."""
+def _run_phase(tableau, basis, ncols, d) -> int:
+    """Minimizes the cost row, carried as the last row of the tableau, over
+    the first ncols columns in place; returns the final denominator."""
     while True:
         # Bland: entering variable = lowest index with negative reduced cost.
         obj = tableau[-1]
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
-            return
-        best = None
+            return d
         row = None
         for r in range(len(tableau) - 1):
             a = tableau[r][col]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
-                    best, row = ratio, r
+                b = tableau[r][-1]
+                if row is None:
+                    row, best_b, best_a = r, b, a
+                    continue
+                lhs, rhs = b * best_a, best_b * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[row]):
+                    row, best_b, best_a = r, b, a
         if row is None:
             raise UnboundedError("no blocking constraint for entering column")
-        _pivot(tableau, basis, row, col)
+        d = _pivot(tableau, basis, row, col, d)
 
 
 def solve_lp(
@@ -80,102 +115,71 @@ def solve_lp(
     """Minimizes objective . x subject to eq_rows x = eq_rhs,
     ub_rows x <= ub_rhs, and x >= 0 componentwise."""
     n = len(objective)
-    objective = [Fraction(c) for c in objective]
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    kinds: list[str] = []
-    for row, b in zip(eq_rows, eq_rhs):
-        rows.append([Fraction(v) for v in row])
-        rhs.append(Fraction(b))
-        kinds.append("eq")
-    for row, b in zip(ub_rows, ub_rhs):
-        rows.append([Fraction(v) for v in row])
-        rhs.append(Fraction(b))
-        kinds.append("ub")
-
-    m = len(rows)
-    nslack = sum(1 for k in kinds if k == "ub")
-
-    # Layout: structural vars | slacks | artificials.
-    slack_at = {}
-    si = 0
-    for r, k in enumerate(kinds):
-        if k == "ub":
-            slack_at[r] = n + si
-            si += 1
-
-    full = []
-    for r in range(m):
-        line = rows[r] + [Fraction(0)] * nslack
-        if r in slack_at:
-            line[slack_at[r]] = Fraction(1)
-        if rhs[r] < 0:
+    eq = [_integers([*row, b]) for row, b in zip(eq_rows, eq_rhs)]
+    ub = [_integers([*row, b]) for row, b in zip(ub_rows, ub_rhs)]
+    m = len(eq) + len(ub)
+    w = n + len(ub)  # structural vars | slacks | artificials | rhs
+    # A bound with rhs >= 0 starts with its slack basic (coefficient +1);
+    # every other row, negated if its rhs is negative, gets an artificial.
+    art_scales = [scale for _, scale in eq] + [scale for values, scale in ub if values[-1] < 0]
+    total = w + len(art_scales)
+    tableau = []
+    basis = []
+    art = w
+    for r, (values, _) in enumerate(eq + ub):
+        line = values[:n] + [0] * (total - n) + values[-1:]
+        slack = n + r - len(eq)
+        if slack >= n:
+            line[slack] = 1
+        if values[-1] < 0:
             line = [-v for v in line]
-            rhs[r] = -rhs[r]
-        full.append(line)
-
-    # Basis: slack where it has coefficient +1; otherwise an artificial.
-    basis = [-1] * m
-    art_cols = []
-    w = n + nslack
-    for r in range(m):
-        sc = slack_at.get(r)
-        if sc is not None and full[r][sc] == 1:
-            basis[r] = sc
+        if slack >= n and values[-1] >= 0:
+            basis.append(slack)
         else:
-            art_cols.append(w)
-            basis[r] = w
-            w += 1
-    total = w
-    for r in range(m):
-        full[r] = full[r] + [Fraction(0)] * (total - len(full[r]))
-        if basis[r] >= n + nslack:
-            full[r][basis[r]] = Fraction(1)
-        full[r].append(rhs[r])
+            basis.append(art)
+            line[art] = 1
+            art += 1
+        tableau.append(line)
 
-    tableau = full
-
-    if art_cols:
-        # Phase 1: minimize the sum of artificials.
-        cost = [Fraction(0)] * total + [Fraction(0)]
-        for c in art_cols:
-            cost[c] = Fraction(1)
-        # Express cost in terms of nonbasic variables.
-        for r in range(m):
-            if basis[r] in art_cols:
-                cost = [a - b for a, b in zip(cost, tableau[r])]
+    d = 1
+    if art_scales:
+        # Phase 1: minimize the sum of the artificials of the unscaled rows,
+        # i.e. artificial a of row scale s weighs lcm / s; the cost row is
+        # expressed in the nonbasic variables.
+        lcm = math.lcm(*art_scales)
+        cost = [0] * (total + 1)
+        for r, b in enumerate(basis):
+            if b >= w:
+                weight = lcm // art_scales[b - w]
+                cost = [c - weight * v for c, v in zip(cost, tableau[r])]
+                cost[b] = 0
         tableau.append(cost)
-        _run_phase(tableau, basis, cost, total)
+        d = _run_phase(tableau, basis, total, d)
         if tableau[-1][-1] != 0:
             raise InfeasibleError("phase-1 optimum is nonzero")
         tableau.pop()
         # Drive any artificial still basic out of the basis (degenerate rows).
         for r in range(m):
-            if basis[r] in art_cols:
-                col = next(
-                    (j for j in range(n + nslack) if tableau[r][j] != 0),
-                    None,
-                )
+            if basis[r] >= w:
+                col = next((j for j in range(w) if tableau[r][j] != 0), None)
                 if col is None:
                     continue  # redundant all-zero row
-                _pivot(tableau, basis, r, col)
+                d = _pivot(tableau, basis, r, col, d)
 
-    cost = [Fraction(c) for c in objective] + [Fraction(0)] * (total - n) + [Fraction(0)]
-    for c in art_cols:
-        cost[c] = Fraction(0)
-    for r in range(m):
-        b = basis[r]
-        if b < len(cost) - 1 and cost[b] != 0:
-            f = cost[b]
-            cost = [a - f * v for a, v in zip(cost, tableau[r])]
+    c, scale = _integers(objective)
+    cost = [d * v for v in c] + [0] * (total - n + 1)
+    for r, b in enumerate(basis):
+        if b < n and c[b]:
+            cost = [a - c[b] * v for a, v in zip(cost, tableau[r])]
     tableau.append(cost)
     # Artificial columns must never re-enter; make them unattractive by
     # excluding them from the eligible range.
-    _run_phase(tableau, basis, cost, n + nslack)
+    d = _run_phase(tableau, basis, w, d)
 
     x = [Fraction(0)] * n
-    for r in range(m):
-        if basis[r] < n:
-            x[basis[r]] = tableau[r][-1]
-    value = sum(c * v for c, v in zip(objective, x))
-    return SimplexResult(value=value, x=tuple(x))
+    value = 0
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = Fraction(tableau[r][-1], d)
+            value += c[b] * tableau[r][-1]
+    return SimplexResult(value=Fraction(value, scale * d), x=tuple(x))

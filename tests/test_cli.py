@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -7,6 +8,8 @@ from contextlib import redirect_stdout, redirect_stderr
 import pytest
 
 from dualent.cli import main, EXIT_OK, EXIT_COMPUTATION, EXIT_SPEC, EXIT_VERIFY_FAILED
+
+from tests.conftest import REPO_ROOT
 
 
 def run_cli(argv):
@@ -128,6 +131,25 @@ class TestRankCommand:
              "--delta", "0.01", "--radius", "2"]
         )
         assert code == EXIT_COMPUTATION
+
+    @pytest.mark.parametrize("delta", ["0", "-0.25"])
+    @pytest.mark.parametrize("method", ["lp", "interval", "parallelepiped", "tower"])
+    def test_nonpositive_delta_is_computation_error(self, example_dir, method, delta):
+        # In a child with a time limit: an upper-bound loop that never meets
+        # the tolerance must fail the test, not hang it.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualent.cli", "rank",
+             doc_path(example_dir, "rank_z1.json"), "--method", method, "--delta", delta],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            env=env,
+        )
+        assert proc.returncode == EXIT_COMPUTATION
+        assert proc.stdout == ""
+        assert proc.stderr == "computation error: delta must be positive\n"
 
 
 class TestVerifyCommand:

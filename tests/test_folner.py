@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualent import folner
 from dualent.groups import FgAbelianGroup, AbelianAutomorphism, IntMatrix, ShapeError
+from dualent.specdoc import parse_spec
 from dualent.folner import (
     WeightedFunction,
     RankSearchExhausted,
@@ -26,6 +28,8 @@ from dualent.folner import (
     sqrt_overlap_check,
     symmetric_difference_ratio,
 )
+
+from tests.conftest import EXAMPLE_DIR
 
 F = Fraction
 
@@ -418,6 +422,49 @@ class TestRunDrivenEnumeration:
             match=r"^no support of size <= 4 within radius 8 achieves defect < 1/2; ",
         ):
             min_rank_bruteforce(Z1, omega, F(1, 2), 8, max_support=4)
+
+
+class TestLpMemo:
+    """Supports whose shifts land at the same positions inside them pose one
+    LP, solved once per search; the memo lives for one call only."""
+
+    @staticmethod
+    def _lps_solved(monkeypatch, search):
+        calls = []
+        real = folner.solve_lp
+
+        def counting(*lp):
+            calls.append(lp)
+            return real(*lp)
+
+        monkeypatch.setattr(folner, "solve_lp", counting)
+        search()
+        return len(calls)
+
+    @staticmethod
+    def _document_search(name, radius):
+        doc = parse_spec(str(EXAMPLE_DIR / name))
+        return lambda: min_rank_bruteforce(doc.group, list(doc.omega), doc.params.delta, radius)
+
+    # (search, distinct LPs; the LP calls without the memo in the comment)
+    @pytest.mark.parametrize("name, radius, lps", [
+        ("fg_abelian_mixed.json", 2, 38),  # 38
+        ("fg_abelian_mixed.json", 3, 340),  # 412
+        ("catmap_z2.json", 3, 1),  # 1
+    ])
+    def test_distinct_lp_count_pinned(self, monkeypatch, name, radius, lps):
+        assert self._lps_solved(monkeypatch, self._document_search(name, radius)) == lps
+
+    def test_distinct_lp_count_pinned_on_z1(self, monkeypatch):
+        shifts = [Z1.element((s,)) for s in (1, -1, 2, -2)]
+        search = lambda: min_rank_bruteforce(Z1, shifts, F(3, 4), 6)
+        assert self._lps_solved(monkeypatch, search) == 61  # 81 without the memo
+
+    def test_no_state_carries_over_between_searches(self, monkeypatch):
+        search = self._document_search("fg_abelian_mixed.json", 3)
+        first = self._lps_solved(monkeypatch, search)
+        second = self._lps_solved(monkeypatch, search)
+        assert first == second == 340
 
 
 class TestMinRankTable:

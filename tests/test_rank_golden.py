@@ -111,26 +111,44 @@ def test_bruteforce_certificate_pinned(search, rank, support, weights, defect_ex
     assert cert.defect_exact == defect_exact
 
 
-def test_cli_catmap_document_radius_certificate_pinned():
-    # The document radius 8 is a 289-point ball; run in a child with a time
-    # limit so a search that cannot finish fails instead of hanging.
+def _cli_rank_json(name):
+    """`dualent rank docs/examples/<name> --format json` at the document
+    radius, in a child with a time limit so a search that cannot finish
+    fails instead of hanging."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "dualent.cli", "rank",
-         str(EXAMPLE_DIR / "catmap_z2.json"), "--format", "json"],
+        [sys.executable, "-m", "dualent.cli", "rank", str(EXAMPLE_DIR / name), "--format", "json"],
         capture_output=True,
         text=True,
         timeout=60,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    cert = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_cli_catmap_document_radius_certificate_pinned():
+    # The document radius 8 is a 289-point ball.
+    cert = _cli_rank_json("catmap_z2.json")
     assert cert["search_radius"] == 8
     assert cert["rank"] == 5
     assert cert["witness"]["support"] == [[i, 0] for i in range(-4, 1)]
     assert cert["witness"]["weights"] == ["1/5"] * 5
     assert cert["defect_exact"] == "2/5"
+
+
+def test_cli_fg_abelian_mixed_document_radius_certificate_pinned():
+    # Z x Z/2 at radius 8: about 150,000 supports reach the LP stage, of
+    # which about 4,300 pose distinct LPs.
+    cert = _cli_rank_json("fg_abelian_mixed.json")
+    assert cert["search_radius"] == 8
+    assert cert["rank"] == 9
+    assert cert["witness"]["support"] == [
+        [a, t] for a in range(-4, 0) for t in (0, 1)
+    ] + [[0, 0]]
+    assert cert["witness"]["weights"] == ["5/41", "4/41"] * 4 + ["5/41"]
+    assert cert["defect_exact"] == "18/41"
 
 
 def _compose(p, q):

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dualent.simplex import solve_lp, InfeasibleError, UnboundedError
+from dualent import simplex
+from dualent.simplex import solve_lp, InfeasibleError, SimplexResult, UnboundedError
 
 F = Fraction
 
@@ -113,3 +115,243 @@ def test_probability_simplex_optimum_is_min_coefficient(costs, total):
     )
     assert res.value == total * min(F(c) for c in costs)
     assert sum(res.x) == total
+
+
+# --- equivalence with the Fraction tableau ----------------------------------
+#
+# The two-phase Bland simplex on a Fraction tableau that solve_lp replaced,
+# kept as the reference: the integer tableau must take the same pivots to
+# the same vertex, and fail the same way.
+
+
+def _reference_pivot(tableau, basis, row, col, pivots):
+    pivots.append((row, col))
+    line = tableau[row]
+    piv = line[col]
+    nonzero = [(j, v / piv) for j, v in enumerate(line) if v]
+    for j, v in nonzero:
+        line[j] = v
+    for r, other in enumerate(tableau):
+        f = other[col]
+        if r != row and f:
+            for j, v in nonzero:
+                other[j] -= f * v
+    basis[row] = col
+
+
+def _reference_run_phase(tableau, basis, ncols, pivots):
+    while True:
+        obj = tableau[-1]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return
+        best = None
+        row = None
+        for r in range(len(tableau) - 1):
+            a = tableau[r][col]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[row]):
+                    best, row = ratio, r
+        if row is None:
+            raise UnboundedError("no blocking constraint for entering column")
+        _reference_pivot(tableau, basis, row, col, pivots)
+
+
+def reference_solve_lp(objective, eq_rows, eq_rhs, ub_rows, ub_rhs, pivots):
+    n = len(objective)
+    objective = [F(c) for c in objective]
+    rows, rhs, kinds = [], [], []
+    for row, b in zip(eq_rows, eq_rhs):
+        rows.append([F(v) for v in row])
+        rhs.append(F(b))
+        kinds.append("eq")
+    for row, b in zip(ub_rows, ub_rhs):
+        rows.append([F(v) for v in row])
+        rhs.append(F(b))
+        kinds.append("ub")
+    m = len(rows)
+    nslack = kinds.count("ub")
+    slack_at = {}
+    for r, k in enumerate(kinds):
+        if k == "ub":
+            slack_at[r] = n + len(slack_at)
+    full = []
+    for r in range(m):
+        line = rows[r] + [F(0)] * nslack
+        if r in slack_at:
+            line[slack_at[r]] = F(1)
+        if rhs[r] < 0:
+            line = [-v for v in line]
+            rhs[r] = -rhs[r]
+        full.append(line)
+    basis = [-1] * m
+    art_cols = []
+    w = n + nslack
+    for r in range(m):
+        sc = slack_at.get(r)
+        if sc is not None and full[r][sc] == 1:
+            basis[r] = sc
+        else:
+            art_cols.append(w)
+            basis[r] = w
+            w += 1
+    total = w
+    for r in range(m):
+        full[r] = full[r] + [F(0)] * (total - len(full[r]))
+        if basis[r] >= n + nslack:
+            full[r][basis[r]] = F(1)
+        full[r].append(rhs[r])
+    tableau = full
+    if art_cols:
+        cost = [F(0)] * (total + 1)
+        for c in art_cols:
+            cost[c] = F(1)
+        for r in range(m):
+            if basis[r] in art_cols:
+                cost = [a - b for a, b in zip(cost, tableau[r])]
+        tableau.append(cost)
+        _reference_run_phase(tableau, basis, total, pivots)
+        if tableau[-1][-1] != 0:
+            raise InfeasibleError("phase-1 optimum is nonzero")
+        tableau.pop()
+        for r in range(m):
+            if basis[r] in art_cols:
+                col = next((j for j in range(n + nslack) if tableau[r][j] != 0), None)
+                if col is None:
+                    continue
+                _reference_pivot(tableau, basis, r, col, pivots)
+    cost = objective + [F(0)] * (total - n + 1)
+    for r in range(m):
+        f = cost[basis[r]]
+        if f != 0:
+            cost = [a - f * v for a, v in zip(cost, tableau[r])]
+    tableau.append(cost)
+    _reference_run_phase(tableau, basis, n + nslack, pivots)
+    x = [F(0)] * n
+    for r in range(m):
+        if basis[r] < n:
+            x[basis[r]] = tableau[r][-1]
+    return SimplexResult(value=sum(c * v for c, v in zip(objective, x)), x=tuple(x))
+
+
+def _outcome(solve, lp):
+    try:
+        res = solve(*lp)
+    except (InfeasibleError, UnboundedError) as exc:
+        return type(exc), None, None
+    return SimplexResult, res.value, res.x
+
+
+def _compare(lp):
+    """Both solvers on one LP: (outcome, pivots, pivot entries of the integer
+    tableau), after asserting that outcome and pivots agree."""
+    reference_pivots = []
+    expected = _outcome(lambda *a: reference_solve_lp(*a, reference_pivots), lp)
+    pivots, entries = [], []
+    real = simplex._pivot
+
+    def spy(tableau, basis, row, col, d):
+        pivots.append((row, col))
+        entries.append(tableau[row][col])
+        return real(tableau, basis, row, col, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_pivot", spy)
+        got = _outcome(solve_lp, lp)
+    assert got == expected
+    assert pivots == reference_pivots
+    return got, pivots, entries
+
+
+def _random_lp(rng: random.Random):
+    def number():
+        if rng.random() < 0.3:
+            return 0
+        value = F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 4, 6)))
+        return value if rng.random() < 0.5 else int(value) if value.denominator == 1 else value
+
+    n = rng.randint(1, 5)
+    eq = [[number() for _ in range(n)] for _ in range(rng.randint(0, 3))]
+    eq_rhs = [number() for _ in eq]
+    if eq and rng.random() < 0.4:
+        # a redundant equality: a rational multiple of one row or the sum
+        # of two
+        i, j = rng.randrange(len(eq)), rng.randrange(len(eq))
+        if i == j:
+            f = F(rng.randint(1, 5), rng.randint(1, 3)) * rng.choice((1, -1))
+            eq.append([f * v for v in eq[i]])
+            eq_rhs.append(f * eq_rhs[i])
+        else:
+            eq.append([a + b for a, b in zip(eq[i], eq[j])])
+            eq_rhs.append(eq_rhs[i] + eq_rhs[j])
+    ub = [[number() for _ in range(n)] for _ in range(rng.randint(0, 4))]
+    ub_rhs = [number() for _ in ub]
+    if ub and rng.random() < 0.3:
+        # degenerate ties: repeated bounds at a shared zero level
+        ub.append(list(ub[0]))
+        ub_rhs[0] = 0
+        ub_rhs.append(0)
+    return [number() for _ in range(n)], eq, eq_rhs, ub, ub_rhs
+
+
+def test_random_lps_take_the_reference_pivots():
+    rng = random.Random(20240611)
+    kinds = {SimplexResult: 0, InfeasibleError: 0, UnboundedError: 0}
+    negative_pivots = 0
+    for _ in range(600):
+        (kind, _, _), _, entries = _compare(_random_lp(rng))
+        kinds[kind] += 1
+        negative_pivots += sum(1 for p in entries if p < 0)
+    assert all(count >= 50 for count in kinds.values()), kinds
+    assert negative_pivots > 0  # the drive-out of a basic artificial ran
+
+
+@pytest.mark.parametrize("case", [
+    # redundant equality left with a basic artificial on an all-zero row
+    ([F(1), F(1)], [[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)], [], []),
+    # negative right-hand sides on both kinds of row
+    ([F(1), F(-1)], [[F(1), F(-2)]], [F(-3)], [[F(-1), F(1)]], [F(-1, 2)]),
+    # every bound tied at zero
+    ([F(-1), F(-1), F(0)], [], [], [[F(1), F(-1), F(0)], [F(-1), F(1), F(0)], [F(1), F(1), F(-1)]],
+     [F(0), F(0), F(0)]),
+    # Fraction data with distinct denominators in one row
+    ([F(1, 3), F(2, 5)], [[F(1, 2), F(1, 3)]], [F(5, 6)], [[F(3, 4), F(-1, 6)]], [F(1, 10)]),
+])
+def test_hand_built_lps_take_the_reference_pivots(case):
+    _compare(case)
+
+
+def _rank_lp_instances():
+    from dualent.folner import min_rank_bruteforce
+    from dualent.groups import FgAbelianGroup
+    from dualent.specdoc import parse_spec
+    from tests.conftest import EXAMPLE_DIR
+
+    z1 = FgAbelianGroup(1)
+    shifts = [z1.element((s,)) for s in (1, -1, 2, -2)]
+    yield lambda: min_rank_bruteforce(z1, shifts, F(3, 4), 6, exact=True)
+    yield lambda: min_rank_bruteforce(z1, shifts, F(1, 2), 6, exact=True)
+    for name, radius in (("rank_z1.json", None), ("fg_abelian_mixed.json", 2)):
+        doc = parse_spec(str(EXAMPLE_DIR / name))
+        yield lambda doc=doc, radius=radius: min_rank_bruteforce(
+            doc.group, list(doc.omega), doc.params.delta, radius or doc.params.radius
+        )
+
+
+def test_every_rank_lp_instance_lp_takes_the_reference_pivots():
+    from dualent import folner
+
+    lps = []
+
+    def record(*lp):
+        lps.append(lp)
+        return solve_lp(*lp)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(folner, "solve_lp", record)
+        for search in _rank_lp_instances():
+            search()
+    assert len(lps) > 100
+    for lp in lps:
+        _compare(lp)
