@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -6,6 +7,16 @@ from dualent.groups import FgAbelianGroup, IntMatrix, AbelianAutomorphism
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 EXAMPLE_DIR = REPO_ROOT / "docs" / "examples"
+
+
+
+def child_env() -> dict:
+    """The environment for a child `python -m dualent...` that imports this
+    checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
 
 CAT = ((2, 1), (1, 1))
 CAT_ENTROPY = 0.9624236501192069  # log((3 + sqrt 5) / 2)

@@ -1,6 +1,5 @@
 import io
 import json
-import os
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -9,7 +8,7 @@ import pytest
 
 from dualent.cli import main, EXIT_OK, EXIT_COMPUTATION, EXIT_SPEC, EXIT_VERIFY_FAILED
 
-from tests.conftest import REPO_ROOT
+from tests.conftest import child_env
 
 
 def run_cli(argv):
@@ -137,15 +136,13 @@ class TestRankCommand:
     def test_nonpositive_delta_is_computation_error(self, example_dir, method, delta):
         # In a child with a time limit: an upper-bound loop that never meets
         # the tolerance must fail the test, not hang it.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "dualent.cli", "rank",
              doc_path(example_dir, "rank_z1.json"), "--method", method, "--delta", delta],
             capture_output=True,
             text=True,
             timeout=20,
-            env=env,
+            env=child_env(),
         )
         assert proc.returncode == EXIT_COMPUTATION
         assert proc.stdout == ""

@@ -424,6 +424,14 @@ class TestRunDrivenEnumeration:
             min_rank_bruteforce(Z1, omega, F(1, 2), 8, max_support=4)
 
 
+def _document_search(name, radius):
+    def search():
+        doc = parse_spec(str(EXAMPLE_DIR / name))
+        return min_rank_bruteforce(doc.group, list(doc.omega), doc.params.delta, radius)
+
+    return search
+
+
 class TestLpMemo:
     """Supports whose shifts land at the same positions inside them pose one
     LP, solved once per search; the memo lives for one call only."""
@@ -441,27 +449,18 @@ class TestLpMemo:
         search()
         return len(calls)
 
-    @staticmethod
-    def _document_search(name, radius):
-        doc = parse_spec(str(EXAMPLE_DIR / name))
-        return lambda: min_rank_bruteforce(doc.group, list(doc.omega), doc.params.delta, radius)
-
-    # (search, distinct LPs; the LP calls without the memo in the comment)
-    @pytest.mark.parametrize("name, radius, lps", [
-        ("fg_abelian_mixed.json", 2, 38),  # 38
-        ("fg_abelian_mixed.json", 3, 340),  # 412
-        ("catmap_z2.json", 3, 1),  # 1
-    ])
-    def test_distinct_lp_count_pinned(self, monkeypatch, name, radius, lps):
-        assert self._lps_solved(monkeypatch, self._document_search(name, radius)) == lps
-
-    def test_distinct_lp_count_pinned_on_z1(self, monkeypatch):
-        shifts = [Z1.element((s,)) for s in (1, -1, 2, -2)]
-        search = lambda: min_rank_bruteforce(Z1, shifts, F(3, 4), 6)
-        assert self._lps_solved(monkeypatch, search) == 61  # 81 without the memo
+    # The comments give the LP calls without the memo.
+    @pytest.mark.parametrize("search, lps", [
+        (_document_search("fg_abelian_mixed.json", 2), 38),  # 38
+        (_document_search("fg_abelian_mixed.json", 3), 340),  # 412
+        (_document_search("catmap_z2.json", 3), 1),  # 1
+        (lambda: min_rank_bruteforce(Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4), 6), 61),  # 81
+    ], ids=["fg_abelian_mixed-r2", "fg_abelian_mixed-r3", "catmap_z2-r3", "z1-shifts12-r6-delta3/4"])
+    def test_distinct_lp_count_pinned(self, monkeypatch, search, lps):
+        assert self._lps_solved(monkeypatch, search) == lps
 
     def test_no_state_carries_over_between_searches(self, monkeypatch):
-        search = self._document_search("fg_abelian_mixed.json", 3)
+        search = _document_search("fg_abelian_mixed.json", 3)
         first = self._lps_solved(monkeypatch, search)
         second = self._lps_solved(monkeypatch, search)
         assert first == second == 340

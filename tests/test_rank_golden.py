@@ -7,7 +7,6 @@ landing on these same vertices: the certificates are documented output.
 
 import itertools
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,7 +17,7 @@ from dualent.folner import min_rank_bruteforce, min_rank_table
 from dualent.groups import FgAbelianGroup
 from dualent.specdoc import parse_spec
 
-from tests.conftest import EXAMPLE_DIR, REPO_ROOT
+from tests.conftest import EXAMPLE_DIR, child_env
 
 F = Fraction
 
@@ -115,14 +114,12 @@ def _cli_rank_json(name):
     """`dualent rank docs/examples/<name> --format json` at the document
     radius, in a child with a time limit so a search that cannot finish
     fails instead of hanging."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dualent.cli", "rank", str(EXAMPLE_DIR / name), "--format", "json"],
         capture_output=True,
         text=True,
         timeout=60,
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -139,8 +136,8 @@ def test_cli_catmap_document_radius_certificate_pinned():
 
 
 def test_cli_fg_abelian_mixed_document_radius_certificate_pinned():
-    # Z x Z/2 at radius 8: about 150,000 supports reach the LP stage, of
-    # which about 4,300 pose distinct LPs.
+    # Z x Z/2 at radius 8: 150,465 supports reach the LP stage and pose
+    # 4,269 distinct LPs.
     cert = _cli_rank_json("fg_abelian_mixed.json")
     assert cert["search_radius"] == 8
     assert cert["rank"] == 9
