@@ -4,7 +4,8 @@ linear programming, and the constructive Folner-set upper bounds (intervals,
 lattice parallelepipeds, convolution towers). Both rank searches number
 their points once and run one exact core, `_search_supports`, on indices;
 it enumerates only the supports that hold a run longer than 2/delta along
-every shift of infinite order, since no other support can succeed.
+every shift of infinite order, since no other support can succeed, and
+solves one exact LP per relabelling class of the supports' shift graphs.
 """
 
 from __future__ import annotations
@@ -349,48 +350,143 @@ def _run_windows(n: int, row: Sequence[int], length: int) -> list[tuple[int, ...
     return windows
 
 
-def _run_feasible_combos(n: int, k: int, windows: Sequence[Sequence[tuple[int, ...]]]):
-    """combinations(range(1, n), k - 1) in their lex order, restricted to the
-    combos whose support (0, *combo) contains a whole window of every shift.
+def _run_feasible_supports(n: int, k: int, windows: Sequence[Sequence[tuple[int, ...]]]):
+    """The k-point supports (0, *combo), combo from combinations(range(1, n),
+    k - 1) in their lex order, restricted to the supports that contain a
+    whole window of every shift. Yields (prefix, lasts): the supports are
+    (*prefix, last) for last in lasts, in order.
 
-    Backtracks over prefixes. A window stays alive while its points up to
-    the last chosen index are all chosen and at most the remaining slots of
-    its points are still missing; a prefix is abandoned once some shift has
-    no window alive. Each window is kept as its missing points, ascending.
+    Backtracks over prefixes with an explicit stack. A window stays alive
+    while its points up to the last chosen index are all chosen and at most
+    the remaining slots of its points are still missing; a prefix is
+    abandoned once some shift has no window alive, and a shift drops out
+    once one of its windows is whole. Each window is kept as the bitmask of
+    its missing points.
     """
     slots = k - 1
     alive = []
     for shift_windows in windows:
-        missing = [tuple(p for p in w if p) for w in shift_windows]  # 0 is chosen
-        if () in missing:
+        missing = [sum(1 << p for p in w if p) for w in shift_windows]  # 0 is chosen
+        if 0 in missing:
             continue  # point 0 alone is a window: this shift rules nothing out
-        missing = [m for m in missing if len(m) <= slots]
+        missing = [m for m in missing if m.bit_count() <= slots]
         if not missing:
             return
         alive.append(missing)
-    combo = []
+    if slots == 0:
+        yield (), (0,)
+        return
 
-    def extend(last: int, left: int, alive: list):
-        if left == 0:
-            yield tuple(combo)
-            return
+    def choices(last: int, left: int, alive: list) -> list:
         # Choosing x keeps a window whose next missing point is x, or one
-        # whose missing points all lie above x and fit in left - 1 slots;
-        # past stop some shift keeps neither, or no room is left.
-        below = [max((m[0] if m else n for m in ms if len(m) < left), default=0) for ms in alive]
-        firsts = [{m[0] for m in ms if m} for ms in alive]
-        stop = min([n - left] + [max([b - 1, *f]) for b, f in zip(below, firsts)])
-        for x in range(last + 1, stop + 1):
-            if all(x < b or x in f for b, f in zip(below, firsts)):
-                combo.append(x)
-                yield from extend(x, left - 1, [
-                    [m[1:] if m[:1] == (x,) else m
-                     for m in ms if m[:1] == (x,) or (len(m) < left and (not m or m[0] > x))]
-                    for ms in alive
-                ])
-                combo.pop()
+        # whose missing points all lie above x and fit in left - 1 slots.
+        allowed = (1 << (n - left + 1)) - (2 << last)  # last < x <= n - left
+        for ms in alive:
+            below = 1  # the lowest missing bit of a window with a slot to spare
+            firsts = 0
+            for m in ms:
+                first = m & -m
+                firsts |= first
+                if first > below and m.bit_count() < left:
+                    below = first
+            allowed &= (below - 1) | firsts
+        xs = []
+        while allowed:
+            low = allowed & -allowed
+            xs.append(low.bit_length() - 1)
+            allowed ^= low
+        return xs
 
-    yield from extend(0, slots, alive)
+    prefix = [0]
+    stack = [(alive, iter(choices(0, slots, alive)))]
+    while stack:
+        alive, later = stack[-1]
+        left = slots + 1 - len(stack)
+        if left == 1:
+            lasts = list(later)
+            if lasts:
+                yield tuple(prefix), lasts
+        else:
+            x = next(later, None)
+            if x is not None:
+                bit = 1 << x
+                upto = 2 * bit - 1
+                kept = []
+                for ms in alive:
+                    if bit in ms:
+                        continue  # x completes a window: the shift is satisfied
+                    kept.append([m ^ bit if m & upto == bit else m for m in ms
+                                 if m & upto == bit or (not m & upto and m.bit_count() < left)])
+                stack.append((kept, iter(choices(x, left - 1, kept))))
+                prefix.append(x)
+                continue
+        stack.pop()
+        prefix.pop()
+
+
+def _shift_graph_form(k: int, images: Sequence[Sequence[int]]) -> tuple:
+    """A canonical form of the shift graph of a k-point support under
+    relabelling its points: images[s][i] is the position of shift s applied
+    to point i, or -1. Each connected component is labelled by a walk from
+    a root, visiting neighbours in (shift, direction) order, and read as
+    the labels of each point's images; the smallest reading over the roots
+    is the component's form, and the graph's is its sorted component forms.
+    Every shift is a partial injection, so each walk is determined by its
+    root, and two supports get the same form exactly when a relabelling of
+    points carries one graph to the other."""
+    inverse = [[-1] * k for _ in images]
+    for row, inv in zip(images, inverse):
+        for i, j in enumerate(row):
+            if j >= 0:
+                inv[j] = i
+    links = [[j for row, inv in zip(images, inverse) for j in (row[i], inv[i]) if j >= 0] for i in range(k)]
+
+    def walk(root: int) -> tuple[list, tuple]:
+        label = {root: 0}
+        order = [root]
+        for i in order:
+            for j in links[i]:
+                if j not in label:
+                    label[j] = len(order)
+                    order.append(j)
+        return order, tuple([label.get(row[i], -1) for i in order for row in images])
+
+    forms = []
+    walked = set()
+    for root in range(k):
+        if root not in walked:
+            component, form = walk(root)
+            walked.update(component)
+            forms.append(min([form] + [walk(other)[1] for other in component[1:]]))
+    return tuple(sorted(forms))
+
+
+def _point_links(n: int, succ: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """For each point, its image and its preimage under each LP shift in
+    turn, -1 outside the points: (succ[0][i], pred[0][i], succ[1][i], ...)."""
+    pred = [[-1] * n for _ in succ]
+    for row, back in zip(succ, pred):
+        for i, j in enumerate(row):
+            if j >= 0:
+                back[j] = i
+    return [tuple(j for row, back in zip(succ, pred) for j in (row[i], back[i])) for i in range(n)]
+
+
+def _images_from_steps(k: int, steps: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """The images of a k-point support, as `_shift_structure` takes them,
+    from its key: steps[p] holds the positions, among positions before p,
+    of the image and the preimage of the point at position p under each
+    shift (its `_point_links` looked up in the support), -1 when absent.
+    Each link inside the support appears once, at its later end, so the
+    steps and the images determine each other."""
+    images = [[-1] * k for _ in range(len(steps[0]) // 2)]
+    for p, step in enumerate(steps):
+        for row, q_image, q_preimage in zip(images, step[::2], step[1::2]):
+            if q_image >= 0:
+                row[p] = q_image
+            if q_preimage >= 0:
+                row[q_preimage] = p
+    return images
 
 
 def _search_supports(
@@ -404,20 +500,25 @@ def _search_supports(
     """The rank search on points 0..n-1, point 0 the identity: supports
     (0, *combo) by size, then lexicographically, so the first whose exact LP
     optimum is below delta is canonical. succ[s][i] is the index of LP shift
-    s applied to point i, or -1 outside the points.
+    s applied to point i, or -1 outside the points; no LP shift fixes a
+    point.
 
     Two sound prunings skip the LP. Along an acyclic shift (run_shifts) any
     normalized weighting pays at least 2/run on its longest run, climbing
     to the peak and back down, so only supports holding a run of more than
     2/delta points along every such shift can succeed; the enumeration
-    generates only those (`_run_feasible_combos`), in the same lex order.
+    generates only those (`_run_feasible_supports`), in the same lex order.
     A symmetry (an index permutation fixing 0 and every defect) may map the
     support to an earlier one.
 
     The LP depends only on where each shift's images land inside the
-    support (their positions, -1 outside), which determines every
-    `_shift_structure`. Those positions key a memo that lives for one
-    support size of one call, so each distinct LP is solved once.
+    support. A point placed at position p adds the positions of its images
+    and preimages among the points placed before it, so the key of a
+    support is built along the enumeration prefix, and equal keys pose the
+    same LP. Relabelling the points of a support permutes the LP's
+    variables and keeps its optimum, so a support whose `_shift_graph_form`
+    was tested is rejected without an LP, and one exact LP is solved per
+    class.
 
     Returns (k, support, optimum, weights), or None when no support of size
     at most max_support (default n) is accepted. optimum is None when a zero
@@ -431,28 +532,59 @@ def _search_supports(
         raise ValueError("max_support must be at least 1")
     short = 2 // delta  # a run this long or shorter leaves defect >= 2/run >= delta
     windows = [_run_windows(n, succ[s], short + 1) for s in run_shifts]
+    links = _point_links(n, succ)
+    # Everything the memos record was rejected: the first support whose LP
+    # optimum is below delta ends the search. So the LP that accepts is
+    # always the support's own, solved in its own position order.
+    nodes = {}  # (parent prefix node, step) -> prefix node
+    tested_steps = {}  # prefix node -> steps of the last points tested under it
+    tested_forms = set()  # the _shift_graph_form of every LP solved
     for k in range(1, min(max_support, n) + 1):
-        solved = {}
-        for combo in _run_feasible_combos(n, k, windows):
-            if any(tuple(sorted(perm[i] for i in combo)) < combo for perm in symmetries):
-                continue
-            support = (0, *combo)
-            where = {p: j for j, p in enumerate(support)}
-            images = tuple(tuple(where.get(row[i], -1) for i in support) for row in succ)
-            lp = solved.get(images)
-            if lp is None:
-                lp = solved[images] = _min_defect_lp(k, [_shift_structure(m) for m in images])
-            optimum, weights = lp
-            if not optimum < delta:
-                continue
-            if any(w <= 0 for w in weights):
-                # The positive part is a smaller support whose translates
-                # through 0 all leave the points. Defect is convex and at
-                # most 2, so this blend toward the uniform weighting stays
-                # below (optimum + delta) / 2 with every weight positive.
-                eps = (delta - optimum) / 4
-                return k, support, None, tuple((1 - eps) * w + eps / k for w in weights)
-            return k, support, optimum, tuple(weights)
+        # pos[i] is the position of point i in the support, -1 when it is not
+        # placed; pos[-1], read for a link outside the points, stays -1.
+        pos = [-1] * (n + 1)
+        placed, steps, path = [], [], [-1]
+        for prefix, lasts in _run_feasible_supports(n, k, windows):
+            keep = 0
+            while keep < len(placed) and placed[keep] == prefix[keep]:
+                keep += 1
+            for x in placed[keep:]:
+                pos[x] = -1
+            del placed[keep:], steps[keep:], path[keep + 1:]
+            for p in range(keep, len(prefix)):
+                x = prefix[p]
+                step = tuple(map(pos.__getitem__, links[x]))
+                path.append(nodes.setdefault((path[-1], step), len(nodes)))
+                pos[x] = p
+                placed.append(x)
+                steps.append(step)
+            tested = tested_steps.setdefault(path[-1], set())
+            for x in lasts:
+                if symmetries:
+                    combo = (*prefix[1:], x)
+                    if any(tuple(sorted(perm[i] for i in combo)) < combo for perm in symmetries):
+                        continue
+                step = tuple(map(pos.__getitem__, links[x]))
+                if step in tested:
+                    continue
+                tested.add(step)
+                images = _images_from_steps(k, [*steps, step])
+                form = _shift_graph_form(k, images)
+                if form in tested_forms:
+                    continue
+                tested_forms.add(form)
+                optimum, weights = _min_defect_lp(k, [_shift_structure(m) for m in images])
+                if not optimum < delta:
+                    continue
+                support = (*prefix, x)
+                if any(w <= 0 for w in weights):
+                    # The positive part is a smaller support whose translates
+                    # through 0 all leave the points. Defect is convex and at
+                    # most 2, so this blend toward the uniform weighting stays
+                    # below (optimum + delta) / 2 with every weight positive.
+                    eps = (delta - optimum) / 4
+                    return k, support, None, tuple((1 - eps) * w + eps / k for w in weights)
+                return k, support, optimum, tuple(weights)
     return None
 
 

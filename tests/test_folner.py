@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from dualent.folner import (
     RankSearchExhausted,
     DegenerateBasisError,
     Parallelepiped,
-    _run_feasible_combos,
+    _run_feasible_supports,
     _run_windows,
     adapted_basis,
     choose_folner_constant,
@@ -373,7 +374,8 @@ class TestRunDrivenEnumeration:
                 c for c in itertools.combinations(range(1, n), k - 1)
                 if all(_longest_run({0, *c}, row) > short for row in succ)
             ]
-            assert list(_run_feasible_combos(n, k, windows)) == expected
+            got = [(*prefix, last)[1:] for prefix, lasts in _run_feasible_supports(n, k, windows) for last in lasts]
+            assert got == expected
 
     @pytest.mark.parametrize(
         "delta, rank, support, weights, defect_exact",
@@ -424,17 +426,22 @@ class TestRunDrivenEnumeration:
             min_rank_bruteforce(Z1, omega, F(1, 2), 8, max_support=4)
 
 
+def _document_problem(name):
+    doc = parse_spec(str(EXAMPLE_DIR / name))
+    return doc.group, list(doc.omega), exact_delta(doc.params.delta)
+
+
 def _document_search(name, radius):
     def search():
-        doc = parse_spec(str(EXAMPLE_DIR / name))
-        return min_rank_bruteforce(doc.group, list(doc.omega), doc.params.delta, radius)
+        return min_rank_bruteforce(*_document_problem(name), radius)
 
     return search
 
 
 class TestLpMemo:
-    """Supports whose shifts land at the same positions inside them pose one
-    LP, solved once per search; the memo lives for one call only."""
+    """Supports whose shift graphs are relabellings of each other pose LPs
+    with one optimum, solved once per search; the memo lives for one call
+    only."""
 
     @staticmethod
     def _lps_solved(monkeypatch, search):
@@ -449,12 +456,13 @@ class TestLpMemo:
         search()
         return len(calls)
 
-    # The comments give the LP calls without the memo.
+    # The comments give the distinct position keys, one LP each when the
+    # memo was keyed on positions alone.
     @pytest.mark.parametrize("search, lps", [
-        (_document_search("fg_abelian_mixed.json", 2), 38),  # 38
-        (_document_search("fg_abelian_mixed.json", 3), 340),  # 412
+        (_document_search("fg_abelian_mixed.json", 2), 27),  # 38
+        (_document_search("fg_abelian_mixed.json", 3), 116),  # 340
         (_document_search("catmap_z2.json", 3), 1),  # 1
-        (lambda: min_rank_bruteforce(Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4), 6), 61),  # 81
+        (lambda: min_rank_bruteforce(Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4), 6), 13),  # 61
     ], ids=["fg_abelian_mixed-r2", "fg_abelian_mixed-r3", "catmap_z2-r3", "z1-shifts12-r6-delta3/4"])
     def test_distinct_lp_count_pinned(self, monkeypatch, search, lps):
         assert self._lps_solved(monkeypatch, search) == lps
@@ -463,7 +471,139 @@ class TestLpMemo:
         search = _document_search("fg_abelian_mixed.json", 3)
         first = self._lps_solved(monkeypatch, search)
         second = self._lps_solved(monkeypatch, search)
-        assert first == second == 340
+        assert first == second == 116
+
+
+def _images(succ, support):
+    """The position key of a support: where each shift's image of each of
+    its points lies inside it, -1 outside."""
+    where = {p: j for j, p in enumerate(support)}
+    return tuple(tuple(where.get(row[i], -1) for i in support) for row in succ)
+
+
+def _prefix_steps(links, support):
+    """A support's prefix-built key: for each point in turn, the positions of
+    its links among the points placed before it."""
+    pos = {}
+    steps = []
+    for p, x in enumerate(support):
+        steps.append(tuple(pos.get(y, -1) for y in links[x]))
+        pos[x] = p
+    return tuple(steps)
+
+
+def _relabelled(images, perm):
+    """images with point i renamed perm[i]."""
+    out = []
+    for row in images:
+        moved = [-1] * len(row)
+        for i, j in enumerate(row):
+            moved[perm[i]] = perm[j] if j >= 0 else -1
+        out.append(tuple(moved))
+    return tuple(out)
+
+
+def _lp_points(group, omega, radius):
+    """The points, LP successor rows and run rows min_rank_bruteforce builds."""
+    shifts = folner._mirror_representatives(omega, lambda s: s.is_zero(), lambda s: -s)
+    n, succ = _numbered_ball(group, radius, shifts)
+    return n, succ, [r for r, s in enumerate(shifts) if any(s.lattice)]
+
+
+def _s3_points():
+    """S3 as permutation tuples, numbered as min_rank_table numbers them,
+    with rows for a transposition and a 3-cycle (both act in cycles)."""
+    identity = (0, 1, 2)
+    points = [identity, *sorted((g for g in itertools.permutations(range(3)) if g != identity), key=repr)]
+    index = {g: i for i, g in enumerate(points)}
+    shifts = [(1, 0, 2), (1, 2, 0)]
+    return len(points), [[index[tuple(s[g[i]] for i in range(3))] for g in points] for s in shifts]
+
+
+def _all_images(n, succ, windows, max_k):
+    keys = set()
+    for k in range(1, max_k + 1):
+        for prefix, lasts in _run_feasible_supports(n, k, windows):
+            keys.update(_images(succ, (*prefix, last)) for last in lasts)
+    return keys
+
+
+class TestShiftGraphForm:
+    """The class memo is sound when equal forms pose LPs with one optimum:
+    the form must not change under relabelling, and must tell apart graphs
+    that no relabelling maps onto each other."""
+
+    @pytest.mark.parametrize("shifts, k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3)])
+    def test_equal_forms_exactly_on_relabellings(self, shifts, k):
+        # every graph of partial injections (cycles included) on k points,
+        # against a brute-force canonical form: the least relabelling
+        injections = [
+            tuple(row) for row in itertools.product(range(-1, k), repeat=k)
+            if len([j for j in row if j >= 0]) == len({j for j in row if j >= 0})
+        ]
+        perms = list(itertools.permutations(range(k)))
+        forms = {}
+        for images in itertools.product(injections, repeat=shifts):
+            least = min(_relabelled(images, perm) for perm in perms)
+            forms.setdefault(least, set()).add(folner._shift_graph_form(k, images))
+        assert all(len(found) == 1 for found in forms.values())
+        assert len({f for found in forms.values() for f in found}) == len(forms)
+
+    @pytest.mark.parametrize("points", [
+        lambda: _lp_points(Z1, [Z1.element((s,)) for s in (1, 2)], 4)[:2],
+        lambda: _lp_points(Z2, [Z2.element((1, 0)), Z2.element((0, 1))], 1)[:2],
+        lambda: _lp_points(ZC2, [ZC2.element((1,), (0,)), ZC2.element((0,), (1,))], 2)[:2],
+        lambda: _lp_points(ZC2, [ZC2.element((1,), (1,))], 2)[:2],
+        _s3_points,
+    ], ids=["z", "z2", "zxz2", "zxz2-mixed", "s3-table"])
+    def test_invariant_under_random_relabellings(self, points):
+        n, succ = points()
+        rng = random.Random(7)
+        for _ in range(300):
+            k = rng.randint(1, min(n, 7))
+            support = (0, *sorted(rng.sample(range(1, n), k - 1)))
+            images = _images(succ, support)
+            perm = list(range(k))
+            rng.shuffle(perm)
+            assert folner._shift_graph_form(k, _relabelled(images, perm)) == folner._shift_graph_form(k, images)
+
+    @pytest.mark.parametrize("problem, radius, max_k", [
+        (lambda: _document_problem("fg_abelian_mixed.json"), 3, 9),
+        (lambda: (Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4)), 6, 6),
+    ], ids=["fg_abelian_mixed-r3", "z1-shifts12-r6"])
+    def test_equal_forms_have_equal_optima(self, problem, radius, max_k):
+        # every position key of every run-feasible support up to the rank
+        group, omega, delta = problem()
+        n, succ, run = _lp_points(group, omega, radius)
+        windows = [_run_windows(n, succ[r], 2 // delta + 1) for r in run]
+        optima = {}
+        keys = _all_images(n, succ, windows, max_k)
+        for images in keys:
+            k = len(images[0])
+            optimum, _ = folner._min_defect_lp(k, [folner._shift_structure(m) for m in images])
+            optima.setdefault(folner._shift_graph_form(k, images), set()).add(optimum)
+        assert all(len(found) == 1 for found in optima.values())
+        assert len(optima) < len(keys)
+
+    @pytest.mark.parametrize(
+        "group, radius, shifts, max_k",
+        [case[1:] for case in RUN_GENERATOR_CASES],
+        ids=[case[0] for case in RUN_GENERATOR_CASES],
+    )
+    def test_prefix_keys_partition_supports_like_images(self, group, radius, shifts, max_k):
+        n, succ = _numbered_ball(group, radius, shifts)
+        links = folner._point_links(n, succ)
+        windows = [_run_windows(n, row, 2) for row in succ]
+        for k in range(1, max_k + 1):
+            by_steps, by_images = {}, {}
+            for prefix, lasts in _run_feasible_supports(n, k, windows):
+                for last in lasts:
+                    support = (*prefix, last)
+                    steps, images = _prefix_steps(links, support), _images(succ, support)
+                    assert tuple(map(tuple, folner._images_from_steps(k, steps))) == images
+                    by_steps.setdefault(steps, set()).add(support)
+                    by_images.setdefault(images, set()).add(support)
+            assert sorted(map(sorted, by_steps.values())) == sorted(map(sorted, by_images.values()))
 
 
 class TestMinRankTable:
