@@ -39,6 +39,18 @@ EXIT_SPEC = 2
 EXIT_VERIFY_FAILED = 3
 
 
+def _finite_float(text: str) -> float:
+    """The argparse type of --delta and --tol: a float that is not NaN or
+    infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not abs(value) < float("inf"):  # NaN fails this comparison too
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualent",
@@ -58,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         "entropy", help="spectral-route entropy of the document's automorphism"
     )
     p_entropy.add_argument("spec", help="path to a JSON experiment document")
-    p_entropy.add_argument("--tol", type=float, help="root tolerance (default 1e-12)")
+    p_entropy.add_argument("--tol", type=_finite_float, help="root tolerance (default 1e-12)")
     common(p_entropy)
 
     p_peters = sub.add_parser(
@@ -75,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rank", help="minimal support size with translation defect below delta"
     )
     p_rank.add_argument("spec", help="path to a JSON experiment document")
-    p_rank.add_argument("--delta", type=float, help="defect tolerance")
+    p_rank.add_argument("--delta", type=_finite_float, help="defect tolerance")
     p_rank.add_argument("--radius", type=int, help="search ball radius (default 8)")
     p_rank.add_argument(
         "--method",
@@ -281,8 +293,12 @@ def main(argv: Optional[list] = None) -> int:
 
     payload = emit_report(result, args.format)
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_SPEC
     else:
         sys.stdout.write(payload.decode("utf-8"))
     return code

@@ -19,7 +19,6 @@ from .groups import (
     IntMatrix,
     InternalInvariantError,
     ShapeError,
-    invert_unimodular,
     smith_normal_form,
 )
 from .folner import (
@@ -531,7 +530,7 @@ def stabilizer_center(group: CrystalGroup) -> CenterPresentation:
         raise InternalInvariantError(
             f"free rank {free_rank} differs from lattice rank {p}"
         )
-    v_inverse = invert_unimodular(v)
+    v_inverse = IntMatrix(v).inverse().entries
     orders = tuple(diag[i] for i in torsion_slots)
     abelian = FgAbelianGroup(rank=free_rank, torsion=orders)
     diag_full = tuple(diag) + (0,) * (m - rank)

@@ -4,8 +4,9 @@ linear programming, and the constructive Folner-set upper bounds (intervals,
 lattice parallelepipeds, convolution towers). Both rank searches number
 their points once and run one exact core, `_search_supports`, on indices;
 it enumerates only the supports that hold a run longer than 2/delta along
-every shift of infinite order, since no other support can succeed, and
-solves one exact LP per relabelling class of the supports' shift graphs.
+every shift whose action on the searched points has no cycle, since no
+other support can succeed, and solves one exact LP per relabelling class
+of the supports' shift graphs.
 """
 
 from __future__ import annotations
@@ -302,39 +303,40 @@ def _min_defect_lp(k: int, structures: Sequence[tuple[list, list, list]]):
     return result.value, result.x[:k]
 
 
-def _mirror_representatives(omega: Sequence, is_identity: Callable, mirror: Callable) -> list:
-    """One shift of each pair {s, mirror(s)}, first occurrences in omega
-    order, with the identity dropped. Translating by s and by its inverse
-    gives the same l1 defect for every weighting, and the identity gives
-    defect 0, so the LP needs one block of rows per pair and none for the
-    identity."""
+def _inverse_row(row: Sequence[int]) -> tuple[int, ...]:
+    """The successor row of the inverse partial injection: inverse[j] = i
+    where row[i] == j, and -1 where j has no preimage."""
+    inverse = [-1] * len(row)
+    for i, j in enumerate(row):
+        if j >= 0:
+            inverse[j] = i
+    return tuple(inverse)
+
+
+def _acyclic(row: Sequence[int]) -> bool:
+    """Whether the partial injection row has no cycle: walking forward from
+    the points without a preimage then reaches every point."""
+    reached = 0
+    for start, back in enumerate(_inverse_row(row)):
+        j = start if back < 0 else -1
+        while j >= 0:
+            reached, j = reached + 1, row[j]
+    return reached == len(row)
+
+
+def _lp_rows(n: int, rows: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The successor rows the LP needs, first occurrences in order, and the
+    indices among them of the rows without a cycle on the points. A row that
+    fixes every point gives defect 0; one that repeats a kept row or inverts
+    one (s and -s) gives the same l1 defect as that row for every weighting.
+    Neither needs a block of LP rows."""
     kept = []
-    seen = set()
-    for s in omega:
-        if is_identity(s) or s in seen:
-            continue
-        kept.append(s)
-        seen.add(s)
-        seen.add(mirror(s))
-    return kept
-
-
-def _coordinate_symmetries(group: FgAbelianGroup, omega: Sequence[AbelianElement], points: list):
-    """Lattice-coordinate permutations that fix omega setwise, as maps on the
-    indices of points, which they must keep (a sup-norm ball does); used to
-    skip supports that are relabelings of ones already tested."""
-
-    def permuted(e, perm):
-        return (tuple(e.lattice[i] for i in perm), e.torsion)
-
-    index = {e.key(): i for i, e in enumerate(points)}
-    omega_keys = frozenset(e.key() for e in omega)
-    return [
-        [index[permuted(e, perm)] for e in points]
-        for perm in itertools.permutations(range(group.rank))
-        if perm != tuple(range(group.rank))
-        and frozenset(permuted(e, perm) for e in omega) == omega_keys
-    ]
+    seen = {tuple(range(n))}  # the row that fixes every point
+    for row in map(tuple, rows):
+        if row not in seen:
+            kept.append(row)
+            seen.update((row, _inverse_row(row)))
+    return kept, [r for r, row in enumerate(kept) if _acyclic(row)]
 
 
 def _run_windows(n: int, row: Sequence[int], length: int) -> list[tuple[int, ...]]:
@@ -434,22 +436,17 @@ def _shift_graph_form(k: int, images: Sequence[Sequence[int]]) -> tuple:
     Every shift is a partial injection, so each walk is determined by its
     root, and two supports get the same form exactly when a relabelling of
     points carries one graph to the other."""
-    inverse = [[-1] * k for _ in images]
-    for row, inv in zip(images, inverse):
-        for i, j in enumerate(row):
-            if j >= 0:
-                inv[j] = i
-    links = [[j for row, inv in zip(images, inverse) for j in (row[i], inv[i]) if j >= 0] for i in range(k)]
+    links = _point_links(k, images)
 
     def walk(root: int) -> tuple[list, tuple]:
-        label = {root: 0}
+        label = {-1: -1, root: 0}  # -1, a link leaving the support, keeps its label
         order = [root]
         for i in order:
             for j in links[i]:
                 if j not in label:
                     label[j] = len(order)
                     order.append(j)
-        return order, tuple([label.get(row[i], -1) for i in order for row in images])
+        return order, tuple([label[row[i]] for i in order for row in images])
 
     forms = []
     walked = set()
@@ -464,11 +461,7 @@ def _shift_graph_form(k: int, images: Sequence[Sequence[int]]) -> tuple:
 def _point_links(n: int, succ: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """For each point, its image and its preimage under each LP shift in
     turn, -1 outside the points: (succ[0][i], pred[0][i], succ[1][i], ...)."""
-    pred = [[-1] * n for _ in succ]
-    for row, back in zip(succ, pred):
-        for i, j in enumerate(row):
-            if j >= 0:
-                back[j] = i
+    pred = [_inverse_row(row) for row in succ]
     return [tuple(j for row, back in zip(succ, pred) for j in (row[i], back[i])) for i in range(n)]
 
 
@@ -491,25 +484,24 @@ def _images_from_steps(k: int, steps: Sequence[tuple[int, ...]]) -> list[list[in
 
 def _search_supports(
     n: int,
-    succ: Sequence[Sequence[int]],
-    run_shifts: Sequence[int],
-    symmetries: Sequence[Sequence[int]],
+    rows: Sequence[Sequence[int]],
     delta: Fraction,
     max_support: Optional[int],
 ) -> Optional[tuple[int, tuple[int, ...], Optional[Fraction], tuple]]:
     """The rank search on points 0..n-1, point 0 the identity: supports
     (0, *combo) by size, then lexicographically, so the first whose exact LP
-    optimum is below delta is canonical. succ[s][i] is the index of LP shift
-    s applied to point i, or -1 outside the points; no LP shift fixes a
-    point.
+    optimum is below delta is canonical. rows holds one successor row per
+    shift in omega: rows[s][i] is the index of shift s applied to point i,
+    or -1 outside the points. The LP gets one block per row `_lp_rows`
+    keeps.
 
-    Two sound prunings skip the LP. Along an acyclic shift (run_shifts) any
-    normalized weighting pays at least 2/run on its longest run, climbing
-    to the peak and back down, so only supports holding a run of more than
-    2/delta points along every such shift can succeed; the enumeration
-    generates only those (`_run_feasible_supports`), in the same lex order.
-    A symmetry (an index permutation fixing 0 and every defect) may map the
-    support to an earlier one.
+    Along a row with no cycle on the points, every run of a support along
+    the shift has two ends, so any normalized weighting pays at least 2/run
+    on its longest run, climbing to the peak and back down. Only supports
+    holding a run of more than 2/delta points along every such row can
+    succeed; the enumeration generates only those
+    (`_run_feasible_supports`), in the same lex order, and solves no LP for
+    the rest.
 
     The LP depends only on where each shift's images land inside the
     support. A point placed at position p adds the positions of its images
@@ -531,7 +523,8 @@ def _search_supports(
     if max_support < 1:
         raise ValueError("max_support must be at least 1")
     short = 2 // delta  # a run this long or shorter leaves defect >= 2/run >= delta
-    windows = [_run_windows(n, succ[s], short + 1) for s in run_shifts]
+    succ, run = _lp_rows(n, rows)
+    windows = [_run_windows(n, succ[r], short + 1) for r in run]
     links = _point_links(n, succ)
     # Everything the memos record was rejected: the first support whose LP
     # optimum is below delta ends the search. So the LP that accepts is
@@ -560,10 +553,6 @@ def _search_supports(
                 steps.append(step)
             tested = tested_steps.setdefault(path[-1], set())
             for x in lasts:
-                if symmetries:
-                    combo = (*prefix[1:], x)
-                    if any(tuple(sorted(perm[i] for i in combo)) < combo for perm in symmetries):
-                        continue
                 step = tuple(map(pos.__getitem__, links[x]))
                 if step in tested:
                     continue
@@ -627,14 +616,8 @@ def min_rank_bruteforce(
         raise ValueError("candidate set must contain 0")
     points = [zero, *sorted((e for e in set(pool) if e != zero), key=lambda e: e.key())]
     index = {e: i for i, e in enumerate(points)}
-    lp_shifts = _mirror_representatives(omega, AbelianElement.is_zero, AbelianElement.__neg__)
     found = _search_supports(
-        len(points),
-        [[index.get(e + s, -1) for e in points] for s in lp_shifts],
-        [r for r, s in enumerate(lp_shifts) if any(s.lattice)],
-        _coordinate_symmetries(group, omega, points) if candidates is None else [],
-        delta_frac,
-        max_support,
+        len(points), [[index.get(e + s, -1) for e in points] for s in omega], delta_frac, max_support
     )
     if found is None:
         size = len(points) if max_support is None else max_support
@@ -677,22 +660,17 @@ def min_rank_table(
 ) -> tuple[int, dict]:
     """Rank search over an explicit finite group given by a multiplication
     table. Left translation replaces lattice shifts and supports are listed
-    in repr order; the search is `_search_supports` without prunings.
+    in repr order; the search is `_search_supports`, whose run bound applies
+    only along a shift with no cycle on the elements, so never on a whole
+    finite group.
     Returns the rank and the witness weight map."""
     omega = list(omega)
     if not omega:
         raise ValueError("omega must be nonempty")
     points = [identity, *sorted((e for e in set(elements) if e != identity), key=repr)]
     index = {e: i for i, e in enumerate(points)}
-    rows = {s: [index.get(multiply(s, g), -1) for g in points] for s in omega}
-
-    def inverse(s):
-        return points[rows[s].index(0)] if 0 in rows[s] else None
-
-    lp_shifts = _mirror_representatives(omega, lambda s: s == identity, inverse)
-    found = _search_supports(
-        len(points), [rows[s] for s in lp_shifts], [], [], exact_delta(delta), max_support
-    )
+    rows = [[index.get(multiply(s, g), -1) for g in points] for s in omega]
+    found = _search_supports(len(points), rows, exact_delta(delta), max_support)
     if found is None:
         size = len(points) if max_support is None else max_support
         raise RankSearchExhausted(

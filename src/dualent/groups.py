@@ -489,17 +489,3 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 
     freeze = lambda mat: tuple(tuple(row) for row in mat)
     return freeze(u), freeze(a), freeze(v)
-
-
-def invert_unimodular(matrix: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a square unimodular integer matrix given as tuples."""
-    inv = _fraction_inverse(tuple(tuple(row) for row in matrix))
-    out = []
-    for row in inv:
-        ints = []
-        for x in row:
-            if x.denominator != 1:
-                raise NotInvertibleError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(tuple(ints))
-    return tuple(out)

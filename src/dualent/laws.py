@@ -263,7 +263,6 @@ def _canned_subgroup_instances() -> tuple[RankComparison, ...]:
 
 def _check_rank_comparisons(law: str, instances: Sequence[RankComparison]) -> LawReport:
     failures = []
-    inconclusive = []
     worst = 0.0
     for idx, inst in enumerate(instances):
         lower = min_rank_bruteforce(
@@ -275,7 +274,10 @@ def _check_rank_comparisons(law: str, instances: Sequence[RankComparison]) -> La
         dev = float(max(0, lower.rank - upper.rank))
         worst = max(worst, dev)
         if lower.rank > upper.rank:
-            record = LawInstance(
+            # Both searches minimize over their whole balls
+            # (min_rank_bruteforce is always exhaustive), so a violation
+            # refutes the law.
+            failures.append(LawInstance(
                 idx,
                 (
                     ("label", inst.label),
@@ -288,17 +290,8 @@ def _check_rank_comparisons(law: str, instances: Sequence[RankComparison]) -> La
                 ),
                 dev,
                 note="rank inequality violated",
-            )
-            # A violation only refutes the law when both searches actually
-            # minimized over their full balls; otherwise the ball restriction
-            # may have manufactured it.
-            if lower.exhaustive_within_radius and upper.exhaustive_within_radius:
-                failures.append(record)
-            else:
-                inconclusive.append(record)
-    return LawReport(
-        law, len(instances), 0.0, worst, tuple(failures), tuple(inconclusive)
-    )
+            ))
+    return LawReport(law, len(instances), 0.0, worst, tuple(failures))
 
 
 def check_quotient_rank(instances: Optional[Sequence[RankComparison]] = None) -> LawReport:

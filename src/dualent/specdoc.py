@@ -81,7 +81,13 @@ def _expect_int(value, path: str) -> int:
 def _expect_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFormatError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = float("inf")  # an int larger than every float
+    if not abs(number) < float("inf"):  # NaN fails this comparison too
+        raise SpecFormatError(path, f"expected a finite number, got {number!r}")
+    return number
 
 
 def _expect_str(value, path: str) -> str:
@@ -396,8 +402,11 @@ def parse_spec_data(data, source: Optional[str] = None) -> SpecDocument:
 
 def parse_spec(path: str) -> SpecDocument:
     """Reads and strictly validates a JSON experiment document."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError("", f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -177,6 +177,42 @@ class TestErrorPaths:
         assert code == EXIT_SPEC
         assert "line" in err
 
+    def test_non_utf8_document_is_spec_error(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"group": {"kind": "free_abelian", "rank": 1}, "z\xe9": 1}')
+        for command in ("entropy", "peters", "rank"):
+            code, out, err = run_cli([command, str(p)])
+            assert code == EXIT_SPEC
+            assert out == ""
+            assert err == "spec error: not UTF-8 text: invalid continuation byte at byte 49\n"
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "1e400"])
+    @pytest.mark.parametrize("command, key", [("rank", "delta"), ("entropy", "tol")])
+    def test_non_finite_params_are_spec_errors(self, tmp_path, command, key, constant):
+        # json reads NaN and Infinity, and 1e400 overflows to infinity
+        p = tmp_path / "nonfinite.json"
+        p.write_text(
+            '{"group": {"kind": "free_abelian", "rank": 2}, '
+            '"auto": {"lattice": [[2, 1], [1, 1]]}, "omega": [[1, 0]], '
+            f'"params": {{"{key}": {constant}}}}}'
+        )
+        code, out, err = run_cli([command, str(p)])
+        assert code == EXIT_SPEC
+        assert out == ""
+        assert err.startswith(f"spec error: params.{key}: expected a finite number, got ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command, doc, flag", [
+        ("rank", "rank_z1.json", "--delta"),
+        ("entropy", "catmap_z2.json", "--tol"),
+    ])
+    def test_non_finite_flags_are_usage_errors(self, example_dir, command, doc, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, doc_path(example_dir, doc), f"{flag}={value}"])
+        assert exc.value.code == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a finite number, got '{value}'" in err
+
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "unk.json"
         p.write_text(json.dumps({"group": {"kind": "free_abelian", "rank": 1}, "z": 1}))
@@ -194,6 +230,16 @@ class TestOutputHandling:
             )
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_out_into_missing_directory_is_usage_error(self, example_dir, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            ["entropy", doc_path(example_dir, "catmap_z2.json"), "--out", str(target)]
+        )
+        assert code == EXIT_SPEC
+        assert out == ""
+        assert err == f"output error: [Errno 2] No such file or directory: '{target}'\n"
+        assert not target.parent.exists()
 
     def test_stdout_byte_determinism_across_formats(self, example_dir):
         for fmt in ("json", "csv", "text"):

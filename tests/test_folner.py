@@ -334,13 +334,19 @@ def _longest_run(members, row):
     return longest
 
 
-def _numbered_ball(group, radius, shifts):
-    """Points and successor rows numbered as min_rank_bruteforce numbers them:
-    0 first, then the rest of the ball in key() order."""
-    zero = group.zero()
-    points = [zero, *sorted((e for e in group.ball(radius) if e != zero), key=lambda e: e.key())]
+def _numbered_pool(pool, shifts):
+    """Points and successor rows numbered as min_rank_bruteforce numbers a
+    candidate pool: 0 first, then the rest in key() order."""
+    zero = pool[0].group.zero()
+    points = [zero, *sorted((e for e in pool if e != zero), key=lambda e: e.key())]
     index = {e: i for i, e in enumerate(points)}
-    return len(points), [[index.get(e + s, -1) for e in points] for s in shifts]
+    return points, [[index.get(e + s, -1) for e in points] for s in shifts]
+
+
+def _numbered_ball(group, radius, shifts):
+    """The number of points and the successor rows of the ball of radius."""
+    points, rows = _numbered_pool(group.ball(radius), shifts)
+    return len(points), rows
 
 
 Z1 = FgAbelianGroup(1)
@@ -504,10 +510,9 @@ def _relabelled(images, perm):
 
 
 def _lp_points(group, omega, radius):
-    """The points, LP successor rows and run rows min_rank_bruteforce builds."""
-    shifts = folner._mirror_representatives(omega, lambda s: s.is_zero(), lambda s: -s)
-    n, succ = _numbered_ball(group, radius, shifts)
-    return n, succ, [r for r, s in enumerate(shifts) if any(s.lattice)]
+    """The points, LP successor rows and run rows of min_rank_bruteforce."""
+    n, rows = _numbered_ball(group, radius, omega)
+    return (n, *folner._lp_rows(n, rows))
 
 
 def _s3_points():
@@ -604,6 +609,126 @@ class TestShiftGraphForm:
                     by_steps.setdefault(steps, set()).add(support)
                     by_images.setdefault(images, set()).add(support)
             assert sorted(map(sorted, by_steps.values())) == sorted(map(sorted, by_images.values()))
+
+
+ZC3 = FgAbelianGroup(1, (3,))
+
+
+def _element_rule(omega):
+    """The LP shifts and run rows chosen from the elements themselves: first
+    occurrences in omega order, the zero shift dropped, s and -s sharing one
+    block, and the run bound along the shifts with a nonzero lattice part."""
+    kept, seen = [], set()
+    for s in omega:
+        if not s.is_zero() and s not in seen:
+            kept.append(s)
+            seen.update((s, -s))
+    return kept, [r for r, s in enumerate(kept) if any(s.lattice)]
+
+
+def _support_lp(succ, support):
+    return folner._min_defect_lp(len(support), [folner._shift_structure(m) for m in _images(succ, support)])
+
+
+def _unpruned_scan(n, succ, delta):
+    """Every support (0, *combo) by size and then lex order, each with its
+    own exact LP: the first whose optimum is below delta, or None."""
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(1, n), k - 1):
+            optimum, weights = _support_lp(succ, (0, *combo))
+            if optimum < delta:
+                return k, (0, *combo), optimum, tuple(weights)
+    return None
+
+
+# (id, group, radius, shifts as (lattice, torsion)): zero shifts, repeats,
+# mirror pairs, pure-torsion and mixed shifts
+ROW_RULE_CASES = [
+    ("z", Z1, 3, [((0,), ()), ((1,), ()), ((2,), ()), ((1,), ()), ((-1,), ()), ((-2,), ()), ((3,), ())]),
+    ("z2", Z2, 2, [((0, 0), ()), ((1, 0), ()), ((0, 1), ()), ((-1, 0), ()), ((1, 1), ()),
+                   ((0, 1), ()), ((-1, -1), ()), ((2, -1), ())]),
+    ("zxz2", ZC2, 2, [((1,), (0,)), ((0,), (1,)), ((0,), (0,)), ((1,), (1,)), ((-1,), (1,)),
+                      ((0,), (1,)), ((-1,), (0,))]),
+    ("zxz3", ZC3, 2, [((0,), (1,)), ((0,), (2,)), ((1,), (2,)), ((-1,), (1,)), ((0,), (0,)),
+                      ((2,), (0,)), ((1,), (2,)), ((0,), (1,))]),
+]
+
+
+class TestRowRule:
+    """The search picks its LP rows and run rows from the successor rows
+    alone; on balls that is the choice the elements dictate, and where a
+    candidate pool or a partial table cuts a cycle the run bound it adds
+    removes only supports that the LP would reject."""
+
+    @pytest.mark.parametrize(
+        "group, radius, shifts",
+        [case[1:] for case in ROW_RULE_CASES],
+        ids=[case[0] for case in ROW_RULE_CASES],
+    )
+    def test_row_filter_matches_the_element_rule(self, group, radius, shifts):
+        rng = random.Random(11)
+        omega = [group.element(*s) for s in shifts]
+        for _ in range(20):
+            n, rows = _numbered_ball(group, radius, omega)
+            kept, run = _element_rule(omega)
+            assert folner._lp_rows(n, rows) == (list(map(tuple, _numbered_ball(group, radius, kept)[1])), run)
+            rng.shuffle(omega)
+
+    def _pruned_supports_are_rejected(self, n, lp_rows, run, delta, rank):
+        windows = [_run_windows(n, lp_rows[r], 2 // delta + 1) for r in run]
+        left_out = 0
+        for k in range(1, rank + 1):
+            generated = {(*prefix, last) for prefix, lasts in _run_feasible_supports(n, k, windows) for last in lasts}
+            for combo in itertools.combinations(range(1, n), k - 1):
+                if (0, *combo) not in generated:
+                    left_out += 1
+                    assert _support_lp(lp_rows, (0, *combo))[0] >= delta
+        assert left_out > 0
+
+    @pytest.mark.parametrize("shifts, delta", [
+        ([((0,), (1,))], F(3, 2)),
+        ([((1,), (0,)), ((0,), (1,)), ((0,), (2,))], F(3, 2)),
+        ([((0,), (1,)), ((1,), (1,)), ((-1,), (2,))], F(7, 4)),
+    ], ids=["torsion", "axes-and-mirror", "torsion-and-mixed"])
+    def test_pool_cutting_a_torsion_cycle(self, shifts, delta):
+        # Z x Z/3 without torsion 2: every (0, 1) orbit is cut after two points
+        pool = [ZC3.element((a,), (t,)) for a in range(-2, 3) for t in (0, 1)]
+        omega = [ZC3.element(*s) for s in shifts]
+        points, rows = _numbered_pool(pool, omega)
+        n = len(points)
+        lp_rows, run = folner._lp_rows(n, rows)
+        kept, element_run = _element_rule(omega)
+        assert lp_rows == list(map(tuple, _numbered_pool(pool, kept)[1]))
+        assert len(run) == len(lp_rows) > len(element_run)  # the cut torsion row gets the run bound
+        k, support, optimum, weights = _unpruned_scan(n, lp_rows, delta)
+        self._pruned_supports_are_rejected(n, lp_rows, run, delta, k)
+        cert = min_rank_bruteforce(ZC3, omega, delta, 2, candidates=pool)
+        assert cert.rank == k
+        assert cert.witness.value_map() == {points[i]: w for i, w in zip(support, weights)}
+        assert cert.defect_exact == optimum
+
+    @pytest.mark.parametrize("elements, omega, delta", [
+        (range(4), [1, 5, 0], F(3, 4)),
+        (range(5), [0, 2, 1, 4], F(1)),
+        (range(5), [3, 1], F(1)),
+    ], ids=["chain", "two-chains", "cycles-and-chain"])
+    def test_partial_cyclic_table(self, elements, omega, delta):
+        # elements of Z/6 that are not closed under the shifts
+        points = list(elements)
+        rows = [[points.index((s + g) % 6) if (s + g) % 6 in points else -1 for g in points] for s in omega]
+        n = len(points)
+        lp_rows, run = folner._lp_rows(n, rows)
+        kept = []
+        for s in omega:
+            if s and s not in kept and -s % 6 not in kept:
+                kept.append(s)
+        assert lp_rows == [tuple(rows[omega.index(s)]) for s in kept]
+        assert run
+        k, support, _, weights = _unpruned_scan(n, lp_rows, delta)
+        self._pruned_supports_are_rejected(n, lp_rows, run, delta, k)
+        rank, witness = min_rank_table(points, lambda a, b: (a + b) % 6, 0, omega, delta)
+        assert rank == k
+        assert witness == {points[i]: w for i, w in zip(support, weights)}
 
 
 class TestMinRankTable:

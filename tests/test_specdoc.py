@@ -67,6 +67,12 @@ class TestParsing:
         with pytest.raises(SpecFormatError):
             parse_spec_data(minimal(params={"delta": -0.5}))
 
+    @pytest.mark.parametrize("key", ["delta", "tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400], ids=["nan", "inf", "huge-int"])
+    def test_rejects_non_finite_params(self, key, value):
+        with pytest.raises(SpecFormatError, match=rf"^params\.{key}: expected a finite number"):
+            parse_spec_data(minimal(params={key: value}))
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(SpecFormatError, match="kind"):
             parse_spec_data({"group": {"kind": "nilpotent", "rank": 2}})
