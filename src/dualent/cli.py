@@ -51,6 +51,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    """The argparse type of --tol: the check params.tol gets."""
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    """The argparse type of --n, --radius, --cap and --trials: the check
+    their params keys get."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualent",
@@ -70,16 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
         "entropy", help="spectral-route entropy of the document's automorphism"
     )
     p_entropy.add_argument("spec", help="path to a JSON experiment document")
-    p_entropy.add_argument("--tol", type=_finite_float, help="root tolerance (default 1e-12)")
+    p_entropy.add_argument("--tol", type=_positive_float, help="root tolerance (default 1e-12)")
     common(p_entropy)
 
     p_peters = sub.add_parser(
         "peters", help="sumset-growth series and rate estimate"
     )
     p_peters.add_argument("spec", help="path to a JSON experiment document")
-    p_peters.add_argument("--n", type=int, help="series depth (default 12)")
+    p_peters.add_argument("--n", type=_nonnegative_int, help="series depth (default 12)")
     p_peters.add_argument(
-        "--cap", type=int, help=f"sumset size cap (default {DEFAULT_CAP})"
+        "--cap", type=_nonnegative_int, help=f"sumset size cap (default {DEFAULT_CAP})"
     )
     common(p_peters)
 
@@ -88,14 +108,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rank.add_argument("spec", help="path to a JSON experiment document")
     p_rank.add_argument("--delta", type=_finite_float, help="defect tolerance")
-    p_rank.add_argument("--radius", type=int, help="search ball radius (default 8)")
+    p_rank.add_argument("--radius", type=_nonnegative_int, help="search ball radius (default 8)")
     p_rank.add_argument(
         "--method",
         choices=("lp", "interval", "parallelepiped", "tower"),
         default="lp",
         help="lp = exact minimum; the rest construct upper-bound witnesses",
     )
-    p_rank.add_argument("--cap", type=int, help="support cap for --method tower")
+    p_rank.add_argument("--cap", type=_nonnegative_int, help="support cap for --method tower")
     common(p_rank)
 
     p_verify = sub.add_parser("verify", help="run the law verification suite")
@@ -107,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         default="all",
     )
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--trials", type=_nonnegative_int, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
     common(p_verify)
     return parser

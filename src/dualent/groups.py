@@ -68,17 +68,6 @@ class IntMatrix:
             raise ShapeError("vector length does not match matrix dimension")
         return tuple(sum(a * x for a, x in zip(row, vector)) for row in self.entries)
 
-    def plus_diagonal(self, c: int) -> "IntMatrix":
-        return IntMatrix(
-            tuple(
-                tuple(x + c if i == j else x for j, x in enumerate(row))
-                for i, row in enumerate(self.entries)
-            )
-        )
-
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.dim))
-
     def det(self) -> int:
         # Bareiss fraction-free elimination; every division below is exact.
         n = self.dim

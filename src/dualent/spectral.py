@@ -1,6 +1,11 @@
 """Spectral route to entropy: exact characteristic polynomials, simultaneous
 complex root finding, and the log product of eigenvalue moduli outside the
 unit circle.
+
+The characteristic polynomial comes from a Hessenberg reduction modulo one
+Mersenne prime p = 2^k - 1, chosen above twice a Hadamard bound on the
+coefficients, so the symmetric residues mod p are the integer coefficients:
+O(n^3) operations mod p, no floats and no rationals.
 """
 
 from __future__ import annotations
@@ -70,21 +75,99 @@ class EntropyEstimate:
             raise ValueError("entropy must be finite and nonnegative")
 
 
+# Exponents k of the Mersenne primes 2^k - 1 (OEIS A000043) from 61 on.
+# char_poly works modulo the first of them above twice its coefficient bound;
+# the primes themselves are built only when needed.
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423,
+    9689, 9941, 11213, 19937, 21701, 23209, 44497,
+)
+
+
+def _coefficient_bound(rows: Sequence[Sequence[int]]) -> int:
+    """B = prod_i (2 + isqrt(sum_j a_ij^2)), a bound on every coefficient of
+    det(t*I - M). The coefficient of t^(n-k) is a signed sum of principal
+    k-minors; by Hadamard each is at most the product of its rows' norms
+    r_i, so the sum is at most e_k(r_1..r_n) <= prod (1 + r_i) <= B."""
+    bound = 1
+    for row in rows:
+        bound *= 2 + math.isqrt(sum(a * a for a in row))
+    return bound
+
+
+def _hessenberg_mod(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
+    """An upper Hessenberg matrix similar to `rows` over Z/p, p prime: each
+    row operation below the subdiagonal is paired with the inverse column
+    operation (Cohen, GTM 138, Alg. 2.2.9)."""
+    n = len(rows)
+    h = [[a % p for a in row] for row in rows]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(h[m][m - 1], -1, p)
+        pivot_row = h[m]
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % p
+            if not u:
+                continue
+            # row_i -= u * row_m, then col_m += u * col_i
+            h[i] = [(a - u * b) % p for a, b in zip(h[i], pivot_row)]
+            for row in h:
+                row[m] = (row[m] + u * row[i]) % p
+    return h
+
+
+def _hessenberg_char_poly_mod(h: list[list[int]], p: int) -> list[int]:
+    """det(t*I - H) mod p for upper Hessenberg H, lowest coefficient first,
+    by expanding along the last row: P_m = (t - h_mm) P_(m-1) minus, for each
+    i < m, h_im times the subdiagonal product h_(i+1,i)...h_(m,m-1) times
+    P_(i-1)."""
+    polys = [[1]]
+    for m in range(len(h)):
+        prev = polys[m]
+        diag = h[m][m]
+        nxt = [0] + prev
+        for k, c in enumerate(prev):
+            nxt[k] -= diag * c
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            c = sub * h[i][m] % p
+            if c:
+                for k, q in enumerate(polys[i]):
+                    nxt[k] -= c * q
+        polys.append([c % p for c in nxt])
+    return polys[-1]
+
+
 def char_poly(matrix: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial det(t*I - M) by the Faddeev-LeVerrier
-    recurrence; all arithmetic is exact integer arithmetic."""
-    n = matrix.dim
-    coeffs = [1]
-    aux = None
-    mk = None
-    for k in range(1, n + 1):
-        mk = matrix if aux is None else matrix * aux
-        ck, rem = divmod(-mk.trace(), k)
-        if rem:
-            raise ArithmeticError("trace recurrence produced a non-integer coefficient")
-        coeffs.append(ck)
-        aux = mk.plus_diagonal(ck)
-    return IntPolynomial(tuple(coeffs))
+    """Characteristic polynomial det(t*I - M), exact over Z.
+
+    The matrix is reduced to Hessenberg form modulo one Mersenne prime
+    p > 2B, B the Hadamard-type bound of _coefficient_bound, and each
+    coefficient is its symmetric residue mod p; O(n^3) operations mod p.
+    ArithmeticError when no listed prime exceeds 2B."""
+    rows = matrix.entries
+    bound = _coefficient_bound(rows)
+    for k in _MERSENNE_EXPONENTS:
+        p = (1 << k) - 1
+        if p > 2 * bound:
+            break
+    else:
+        raise ArithmeticError(
+            f"coefficient bound B of {bound.bit_length()} bits: no listed "
+            f"Mersenne prime up to 2^{_MERSENNE_EXPONENTS[-1]} - 1 exceeds 2B"
+        )
+    coeffs = _hessenberg_char_poly_mod(_hessenberg_mod(rows, p), p)
+    half = p // 2
+    return IntPolynomial(tuple(c - p if c > half else c for c in reversed(coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +361,9 @@ def eigen_entropy(
     With endomorphism=True any nonsingular integer matrix is accepted
     (injective endomorphism); otherwise the matrix must be unimodular.
     """
-    d = matrix.det()
+    poly = char_poly(matrix)
+    # det(t*I - M) at t = 0 is det(-M) = (-1)^n det M.
+    d = -poly.coeffs[-1] if poly.degree % 2 else poly.coeffs[-1]
     if endomorphism:
         if d == 0:
             raise ValueError("matrix is singular; no injective endomorphism")
@@ -287,7 +372,6 @@ def eigen_entropy(
             f"determinant is {d}; an automorphism of Z^n must be unimodular "
             "(pass endomorphism=True for injective endomorphisms)"
         )
-    poly = char_poly(matrix)
     roots = complex_roots(poly, tol)
     total = 0.0
     moduli = []

@@ -213,6 +213,43 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert f"argument {flag}: expected a finite number, got '{value}'" in err
 
+    @pytest.mark.parametrize("value", ["0", "-1", "-1e-300"])
+    def test_nonpositive_tol_flag_is_usage_error(self, example_dir, value, capsys):
+        # params.tol <= 0 is a spec error; the flag gets the same check
+        with pytest.raises(SystemExit) as exc:
+            main(["entropy", doc_path(example_dir, "catmap_z2.json"), f"--tol={value}"])
+        assert exc.value.code == EXIT_SPEC
+        assert f"argument --tol: must be positive, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["peters", "catmap_z2.json", "--n"],
+        ["peters", "catmap_z2.json", "--cap"],
+        ["rank", "rank_z1.json", "--radius"],
+        ["rank", "rank_z1.json", "--cap"],
+        ["verify", "--trials"],
+    ])
+    def test_negative_count_flags_are_usage_errors(self, example_dir, argv, capsys):
+        # params.n, radius and cap < 0 are spec errors; the flags get the same check
+        *head, flag = argv
+        if len(head) == 2:
+            head[1] = doc_path(example_dir, head[1])
+        with pytest.raises(SystemExit) as exc:
+            main(head + [flag, "-1"])
+        assert exc.value.code == EXIT_SPEC
+        assert f"argument {flag}: must be nonnegative, got '-1'" in capsys.readouterr().err
+
+    def test_zero_count_flag_is_still_a_computation_error(self, example_dir):
+        code, out, err = run_cli(["peters", doc_path(example_dir, "catmap_z2.json"), "--n", "0"])
+        assert code == EXIT_COMPUTATION
+        assert out == ""
+        assert err == "computation error: n_max must be at least 1\n"
+
+    def test_non_integer_count_flag_is_usage_error(self, example_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", doc_path(example_dir, "rank_z1.json"), "--radius", "2.5"])
+        assert exc.value.code == EXIT_SPEC
+        assert "argument --radius: invalid int value: '2.5'" in capsys.readouterr().err
+
     def test_unknown_key(self, tmp_path):
         p = tmp_path / "unk.json"
         p.write_text(json.dumps({"group": {"kind": "free_abelian", "rank": 1}, "z": 1}))

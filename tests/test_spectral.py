@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualent import spectral
 from dualent.groups import IntMatrix
 from dualent.spectral import (
     IntPolynomial,
@@ -42,6 +44,128 @@ def test_char_poly_annihilates_matrix():
         for i in range(2)
     )
     assert value == ((0, 0), (0, 0))
+
+
+def faddeev_leverrier(rows) -> tuple[int, ...]:
+    """det(t*I - M) by the Faddeev-LeVerrier trace recurrence, one full
+    integer matrix product per coefficient: the O(n^4) reference that
+    char_poly is held to."""
+    n = len(rows)
+    coeffs = [1]
+    aux = None
+    for k in range(1, n + 1):
+        if aux is None:
+            mk = [list(row) for row in rows]
+        else:
+            cols = list(zip(*aux))
+            mk = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in rows]
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        assert rem == 0
+        coeffs.append(ck)
+        aux = [[x + ck * (i == j) for j, x in enumerate(row)] for i, row in enumerate(mk)]
+    return tuple(coeffs)
+
+
+def _random_unimodular(rng: random.Random, dim: int) -> list[list[int]]:
+    """Row additions, sign flips and row shuffles, with entries kept within
+    40, as in the benchmark's entropy workload."""
+    m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    for _ in range(4 * dim):
+        i, j = rng.sample(range(dim), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        row = [a + c * b for a, b in zip(m[i], m[j])]
+        if max(map(abs, row)) <= 40:
+            m[i] = row
+        if rng.random() < 0.3:
+            k = rng.randrange(dim)
+            m[k] = [-x for x in m[k]]
+            rng.shuffle(m)
+    return m
+
+
+def _random_matrix(rng: random.Random, dim: int, size: int) -> list[list[int]]:
+    density = rng.choice((0.3, 0.7, 1.0))
+    return [
+        [rng.randint(-size, size) if rng.random() < density else 0 for _ in range(dim)]
+        for _ in range(dim)
+    ]
+
+
+def _check_against_reference(rows) -> tuple[int, ...]:
+    got = char_poly(IntMatrix(tuple(map(tuple, rows)))).coeffs
+    assert got == faddeev_leverrier(rows), rows
+    return got
+
+
+def test_char_poly_matches_reference_on_unimodular_matrices():
+    rng = random.Random(2024)
+    for dim in range(2, 13):
+        for _ in range(12):
+            rows = _random_unimodular(rng, dim)
+            assert _check_against_reference(rows)[-1] in (1, -1)
+
+
+def test_char_poly_of_cyclotomic_companions():
+    for n in range(1, 41):
+        rows = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+        rows[0][n - 1] = 1
+        assert _check_against_reference(rows) == (1,) + (0,) * (n - 1) + (-1,)
+
+
+def test_char_poly_matches_reference_on_random_integer_matrices():
+    rng = random.Random(7)
+    for dim in list(range(1, 31)) + [rng.randint(1, 30) for _ in range(40)]:
+        _check_against_reference(_random_matrix(rng, dim, rng.choice((1, 5, 1000))))
+
+
+def test_char_poly_matches_reference_on_huge_entries():
+    rng = random.Random(11)
+    for dim in range(1, 11):
+        rows = _random_matrix(rng, dim, 10**30)
+        if dim >= 4:
+            # beyond 2^127 - 1, the largest word-sized Mersenne prime
+            assert spectral._coefficient_bound(rows) > 2**127
+        _check_against_reference(rows)
+
+
+def test_char_poly_next_to_each_prime():
+    # [[a]] has the coefficient -a and the bound 2 + |a|; with a just under
+    # a listed prime p, only a modulus above twice the bound recovers it.
+    for k in spectral._MERSENNE_EXPONENTS[:5]:
+        p = 2**k - 1
+        for a in (p - 4, p - 3, p // 2 + 1, p, p + 1, 2 * p):
+            for sign in (1, -1):
+                assert char_poly(IntMatrix(((sign * a,),))).coeffs == (1, -sign * a)
+        rows = [[p - 3 if i == j else 0 for j in range(3)] for i in range(3)]
+        _check_against_reference(rows)
+
+
+def test_coefficient_bound_holds_on_random_matrices():
+    rng = random.Random(3)
+    for _ in range(200):
+        rows = _random_matrix(rng, rng.randint(1, 12), rng.choice((1, 3, 50)))
+        bound = spectral._coefficient_bound(rows)
+        assert max(map(abs, char_poly(IntMatrix(tuple(map(tuple, rows)))).coeffs)) <= bound
+
+
+def test_listed_mersenne_numbers_are_probable_primes():
+    exponents = spectral._MERSENNE_EXPONENTS
+    assert list(exponents) == sorted(set(exponents))
+    assert exponents[0] == 61
+    for k in exponents:
+        if k <= 4423:
+            p = 2**k - 1
+            assert pow(3, p - 1, p) == 1, k
+
+
+def test_char_poly_refuses_a_bound_past_the_last_prime(monkeypatch):
+    monkeypatch.setattr(spectral, "_MERSENNE_EXPONENTS", (61,))
+    small = IntMatrix(((2, 1), (1, 1)))
+    assert char_poly(small).coeffs == (1, -3, 1)
+    # bound (2 + isqrt(3 * 10^14))^3 > 2^61 / 2
+    big = IntMatrix(tuple(tuple(10**7 for _ in range(3)) for _ in range(3)))
+    with pytest.raises(ArithmeticError, match="coefficient bound B of 73 bits"):
+        char_poly(big)
 
 
 def test_polynomial_requires_nonzero_leading():
