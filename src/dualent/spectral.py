@@ -123,10 +123,11 @@ def _hessenberg_mod(rows: Sequence[Sequence[int]], p: int) -> list[list[int]]:
 
 
 def _hessenberg_char_poly_mod(h: list[list[int]], p: int) -> list[int]:
-    """det(t*I - H) mod p for upper Hessenberg H, lowest coefficient first,
-    by expanding along the last row: P_m = (t - h_mm) P_(m-1) minus, for each
-    i < m, h_im times the subdiagonal product h_(i+1,i)...h_(m,m-1) times
-    P_(i-1)."""
+    """det(t*I - H) mod p for upper Hessenberg H, lowest coefficient first.
+    P_m, the polynomial of the leading m x m block, comes from expanding
+    along its last column (indices from 1): P_m = (t - h_mm) P_(m-1) minus,
+    for each i < m, h_im times the subdiagonal product h_(i+1,i)...h_(m,m-1)
+    times P_(i-1)."""
     polys = [[1]]
     for m in range(len(h)):
         prev = polys[m]
