@@ -5,13 +5,17 @@ and submultiplicativity makes every log(s_n)/n an upper bound for the limit.
 `growth_series` keeps each sumset as one sorted numpy array of packed keys
 per torsion value. A lattice point is packed into one integer in balanced
 mixed radix: digit i lies in [-B_i, B_i] and radix i is 2 B_i + 1, where B_i
-is the sum over the layers E, gamma(E), ... reached so far of the largest
-|coordinate i|. Every point of the sumset lies in that box, so the packing
-is injective on it, and it is linear, so packing a sum is adding the packed
-keys. The radices follow the depth reached: each step re-packs the arrays
-for the new bounds. Keys are int64 while the product of the radices stays
-below 2^62, and Python ints in object arrays beyond that, with the same code;
-either way the sizes are exact.
+is the sum of the largest |coordinate i| over the layers E, gamma(E), ...,
+gamma^D(E) up to a horizon depth D at or past the depth reached. The box
+only grows with the depth, so every sumset up to depth D lies in it: the
+packing is injective on each of them, and it is linear, so packing a sum is
+adding the packed keys. On reaching depth d past D the arrays are re-packed
+for a new horizon: the deepest depth up to min(n_max - 1, 2 d + 32) whose
+radices keep every key sum int64 (product below 2^62), or d itself when its
+own radices do not. Past that point keys are Python ints in object arrays,
+re-packed at every step, with the same code; either way the sizes are
+exact. The layers, |E| points each, are built only as far as a horizon
+needs them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,10 @@ from .spectral import EntropyEstimate
 
 DEFAULT_CAP = 5_000_000
 TAIL_K = 3
+# A packing horizon set at depth d reaches at most depth 2 d + _LOOKAHEAD.
+_LOOKAHEAD = 32
+# Keys compared and moved at a time when _distinct drops repeats in place.
+_BLOCK = 1 << 16
 
 
 class SumsetCapError(ArithmeticError):
@@ -139,20 +147,35 @@ def _repack(np, keys, bounds: Sequence[int], weights: Sequence[int], dtype):
     return out
 
 
-def _distinct(np, parts: list):
-    """The sorted distinct keys among a + x over the pairs (a, x) in parts,
-    each a sorted key array and a packed shift. The stable sort is a merge
-    of the sorted runs, and stays fast on Python-int arrays."""
+def _sums(np, parts: list):
+    """All sums a + x over the pairs (a, x) in parts, each a sorted key array
+    and a packed shift, in one array of sorted runs."""
     keys = np.empty(sum(len(a) for a, _ in parts), dtype=parts[0][0].dtype)
     start = 0
     for a, x in parts:
         np.add(a, x, out=keys[start:start + len(a)])
         start += len(a)
+    return keys
+
+
+def _distinct(np, keys):
+    """The sorted distinct values of keys, which it sorts and compacts in
+    place. The stable sort is a merge of the sorted runs, and stays fast on
+    Python-int arrays."""
     keys.sort(kind="stable")
-    keep = np.empty(len(keys), dtype=bool)
-    keep[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    size = 1
+    for start in range(1, len(keys), _BLOCK):
+        block = keys[start:start + _BLOCK]
+        fresh = block[block != keys[start - 1:start - 1 + len(block)]]
+        keys[size:size + len(fresh)] = fresh
+        size += len(fresh)
+    # No view of keys outlives this function, so shrinking it in place is
+    # safe, and the freed tail goes back to the allocator. numpy 1.x's
+    # resize keeps the Python ints of an object array's dropped tail alive,
+    # so the tail is cleared first.
+    keys[size:] = 0
+    keys.resize(size, refcheck=False)
+    return keys
 
 
 def growth_series(
@@ -169,7 +192,7 @@ def growth_series(
 
     Each sumset is one sorted array of packed lattice keys per torsion value
     (see the module docstring); a step adds every shift to every array,
-    sorts, and drops repeats.
+    releases the previous sumset, sorts, and drops repeats in place.
     """
     import numpy as np  # deferred so that importing the CLI stays cheap
 
@@ -179,31 +202,48 @@ def growth_series(
         raise ValueError("n_max must be at least 1")
     group = auto.group
     orders = group.torsion
-    layer = sorted(base.elements | {group.zero()}, key=lambda e: e.key())
 
     def layer_bounds(elements):
         return [max(abs(e.lattice[i]) for e in elements) for i in range(group.rank)]
 
-    bounds = layer_bounds(layer)
-    weights, dtype = _layout(np, bounds)
+    # layers[k] is gamma^k(E) and bounds[k] the digit bounds of the sumset
+    # at depth k; both are built on demand, |E| points per depth.
+    layers = [sorted(base.elements | {group.zero()}, key=lambda e: e.key())]
+    bounds = [layer_bounds(layers[0])]
+
+    def bounds_at(depth):
+        while len(bounds) <= depth:
+            layers.append([auto.apply(e) for e in layers[-1]])
+            bounds.append([b + m for b, m in zip(bounds[-1], layer_bounds(layers[-1]))])
+        return bounds[depth]
+
+    def horizon(depth):
+        """The deepest depth, at most min(n_max - 1, 2 depth + _LOOKAHEAD),
+        whose radices keep the keys int64; depth itself when its own do not."""
+        last = min(n_max - 1, 2 * depth + _LOOKAHEAD)
+        reach = depth
+        while reach < last and _layout(np, bounds_at(reach + 1))[1] is np.int64:
+            reach += 1
+        return reach
+
+    reach = horizon(0)
+    weights, dtype = _layout(np, bounds_at(reach))
     buckets: dict[tuple[int, ...], list[int]] = {}
-    for e in layer:
+    for e in layers[0]:
         buckets.setdefault(e.torsion, []).append(_pack(e.lattice, weights))
     current = {t: np.array(sorted(keys), dtype=dtype) for t, keys in buckets.items()}
-    sizes = [len(layer)]
+    sizes = [len(layers[0])]
     capped = False
-    for _ in range(1, n_max):
-        layer = [auto.apply(e) for e in layer]
-        old_bounds = bounds
-        bounds = [b + m for b, m in zip(bounds, layer_bounds(layer))]
-        new_weights, new_dtype = _layout(np, bounds)
-        if new_weights != weights or new_dtype is not dtype:
-            weights, dtype = new_weights, new_dtype
+    for depth in range(1, n_max):
+        if depth > reach:
+            old_bounds = bounds_at(reach)
+            reach = horizon(depth)
+            weights, dtype = _layout(np, bounds_at(reach))
             current = {
                 t: _repack(np, keys, old_bounds, weights, dtype)
                 for t, keys in current.items()
             }
-        shifts = [(_pack(e.lattice, weights), e.torsion) for e in layer]
+        shifts = [(_pack(e.lattice, weights), e.torsion) for e in layers[depth]]
         pending: dict[tuple[int, ...], list] = {}
         held = 0
         for (t, keys), (x, u) in itertools.product(current.items(), shifts):
@@ -211,14 +251,20 @@ def growth_series(
             held += len(keys)
             if held > cap:
                 # Drop repeats before materialising more than cap sums.
-                pending = {s: [(_distinct(np, parts), 0)] for s, parts in pending.items()}
+                pending = {
+                    s: [(_distinct(np, _sums(np, parts)), 0)] for s, parts in pending.items()
+                }
                 held = sum(len(parts[0][0]) for parts in pending.values())
                 if held > cap:
                     capped = True
                     break
         if capped:
             break
-        current = {s: _distinct(np, parts) for s, parts in pending.items()}
+        # Only the sums are held while they are sorted: the previous sumset
+        # goes first, including the loop's own reference to one of its arrays.
+        sums = {s: _sums(np, parts) for s, parts in pending.items()}
+        del current, pending, keys
+        current = {s: _distinct(np, sums.pop(s)) for s in list(sums)}
         sizes.append(sum(len(keys) for keys in current.values()))
     return GrowthSeries(sizes=tuple(sizes), capped=capped)
 

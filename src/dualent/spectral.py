@@ -278,19 +278,19 @@ def _aberth_simple_roots(coeffs: Sequence[int]) -> list[complex]:
         radius * cmath.exp(2j * math.pi * (k / n) + 0.4j)
         for k in range(n)
     ]
-
-    def horner(poly, x):
-        out = 0j
-        for c in poly:
-            out = out * x + c
-        return out
+    last = cs[-1]
 
     for _ in range(_ABERTH_MAX_ITERATIONS):
         converged = True
         new_roots = roots[:]
         for i, x in enumerate(roots):
-            px = horner(cs, x)
-            dpx = horner(dcs, x)
+            # p(x) and p'(x) by Horner in one loop: each takes the same steps
+            # as in a loop of its own.
+            px = dpx = 0j
+            for c, dc in zip(cs, dcs):
+                px = px * x + c
+                dpx = dpx * x + dc
+            px = px * x + last
             if px == 0:
                 continue
             if dpx == 0:
@@ -299,19 +299,17 @@ def _aberth_simple_roots(coeffs: Sequence[int]) -> list[complex]:
                 continue
             w = px / dpx
             s = 0j
-            for j, y in enumerate(roots):
-                if j != i:
-                    diff = x - y
-                    if diff == 0:
-                        diff = 1e-12
-                    s += 1 / diff
+            for y in roots[:i]:
+                s += 1 / ((x - y) or 1e-12)
+            for y in roots[i + 1:]:
+                s += 1 / ((x - y) or 1e-12)
             denom = 1 - w * s
             if denom == 0:
                 correction = w
             else:
                 correction = w / denom
             new_roots[i] = x - correction
-            if abs(correction) > 1e-14 * (1 + abs(x)):
+            if converged and abs(correction) > 1e-14 * (1 + abs(x)):
                 converged = False
         roots = new_roots
         if converged:

@@ -1,9 +1,11 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dualent import growth
 from dualent.groups import FgAbelianGroup, IntMatrix, AbelianAutomorphism, ShapeError
 from dualent.growth import (
     DEFAULT_CAP,
@@ -20,8 +22,10 @@ GOLDEN_ENTROPY = 0.9624236501192069
 
 
 def corners(group):
+    """The 0/1 corners of the lattice part, with torsion coordinates 0."""
+    zeros = (0,) * len(group.torsion)
     return FiniteSubset.of(
-        group, itertools.product((0, 1), repeat=group.rank)
+        group, (c + zeros for c in itertools.product((0, 1), repeat=group.rank))
     )
 
 
@@ -276,12 +280,88 @@ class TestPackedKernel:
 
     def test_deep_capped_run_stops_at_the_cap(self, z2):
         # Every coordinate stays far below 2^53 here, so these sizes, recorded
-        # with a float-based encoding, are exact. Radices sized for depth 40
-        # up front would force Python-int keys long before the cap is hit.
+        # with a float-based encoding, are exact. Keys are packed for the
+        # deepest depth up to 2 d + 32 whose radices fit int64, not for
+        # depth 40: radices sized for depth 40 up front would force
+        # Python-int keys long before the cap is hit.
         auto = AbelianAutomorphism.from_matrix(z2, CAT)
         ball = FiniteSubset.of(z2, itertools.product((-1, 0, 1), repeat=2))
         series = growth_series(auto, ball, 40, cap=2_000_000)
         assert series.sizes == (
             9, 37, 117, 333, 905, 2409, 6353, 16685, 43741, 114581, 300049, 785617,
         )
+        assert series.capped
+
+
+# --- keys packed for the depths ahead -----------------------------------
+
+
+@pytest.fixture
+def repacks(monkeypatch):
+    """Records the source and target dtypes of every growth._repack call."""
+    calls = []
+    original = growth._repack
+
+    def counted(np, keys, bounds, weights, dtype):
+        calls.append((keys.dtype, dtype))
+        return original(np, keys, bounds, weights, dtype)
+
+    monkeypatch.setattr(growth, "_repack", counted)
+    return calls
+
+
+class TestPackingHorizon:
+    def test_int64_runs_never_repack(self, repacks):
+        # The growth benchmark's four int64 runs: one packing covers every
+        # depth, so no key array is packed twice.
+        z2, z3, z2c2 = FgAbelianGroup(2), FgAbelianGroup(3), FgAbelianGroup(2, (2,))
+        runs = [
+            (AbelianAutomorphism.from_matrix(z2, CAT), z2, 15),
+            (AbelianAutomorphism.from_matrix(z2, ((2, 3), (3, 5))), z2, 11),
+            (AbelianAutomorphism.from_matrix(z3, ((0, 0, 1), (1, 0, 1), (0, 1, 1))), z3, 14),
+            (AbelianAutomorphism.build(z2c2, CAT, mixing=((1,), (0,))), z2c2, 12),
+        ]
+        sizes = []
+        for auto, group, n in runs:
+            sizes.append(growth_series(auto, corners(group), n).sizes[-1])
+        assert sizes == [fib(33) - 1, 4**11, 246040, 380548]
+        assert repacks == []
+
+    def test_collision_matrix_repacks_from_the_switch_to_python_ints(self, z2, repacks):
+        # Radices fit int64 up to depth 1 only: depth 2 moves the int64 keys
+        # to Python ints, and every later depth re-packs them once.
+        auto = AbelianAutomorphism.from_matrix(z2, COLLISION_MATRIX)
+        growth_series(auto, FiniteSubset.of(z2, COLLISION_BASE), 8)
+        assert len(repacks) == 6
+        assert repacks[0][0] == "int64" and repacks[0][1] is object
+        assert all(src == object for src, _ in repacks[1:])
+
+    def test_collision_matrix_matches_plain_sumsets_at_every_depth(self, z2):
+        # Every n_max from 1 to 8 puts the switch to Python ints at a
+        # different place relative to the end of the run.
+        auto = AbelianAutomorphism.from_matrix(z2, COLLISION_MATRIX)
+        base = FiniteSubset.of(z2, COLLISION_BASE)
+        expected, capped = naive_series(auto, base, 8, DEFAULT_CAP)
+        assert not capped
+        for n_max in range(1, 9):
+            series = growth_series(auto, base, n_max)
+            assert series.sizes == expected[:n_max]
+            assert not series.capped
+
+    @pytest.mark.parametrize(
+        "matrix, sizes",
+        [
+            (CAT, (4, 12, 33, 88, 232, 609, 1596, 4180, 10945)),
+            (((0, -1), (1, 0)), tuple((n + 1) ** 2 for n in range(1, 141))),
+        ],
+        ids=["cat", "quarter-turn"],
+    )
+    def test_huge_n_max_stops_at_the_cap_quickly(self, z2, matrix, sizes):
+        # Layers are built only as far as the packing horizon, so a depth
+        # limit far beyond the cap costs nothing extra.
+        auto = AbelianAutomorphism.from_matrix(z2, matrix)
+        start = time.perf_counter()
+        series = growth_series(auto, corners(z2), 200_000, cap=20_000)
+        assert time.perf_counter() - start < 2.0
+        assert series.sizes == sizes
         assert series.capped

@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -95,6 +96,84 @@ def _check_against_reference(rows) -> tuple[int, ...]:
     got = char_poly(IntMatrix(tuple(map(tuple, rows)))).coeffs
     assert got == faddeev_leverrier(rows), rows
     return got
+
+
+def aberth_reference(coeffs) -> list[complex]:
+    """The Aberth-Ehrlich loop as first written: separate Horner passes for
+    p and p', an index test per term of the root sum and a tolerance test
+    per root. _aberth_simple_roots must return its roots bit for bit."""
+    n = len(coeffs) - 1
+    if n == 0:
+        return []
+    cs = [complex(c) for c in coeffs]
+    dcs = [c * (n - i) for i, c in enumerate(cs[:-1])]
+    lead = abs(cs[0])
+    radius = 1.0 + max(abs(c) / lead for c in cs[1:])
+    roots = [radius * cmath.exp(2j * math.pi * (k / n) + 0.4j) for k in range(n)]
+
+    def horner(poly, x):
+        out = 0j
+        for c in poly:
+            out = out * x + c
+        return out
+
+    for _ in range(spectral._ABERTH_MAX_ITERATIONS):
+        converged = True
+        new_roots = roots[:]
+        for i, x in enumerate(roots):
+            px = horner(cs, x)
+            dpx = horner(dcs, x)
+            if px == 0:
+                continue
+            if dpx == 0:
+                new_roots[i] = x * (1 + 1e-8) + 1e-8
+                converged = False
+                continue
+            w = px / dpx
+            s = 0j
+            for j, y in enumerate(roots):
+                if j != i:
+                    diff = x - y
+                    if diff == 0:
+                        diff = 1e-12
+                    s += 1 / diff
+            denom = 1 - w * s
+            correction = w if denom == 0 else w / denom
+            new_roots[i] = x - correction
+            if abs(correction) > 1e-14 * (1 + abs(x)):
+                converged = False
+        roots = new_roots
+        if converged:
+            return roots
+    raise spectral.RootFindingError("no convergence")
+
+
+def _hex_roots(roots) -> list[tuple[str, str]]:
+    return [(z.real.hex(), z.imag.hex()) for z in roots]
+
+
+def _check_aberth_against_reference(coeffs):
+    try:
+        expected = _hex_roots(aberth_reference(coeffs))
+    except spectral.RootFindingError:
+        with pytest.raises(spectral.RootFindingError):
+            spectral._aberth_simple_roots(coeffs)
+        return
+    assert _hex_roots(spectral._aberth_simple_roots(coeffs)) == expected, coeffs
+
+
+LEHMER = (1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1)
+
+
+def test_aberth_matches_reference_bit_for_bit():
+    rng = random.Random(15)
+    polys = [LEHMER] + [(1,) + (0,) * (n - 1) + (-1,) for n in range(1, 41)]
+    for dim in range(2, 13):
+        for _ in range(4):
+            poly = char_poly(IntMatrix(tuple(map(tuple, _random_unimodular(rng, dim)))))
+            polys.extend(f.coeffs for f, _ in squarefree_decomposition(poly))
+    for coeffs in polys:
+        _check_aberth_against_reference(coeffs)
 
 
 def test_char_poly_matches_reference_on_unimodular_matrices():
