@@ -193,16 +193,42 @@ def _first_upper_bound(witnesses, delta_frac, omega, exhausted: str) -> RankCert
     raise RankSearchExhausted(exhausted)
 
 
+def _interval_defect(halfwidth: int, steps) -> Fraction:
+    """defect(interval_folner(halfwidth), omega) in closed form, steps the
+    shifts of omega as integers: a shift by s moves min(|s|, 2h + 1) of the
+    2h + 1 points off the interval and as many onto it."""
+    size = 2 * halfwidth + 1
+    return max(Fraction(2 * min(abs(s), size), size) for s in steps)
+
+
 def _rank_interval(doc: SpecDocument, omega, delta_frac) -> RankCertificate:
     group = doc.group
     _require(
         group.rank == 1 and not group.torsion,
         "group", "--method interval needs the rank-1 torsion-free group",
     )
-    return _first_upper_bound(
-        ((h, interval_folner(h)) for h in range(0, 200001)),
-        delta_frac, omega, "no interval of halfwidth <= 200000 reaches the tolerance",
-    )
+    limit = 200000
+    exhausted = f"no interval of halfwidth <= {limit} reaches the tolerance"
+    steps = [s.lattice[0] for s in omega]
+
+    def fits(h: int) -> bool:
+        return _interval_defect(h, steps) < delta_frac
+
+    # The defect does not increase with the half-width, so gallop to the
+    # first fitting power of two and bisect below it: the first fitting
+    # half-width with O(log h) checks.
+    low, high = -1, 0  # low does not fit (-1: none tried), high is next
+    while not fits(high):
+        if high == limit:
+            raise RankSearchExhausted(exhausted)
+        low, high = high, min(2 * high or 1, limit)
+    while high - low > 1:
+        mid = (low + high) // 2
+        if fits(mid):
+            high = mid
+        else:
+            low = mid
+    return _first_upper_bound([(high, interval_folner(high))], delta_frac, omega, exhausted)
 
 
 def _rank_parallelepiped(doc: SpecDocument, omega, delta_frac) -> RankCertificate:

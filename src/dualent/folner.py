@@ -4,9 +4,10 @@ linear programming, and the constructive Folner-set upper bounds (intervals,
 lattice parallelepipeds, convolution towers). Both rank searches number
 their points once and run one exact core, `_search_supports`, on indices;
 it enumerates only the supports that hold a run longer than 2/delta along
-every shift whose action on the searched points has no cycle, since no
-other support can succeed, and solves one exact LP per relabelling class
-of the supports' shift graphs.
+every shift whose action on the searched points has no cycle and that have
+no isolated point other than 0, since no other support can be the first
+to succeed, and solves one exact LP per relabelling class of the supports'
+shift graphs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .groups import (
     AbelianAutomorphism,
     AbelianElement,
     FgAbelianGroup,
-    IntMatrix,
     InternalInvariantError,
     NotInvertibleError,
     ShapeError,
@@ -37,10 +37,6 @@ class RankSearchExhausted(ArithmeticError):
 
 class DegenerateBasisError(ValueError):
     """Parallelepiped basis vectors are linearly dependent."""
-
-
-class AdaptedBasisError(ArithmeticError):
-    """No numerically validated eigen-adapted basis could be produced."""
 
 
 def exact_delta(delta) -> Fraction:
@@ -352,11 +348,16 @@ def _run_windows(n: int, row: Sequence[int], length: int) -> list[tuple[int, ...
     return windows
 
 
-def _run_feasible_supports(n: int, k: int, windows: Sequence[Sequence[tuple[int, ...]]]):
+def _feasible_supports(
+    n: int, k: int, windows: Sequence[Sequence[tuple[int, ...]]], adjacent: Sequence[int]
+):
     """The k-point supports (0, *combo), combo from combinations(range(1, n),
     k - 1) in their lex order, restricted to the supports that contain a
-    whole window of every shift. Yields (prefix, lasts): the supports are
-    (*prefix, last) for last in lasts, in order.
+    whole window of every shift and have no isolated point other than 0.
+    adjacent[i] is the bitmask of the points that an LP row links to point
+    i, i itself included when a row fixes it; a point is isolated in a
+    support when none of them lies in the support. Yields (prefix, lasts):
+    the supports are (*prefix, last) for last in lasts, in order.
 
     Backtracks over prefixes with an explicit stack. A window stays alive
     while its points up to the last chosen index are all chosen and at most
@@ -364,6 +365,12 @@ def _run_feasible_supports(n: int, k: int, windows: Sequence[Sequence[tuple[int,
     abandoned once some shift has no window alive, and a shift drops out
     once one of its windows is whole. Each window is kept as the bitmask of
     its missing points.
+
+    A point placed with no link to itself or to the points before it is
+    pending until a later point links to it. So a point may be left pending
+    only when it has a neighbour above it, no later choice passes the
+    highest neighbour of a pending point, and the last point must link to
+    the prefix and to every pending point.
     """
     slots = k - 1
     alive = []
@@ -378,8 +385,10 @@ def _run_feasible_supports(n: int, k: int, windows: Sequence[Sequence[tuple[int,
     if slots == 0:
         yield (), (0,)
         return
+    looped = sum(1 << i for i, adj in enumerate(adjacent) if adj >> i & 1)
+    may_wait = sum(1 << i for i, adj in enumerate(adjacent) if adj >> i)  # looped or a neighbour above
 
-    def choices(last: int, left: int, alive: list) -> list:
+    def choices(last: int, left: int, alive: list, reach: int, pending: tuple) -> list:
         # Choosing x keeps a window whose next missing point is x, or one
         # whose missing points all lie above x and fit in left - 1 slots.
         allowed = (1 << (n - left + 1)) - (2 << last)  # last < x <= n - left
@@ -392,6 +401,17 @@ def _run_feasible_supports(n: int, k: int, windows: Sequence[Sequence[tuple[int,
                 if first > below and m.bit_count() < left:
                     below = first
             allowed &= (below - 1) | firsts
+        # The last point links to the prefix or to itself, and to every
+        # pending point; an earlier one is linked already or may be later,
+        # and passes no pending point's highest neighbour.
+        if left == 1:
+            allowed &= reach | looped
+            for adj in pending:
+                allowed &= adj
+        else:
+            allowed &= reach | may_wait
+            for adj in pending:
+                allowed &= (1 << adj.bit_length()) - 1
         xs = []
         while allowed:
             low = allowed & -allowed
@@ -400,9 +420,9 @@ def _run_feasible_supports(n: int, k: int, windows: Sequence[Sequence[tuple[int,
         return xs
 
     prefix = [0]
-    stack = [(alive, iter(choices(0, slots, alive)))]
+    stack = [(alive, iter(choices(0, slots, alive, adjacent[0], ())), adjacent[0], ())]
     while stack:
-        alive, later = stack[-1]
+        alive, later, reach, pending = stack[-1]
         left = slots + 1 - len(stack)
         if left == 1:
             lasts = list(later)
@@ -419,7 +439,11 @@ def _run_feasible_supports(n: int, k: int, windows: Sequence[Sequence[tuple[int,
                         continue  # x completes a window: the shift is satisfied
                     kept.append([m ^ bit if m & upto == bit else m for m in ms
                                  if m & upto == bit or (not m & upto and m.bit_count() < left)])
-                stack.append((kept, iter(choices(x, left - 1, kept))))
+                reach |= adjacent[x]
+                waiting = tuple(adj for adj in pending if not adj & bit)
+                if not reach & bit:
+                    waiting += (adjacent[x],)
+                stack.append((kept, iter(choices(x, left - 1, kept, reach, waiting)), reach, waiting))
                 prefix.append(x)
                 continue
         stack.pop()
@@ -467,11 +491,12 @@ def _point_links(n: int, succ: Sequence[Sequence[int]]) -> list[tuple[int, ...]]
 
 def _images_from_steps(k: int, steps: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """The images of a k-point support, as `_shift_structure` takes them,
-    from its key: steps[p] holds the positions, among positions before p,
+    from its key: steps[p] holds the positions, among positions up to p,
     of the image and the preimage of the point at position p under each
     shift (its `_point_links` looked up in the support), -1 when absent.
-    Each link inside the support appears once, at its later end, so the
-    steps and the images determine each other."""
+    Each link inside the support appears once, at its later end (a point
+    that a shift fixes links to itself at its own position), so the steps
+    and the images determine each other."""
     images = [[-1] * k for _ in range(len(steps[0]) // 2)]
     for p, step in enumerate(steps):
         for row, q_image, q_preimage in zip(images, step[::2], step[1::2]):
@@ -499,13 +524,24 @@ def _search_supports(
     the shift has two ends, so any normalized weighting pays at least 2/run
     on its longest run, climbing to the peak and back down. Only supports
     holding a run of more than 2/delta points along every such row can
-    succeed; the enumeration generates only those
-    (`_run_feasible_supports`), in the same lex order, and solves no LP for
-    the rest.
+    succeed.
+
+    Call a point p != 0 of a support S isolated when no LP row links p to a
+    point of S, p itself included. Every row then counts p both as a
+    source and as a target leaving S. Let S' be S without p, T a weighting
+    of S and T' its restriction to S', renormalised: every row's defect is
+    (1 - T_p) defect(T') + 2 T_p >= defect(T'), so the optimum of S is at
+    least that of S'. S' holds 0, lies in the points and holds every run of
+    S, so the search met it at size k - 1, where every optimum was at least
+    delta; by induction on k, the optimum of S is at least delta too.
+    Skipping S changes neither the first support accepted nor its LP. The
+    enumeration (`_feasible_supports`) generates only the supports with
+    the runs and without an isolated point, in the same lex order, and
+    solves no LP for the rest.
 
     The LP depends only on where each shift's images land inside the
     support. A point placed at position p adds the positions of its images
-    and preimages among the points placed before it, so the key of a
+    and preimages among the points placed up to it, so the key of a
     support is built along the enumeration prefix, and equal keys pose the
     same LP. Relabelling the points of a support permutes the LP's
     variables and keeps its optimum, so a support whose `_shift_graph_form`
@@ -526,6 +562,7 @@ def _search_supports(
     succ, run = _lp_rows(n, rows)
     windows = [_run_windows(n, succ[r], short + 1) for r in run]
     links = _point_links(n, succ)
+    adjacent = [sum(1 << j for j in set(link) if j >= 0) for link in links]
     # Everything the memos record was rejected: the first support whose LP
     # optimum is below delta ends the search. So the LP that accepts is
     # always the support's own, solved in its own position order.
@@ -537,7 +574,7 @@ def _search_supports(
         # placed; pos[-1], read for a link outside the points, stays -1.
         pos = [-1] * (n + 1)
         placed, steps, path = [], [], [-1]
-        for prefix, lasts in _run_feasible_supports(n, k, windows):
+        for prefix, lasts in _feasible_supports(n, k, windows, adjacent):
             keep = 0
             while keep < len(placed) and placed[keep] == prefix[keep]:
                 keep += 1
@@ -546,14 +583,16 @@ def _search_supports(
             del placed[keep:], steps[keep:], path[keep + 1:]
             for p in range(keep, len(prefix)):
                 x = prefix[p]
+                pos[x] = p  # before the lookup: a row may fix x
                 step = tuple(map(pos.__getitem__, links[x]))
                 path.append(nodes.setdefault((path[-1], step), len(nodes)))
-                pos[x] = p
                 placed.append(x)
                 steps.append(step)
             tested = tested_steps.setdefault(path[-1], set())
             for x in lasts:
+                pos[x] = k - 1
                 step = tuple(map(pos.__getitem__, links[x]))
+                pos[x] = -1
                 if step in tested:
                     continue
                 tested.add(step)
@@ -788,99 +827,3 @@ def symmetric_difference_ratio(points: Iterable[tuple], shift: tuple) -> Fractio
         raise ValueError("point set must be nonempty")
     moved = {tuple(a + b for a, b in zip(pt, shift)) for pt in base}
     return Fraction(len(base ^ moved), len(base))
-
-
-def adapted_basis(
-    matrix: IntMatrix,
-    epsilon: float,
-    n_range: tuple[int, int] = (5, 15),
-) -> Parallelepiped:
-    """Basis along the (real forms of the) eigendirections of the matrix,
-    scaled so the unit cube fits at half-width 1.
-
-    Contract, checked numerically rather than proven: for every vertex x of
-    the half-width-1 region and every n in n_range, the coordinates of
-    matrix^n x stay within (1+epsilon)^n |lambda_i|^n. Requires a
-    diagonalizable matrix; defective ones are rejected.
-    """
-    import numpy as np
-
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    n_lo, n_hi = n_range
-    if n_lo < 1 or n_hi < n_lo:
-        raise ValueError("n_range must be a nonempty positive range")
-    p = matrix.dim
-    a = np.array(matrix.entries, dtype=float)
-    try:
-        eigvals, eigvecs = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise AdaptedBasisError(f"eigendecomposition failed: {exc}") from exc
-
-    cols: list[np.ndarray] = []
-    moduli: list[float] = []
-    used = [False] * p
-    for i in range(p):
-        if used[i]:
-            continue
-        lam = eigvals[i]
-        vec = eigvecs[:, i]
-        if abs(lam.imag) < 1e-12:
-            v = vec.real
-            norm = np.max(np.abs(v))
-            if norm < 1e-12:
-                raise AdaptedBasisError("vanishing eigenvector")
-            cols.append(v / norm)
-            moduli.append(abs(lam.real))
-            used[i] = True
-        else:
-            # Conjugate pair: span the invariant 2-plane by real and
-            # imaginary parts, consuming the partner eigenvalue.
-            partner = next(
-                (
-                    j
-                    for j in range(i + 1, p)
-                    if not used[j] and abs(eigvals[j] - lam.conjugate()) < 1e-8
-                ),
-                None,
-            )
-            if partner is None:
-                raise AdaptedBasisError("unpaired complex eigenvalue")
-            for v in (vec.real, vec.imag):
-                norm = np.max(np.abs(v))
-                if norm < 1e-12:
-                    raise AdaptedBasisError("vanishing eigenvector component")
-                cols.append(v / norm)
-                moduli.append(abs(lam))
-            used[i] = used[partner] = True
-
-    b = np.column_stack(cols)
-    if abs(np.linalg.det(b)) < 1e-9:
-        raise AdaptedBasisError(
-            "eigenvectors do not span: matrix is not (numerically) diagonalizable"
-        )
-    row_sum = np.max(np.sum(np.abs(np.linalg.inv(b)), axis=1))
-    b = b * (row_sum * (1 + 1e-9))
-
-    basis = tuple(tuple(Fraction(float(b[j, i])) for j in range(p)) for i in range(p))
-    chi = Parallelepiped(basis)
-    if not chi.includes_unit_cube():
-        raise AdaptedBasisError("scaling failed to capture the unit cube")
-
-    binv = np.linalg.inv(b)
-    vertices = [
-        b @ np.array(signs, dtype=float) for signs in itertools.product((-1.0, 1.0), repeat=p)
-    ]
-    power = np.linalg.matrix_power(a, n_lo - 1)
-    for n in range(n_lo, n_hi + 1):
-        power = power @ a
-        for x in vertices:
-            coords = binv @ (power @ x)
-            for i, c in enumerate(coords):
-                allowed = (1 + epsilon) ** n * max(moduli[i], 1e-300) ** n
-                if abs(c) > allowed * (1 + 1e-7):
-                    raise AdaptedBasisError(
-                        f"adapted-basis contract failed at n={n}, axis {i}: "
-                        f"|coordinate| {abs(c):.6g} exceeds {allowed:.6g}"
-                    )
-    return chi

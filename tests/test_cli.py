@@ -3,10 +3,15 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
+from fractions import Fraction
 
 import pytest
 
+from dualent import cli
 from dualent.cli import main, EXIT_OK, EXIT_COMPUTATION, EXIT_SPEC, EXIT_VERIFY_FAILED
+from dualent.folner import defect, interval_folner
+from dualent.groups import FgAbelianGroup
+from dualent.specdoc import parse_spec
 
 from tests.conftest import child_env
 
@@ -147,6 +152,53 @@ class TestRankCommand:
         assert proc.returncode == EXIT_COMPUTATION
         assert proc.stdout == ""
         assert proc.stderr == "computation error: delta must be positive\n"
+
+
+class TestIntervalMethod:
+    """--method interval gallops and bisects on the closed-form defect of a
+    uniform interval; both must agree with a linear scan of exact defects."""
+
+    def test_closed_form_is_the_exact_defect(self):
+        z1 = FgAbelianGroup(1)
+        for h in range(13):
+            f = interval_folner(h)
+            for s in range(-30, 31):
+                assert cli._interval_defect(h, [s]) == defect(f, [z1.element((s,))])
+
+    @pytest.mark.parametrize("shifts", [(1, -1), (2,), (0, 3, -1), (0,), (7, -5)])
+    def test_first_halfwidth_matches_a_linear_scan(self, example_dir, shifts):
+        doc = parse_spec(doc_path(example_dir, "rank_z1.json"))
+        omega = [doc.group.element((s,)) for s in shifts]
+        exact = [defect(interval_folner(h), omega) for h in range(41)]
+        deltas = {d + eps for d in exact for eps in (0, Fraction(1, 10**6))} | {Fraction(5, 2)}
+        for delta in sorted(d for d in deltas if d > exact[-1]):
+            cert = cli._rank_interval(doc, omega, delta)
+            first = next(h for h, d in enumerate(exact) if d < delta)
+            assert cert.search_radius == first
+            assert cert.witness == interval_folner(first)
+            assert cert.defect_exact == defect(interval_folner(first), omega) < delta
+
+    @staticmethod
+    def _child(example_dir, delta):
+        return subprocess.run(
+            [sys.executable, "-m", "dualent.cli", "rank", doc_path(example_dir, "rank_z1.json"),
+             "--method", "interval", "--delta", delta, "--format", "csv"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+
+    def test_small_delta_answers(self, example_dir):
+        proc = self._child(example_dir, "0.0001")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[1] == "20001,9.99950002499875e-05,0.0001,10000,False"
+
+    def test_past_the_limit_is_computation_error(self, example_dir):
+        proc = self._child(example_dir, "0.000001")
+        assert proc.returncode == EXIT_COMPUTATION
+        assert proc.stdout == ""
+        assert proc.stderr == "computation error: no interval of halfwidth <= 200000 reaches the tolerance\n"
 
 
 class TestVerifyCommand:

@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualent import folner
-from dualent.groups import FgAbelianGroup, AbelianAutomorphism, IntMatrix, ShapeError
+from dualent.groups import FgAbelianGroup, AbelianAutomorphism, ShapeError
 from dualent.specdoc import parse_spec
 from dualent.folner import (
     WeightedFunction,
     RankSearchExhausted,
     DegenerateBasisError,
     Parallelepiped,
-    _run_feasible_supports,
+    _feasible_supports,
     _run_windows,
-    adapted_basis,
     choose_folner_constant,
     convolution,
     convolution_tower,
@@ -334,6 +333,27 @@ def _longest_run(members, row):
     return longest
 
 
+def _has_isolated_point(members, rows):
+    """Reference for the isolated-point rule: whether some point p != 0 of
+    members has neither its image nor its preimage under any row inside
+    members (p itself counting)."""
+    return any(
+        all(row[p] not in members and not any(row[q] == p for q in members) for row in rows)
+        for p in members - {0}
+    )
+
+
+def _adjacent(n, rows):
+    """The bitmask, for each point, of its images and preimages."""
+    masks = [0] * n
+    for row in rows:
+        for i, j in enumerate(row):
+            if j >= 0:
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
+    return masks
+
+
 def _numbered_pool(pool, shifts):
     """Points and successor rows numbered as min_rank_bruteforce numbers a
     candidate pool: 0 first, then the rest in key() order."""
@@ -375,12 +395,14 @@ class TestRunDrivenEnumeration:
     def test_generator_matches_filtered_combinations(self, group, radius, shifts, max_k, short):
         n, succ = _numbered_ball(group, radius, shifts)
         windows = [_run_windows(n, row, short + 1) for row in succ]
+        adjacent = _adjacent(n, succ)
         for k in range(1, max_k + 1):
             expected = [
                 c for c in itertools.combinations(range(1, n), k - 1)
                 if all(_longest_run({0, *c}, row) > short for row in succ)
+                and not _has_isolated_point({0, *c}, succ)
             ]
-            got = [(*prefix, last)[1:] for prefix, lasts in _run_feasible_supports(n, k, windows) for last in lasts]
+            got = [(*prefix, last)[1:] for prefix, lasts in _feasible_supports(n, k, windows, adjacent) for last in lasts]
             assert got == expected
 
     @pytest.mark.parametrize(
@@ -466,9 +488,9 @@ class TestLpMemo:
     # memo was keyed on positions alone.
     @pytest.mark.parametrize("search, lps", [
         (_document_search("fg_abelian_mixed.json", 2), 27),  # 38
-        (_document_search("fg_abelian_mixed.json", 3), 116),  # 340
+        (_document_search("fg_abelian_mixed.json", 3), 85),  # 233
         (_document_search("catmap_z2.json", 3), 1),  # 1
-        (lambda: min_rank_bruteforce(Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4), 6), 13),  # 61
+        (lambda: min_rank_bruteforce(Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4), 6), 11),  # 49
     ], ids=["fg_abelian_mixed-r2", "fg_abelian_mixed-r3", "catmap_z2-r3", "z1-shifts12-r6-delta3/4"])
     def test_distinct_lp_count_pinned(self, monkeypatch, search, lps):
         assert self._lps_solved(monkeypatch, search) == lps
@@ -477,7 +499,7 @@ class TestLpMemo:
         search = _document_search("fg_abelian_mixed.json", 3)
         first = self._lps_solved(monkeypatch, search)
         second = self._lps_solved(monkeypatch, search)
-        assert first == second == 116
+        assert first == second == 85
 
 
 def _images(succ, support):
@@ -489,12 +511,12 @@ def _images(succ, support):
 
 def _prefix_steps(links, support):
     """A support's prefix-built key: for each point in turn, the positions of
-    its links among the points placed before it."""
+    its links among the points placed up to it."""
     pos = {}
     steps = []
     for p, x in enumerate(support):
-        steps.append(tuple(pos.get(y, -1) for y in links[x]))
         pos[x] = p
+        steps.append(tuple(pos.get(y, -1) for y in links[x]))
     return tuple(steps)
 
 
@@ -528,7 +550,7 @@ def _s3_points():
 def _all_images(n, succ, windows, max_k):
     keys = set()
     for k in range(1, max_k + 1):
-        for prefix, lasts in _run_feasible_supports(n, k, windows):
+        for prefix, lasts in _feasible_supports(n, k, windows, _adjacent(n, succ)):
             keys.update(_images(succ, (*prefix, last)) for last in lasts)
     return keys
 
@@ -601,7 +623,7 @@ class TestShiftGraphForm:
         windows = [_run_windows(n, row, 2) for row in succ]
         for k in range(1, max_k + 1):
             by_steps, by_images = {}, {}
-            for prefix, lasts in _run_feasible_supports(n, k, windows):
+            for prefix, lasts in _feasible_supports(n, k, windows, _adjacent(n, succ)):
                 for last in lasts:
                     support = (*prefix, last)
                     steps, images = _prefix_steps(links, support), _images(succ, support)
@@ -678,7 +700,7 @@ class TestRowRule:
         windows = [_run_windows(n, lp_rows[r], 2 // delta + 1) for r in run]
         left_out = 0
         for k in range(1, rank + 1):
-            generated = {(*prefix, last) for prefix, lasts in _run_feasible_supports(n, k, windows) for last in lasts}
+            generated = {(*prefix, last) for prefix, lasts in _feasible_supports(n, k, windows, _adjacent(n, lp_rows)) for last in lasts}
             for combo in itertools.combinations(range(1, n), k - 1):
                 if (0, *combo) not in generated:
                     left_out += 1
@@ -727,6 +749,102 @@ class TestRowRule:
         k, support, _, weights = _unpruned_scan(n, lp_rows, delta)
         self._pruned_supports_are_rejected(n, lp_rows, run, delta, k)
         rank, witness = min_rank_table(points, lambda a, b: (a + b) % 6, 0, omega, delta)
+        assert rank == k
+        assert witness == {points[i]: w for i, w in zip(support, weights)}
+
+
+def _reference_search(n, rows, delta):
+    """The rank search with no run bound, memo or pruning: every support
+    (0, *combo) by size and then lex order, each with its own exact LP over
+    the search's LP rows, the first whose optimum is below delta, with the
+    weights made positive as the search makes them; or None."""
+    found = _unpruned_scan(n, folner._lp_rows(n, rows)[0], delta)
+    if found is None or all(w > 0 for w in found[3]):
+        return found
+    k, support, optimum, weights = found
+    eps = (delta - optimum) / 4
+    return k, support, None, tuple((1 - eps) * w + eps / k for w in weights)
+
+
+REFERENCE_DELTAS = (F(1, 2), F(2, 3), F(3, 4), F(1), F(4, 3), F(3, 2), F(2))
+
+
+def _seeded_shifts(rng, group, choices):
+    """One to three of choices as elements, each with a random sign."""
+    picked = rng.sample(choices, rng.randint(1, 3))
+    return [group.element(*s) if rng.random() < 0.5 else -group.element(*s) for s in picked]
+
+
+# (id, group, radius, shift choices as (lattice, torsion))
+REFERENCE_CASES = [
+    ("z", Z1, 3, [((1,), ()), ((2,), ()), ((3,), ()), ((0,), ())]),
+    ("z2-non-axis", Z2, 1, [((1, 0), ()), ((0, 1), ()), ((1, 1), ()), ((1, -1), ()), ((2, 1), ())]),
+    ("zxz2-torsion", ZC2, 2, [((1,), (0,)), ((0,), (1,)), ((1,), (1,)), ((2,), (1,))]),
+]
+
+
+def _s3_multiply(a, b):
+    return tuple(a[b[i]] for i in range(3))
+
+
+class TestReferenceSearch:
+    """The pruned core against a search that prunes nothing: on seeded
+    small instances both return the same (k, support, optimum, weights)."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize(
+        "group, radius, choices",
+        [case[1:] for case in REFERENCE_CASES],
+        ids=[case[0] for case in REFERENCE_CASES],
+    )
+    def test_balls(self, group, radius, choices, seed):
+        rng = random.Random(seed)
+        omega = _seeded_shifts(rng, group, choices)
+        delta = rng.choice(REFERENCE_DELTAS)
+        n, rows = _numbered_ball(group, radius, omega)
+        assert folner._search_supports(n, rows, delta, None) == _reference_search(n, rows, delta)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_candidate_pool(self, seed):
+        rng = random.Random(100 + seed)
+        others = [e for e in Z2.ball(2) if not e.is_zero()]
+        pool = [Z2.zero(), *rng.sample(others, 9)]
+        omega = _seeded_shifts(rng, Z2, REFERENCE_CASES[1][3])
+        delta = rng.choice(REFERENCE_DELTAS)
+        points, rows = _numbered_pool(pool, omega)
+        found = _reference_search(len(points), rows, delta)
+        assert folner._search_supports(len(points), rows, delta, None) == found
+        if found is not None:
+            cert = min_rank_bruteforce(Z2, omega, delta, 2, candidates=pool)
+            assert cert.rank == found[0]
+            assert cert.witness.value_map() == {points[i]: w for i, w in zip(found[1], found[3])}
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_partial_injections(self, seed):
+        # rows that no group gives: fixed points, cycles and chains mixed
+        rng = random.Random(300 + seed)
+        n = 7
+        rows = []
+        for _ in range(rng.randint(1, 2)):
+            row = list(range(n)) if rng.random() < 0.3 else rng.sample(range(n), n)
+            rows.append([j if rng.random() < 0.7 else -1 for j in row])
+        delta = rng.choice(REFERENCE_DELTAS)
+        assert folner._search_supports(n, rows, delta, None) == _reference_search(n, rows, delta)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("table", ["z6", "s3"])
+    def test_tables(self, table, seed):
+        rng = random.Random(200 + seed)
+        if table == "z6":
+            elements, multiply, identity = list(range(6)), lambda a, b: (a + b) % 6, 0
+        else:
+            elements, multiply, identity = list(itertools.permutations(range(3))), _s3_multiply, (0, 1, 2)
+        omega = rng.sample(elements, rng.randint(1, 3))
+        delta = rng.choice(REFERENCE_DELTAS)
+        points = [identity, *sorted((g for g in elements if g != identity), key=repr)]
+        rows = [[points.index(multiply(s, g)) for g in points] for s in omega]
+        k, support, _, weights = _reference_search(len(points), rows, delta)
+        rank, witness = min_rank_table(elements, multiply, identity, omega, delta)
         assert rank == k
         assert witness == {points[i]: w for i, w in zip(support, weights)}
 
@@ -830,15 +948,6 @@ class TestFolnerConstructions:
         pts = [(i,) for i in range(10)]
         assert symmetric_difference_ratio(pts, (1,)) == F(2, 10)
         assert symmetric_difference_ratio(pts, (0,)) == 0
-
-    def test_adapted_basis_cat_map(self, cat_matrix):
-        chi = adapted_basis(cat_matrix, 0.1)
-        assert chi.dimension == 2
-        assert chi.includes_unit_cube()
-
-    def test_adapted_basis_rejects_defective(self):
-        with pytest.raises(Exception):
-            adapted_basis(IntMatrix(((1, 1), (0, 1))), 0.1)
 
 
 class TestFolnerSetsMeetDelta:

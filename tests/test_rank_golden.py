@@ -136,8 +136,8 @@ def test_cli_catmap_document_radius_certificate_pinned():
 
 
 def test_cli_fg_abelian_mixed_document_radius_certificate_pinned():
-    # Z x Z/2 at radius 8: 150,465 supports reach the LP stage and pose
-    # 4,269 distinct LPs.
+    # Z x Z/2 at radius 8: 9,678 supports have their runs and no isolated
+    # point, and pose 2,055 distinct LPs in 331 relabelling classes.
     cert = _cli_rank_json("fg_abelian_mixed.json")
     assert cert["search_radius"] == 8
     assert cert["rank"] == 9
