@@ -6,8 +6,8 @@ their points once and run one exact core, `_search_supports`, on indices;
 it enumerates only the supports that hold a run longer than 2/delta along
 every shift whose action on the searched points has no cycle and that have
 no isolated point other than 0, since no other support can be the first
-to succeed, and solves one exact LP per relabelling class of the supports'
-shift graphs.
+to succeed, and solves one exact decision LP per relabelling class of the
+supports' shift graphs, and one witness LP for the support it accepts.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .groups import (
     _fraction_inverse,
 )
 from .growth import DEFAULT_CAP, SumsetCapError
-from .simplex import solve_lp
+from .simplex import UnboundedError, solve_lp
 
 
 class RankSearchExhausted(ArithmeticError):
@@ -231,72 +231,84 @@ class RankCertificate:
     defect_exact: Optional[Fraction] = field(default=None, compare=False)
 
 
-def _shift_structure(images: Sequence[int]) -> tuple[list, list, list]:
+def _shift_structure(images: Sequence[int]) -> tuple[list, list]:
     """Index bookkeeping for one shift of a k-point support, given images[i],
     the position in the support of the shift of point i, or -1 outside it:
-    pairs (i, j) with images[i] == j, source indices leaving the support, and
-    target indices not reached. The defect of T under this shift is
-    sum_pairs |T_i - T_j| + sum_solo_src T_i + sum_solo_dst T_j."""
-    pairs = [(i, j) for i, j in enumerate(images) if j >= 0]
-    solo_src = [i for i, j in enumerate(images) if j < 0]
+    the pairs (i, j) with images[i] == j != i, and the solo indices, the
+    sources leaving the support and then the targets not reached (a point
+    may be both). The defect of T under this shift is
+    sum_pairs |T_i - T_j| + sum_solo T_i; a point the shift fixes adds
+    nothing."""
+    pairs = [(i, j) for i, j in enumerate(images) if j >= 0 and j != i]
     hit = set(images)
-    solo_dst = [j for j in range(len(images)) if j not in hit]
-    return pairs, solo_src, solo_dst
+    solo = [i for i, j in enumerate(images) if j < 0] + [j for j in range(len(images)) if j not in hit]
+    return pairs, solo
 
 
-def _min_defect_lp(k: int, structures: Sequence[tuple[list, list, list]]):
-    """Minimize the max translation defect over weights on a k-point support:
-    variables are the k weights, one absolute-difference bound per overlap
-    pair per shift, and the defect bound itself. Every coefficient is 0 or
-    +-1, so the rows are plain ints."""
-    pair_vars = []
-    offset = k
-    for pairs, _, _ in structures:
-        slots = []
-        for (i, j) in pairs:
-            if i == j:
-                slots.append(None)
-            else:
-                slots.append(offset)
-                offset += 1
-        pair_vars.append(slots)
-    t_var = offset
-    nvars = t_var + 1
-
-    objective = [0] * nvars
-    objective[t_var] = 1
-    eq = [[1] * k + [0] * (nvars - k)]
-    eq_rhs = [1]
-
-    ub = []
-    ub_rhs = []
-    for (pairs, solo_src, solo_dst), slots in zip(structures, pair_vars):
-        row = [0] * nvars
-        for (i, j), slot in zip(pairs, slots):
-            if slot is None:
-                continue
-            up = [0] * nvars
-            up[i] += 1
-            up[j] -= 1
-            up[slot] = -1
-            down = [0] * nvars
-            down[i] -= 1
-            down[j] += 1
-            down[slot] = -1
-            ub.append(up)
-            ub_rhs.append(0)
-            ub.append(down)
-            ub_rhs.append(0)
-            row[slot] = 1
-        for i in solo_src:
+def _defect_rows(k: int, blocks: Sequence[tuple[list, list]], width: int) -> tuple[list, list]:
+    """The rows, `width` columns wide, that bound each block's defect through
+    slots: per block, for each weighted pair (i, j, c) a slot u with
+    T_i - T_j - u <= 0 and T_j - T_i - u <= 0, then the block row
+    sum c u + sum_solo T. The slots follow the k weights, block by block.
+    Returns the rows and the indices of the block rows among them."""
+    rows, ends = [], []
+    slot = k
+    for pairs, solo in blocks:
+        row = [0] * width
+        for i, j, c in pairs:
+            up = [0] * width
+            up[i], up[j], up[slot] = 1, -1, -1
+            down = [0] * width
+            down[i], down[j], down[slot] = -1, 1, -1
+            rows += (up, down)
+            row[slot] = c
+            slot += 1
+        for i in solo:
             row[i] += 1
-        for j in solo_dst:
-            row[j] += 1
-        row[t_var] = -1
-        ub.append(row)
-        ub_rhs.append(0)
-    result = solve_lp(objective, eq, eq_rhs, ub, ub_rhs)
+        ends.append(len(rows))
+        rows.append(row)
+    return rows, ends
+
+
+def _min_defect_lp(k: int, structures: Sequence[tuple[list, list]]):
+    """Minimize the max translation defect t over weights on a k-point
+    support: variables are the k weights, one absolute-difference bound per
+    overlap pair per shift, and t, with sum T = 1 and each block row at
+    most t. Every coefficient is 0 or +-1, so the rows are plain ints."""
+    blocks = [([(i, j, 1) for i, j in pairs], solo) for pairs, solo in structures]
+    t_var = k + sum(len(pairs) for pairs, _ in blocks)
+    ub, ends = _defect_rows(k, blocks, t_var + 1)
+    for r in ends:
+        ub[r][t_var] = -1
+    eq = [[1] * k + [0] * (t_var + 1 - k)]
+    result = solve_lp([0] * t_var + [1], eq, [1], ub, [0] * len(ub))
     return result.value, result.x[:k]
+
+
+def _max_mass_lp(k: int, structures: Sequence[tuple[list, list]]) -> Optional[Fraction]:
+    """The decision form of `_min_defect_lp`: maximize sum T over T >= 0
+    whose defect under every shift is at most 1. Each block gets one slot
+    per unordered pair {i, j}, weighted by how often the block counts it (2
+    for a shift that swaps i and j). Every right-hand side is 0 or 1, so the
+    solve starts from the all-slack basis and has no phase 1. Returns the
+    maximum, or None when it is unbounded (some nonzero T has defect 0)."""
+    blocks = []
+    for pairs, solo in structures:
+        weight = {}
+        for i, j in pairs:
+            e = (min(i, j), max(i, j))
+            weight[e] = weight.get(e, 0) + 1
+        blocks.append(([(i, j, c) for (i, j), c in weight.items()], solo))
+    nvars = k + sum(len(pairs) for pairs, _ in blocks)
+    ub, ends = _defect_rows(k, blocks, nvars)
+    ub_rhs = [0] * len(ub)
+    for r in ends:
+        ub_rhs[r] = 1
+    try:
+        result = solve_lp([-1] * k + [0] * (nvars - k), [], [], ub, ub_rhs)
+    except UnboundedError:
+        return None
+    return -result.value
 
 
 def _inverse_row(row: Sequence[int]) -> tuple[int, ...]:
@@ -548,6 +560,15 @@ def _search_supports(
     was tested is rejected without an LP, and one exact LP is solved per
     class.
 
+    That LP is `_max_mass_lp`, which has no phase 1: the maximum M* of sum
+    T over T >= 0 with every row's defect at most 1. Each row's defect is
+    convex and positively homogeneous, so the optimum of `_min_defect_lp`
+    is t* = 1/M*, and 0 exactly when M* is unbounded; t* < delta exactly
+    when M* is unbounded or M* delta > 1. Both LPs are exact, so no
+    tolerance enters. The support accepted still gets its own
+    `_min_defect_lp`, whose vertex is the witness, and its optimum must be
+    1/M*.
+
     Returns (k, support, optimum, weights), or None when no support of size
     at most max_support (default n) is accepted. optimum is None when a zero
     weight was blended away; the weights' defect must then be derived again.
@@ -601,9 +622,15 @@ def _search_supports(
                 if form in tested_forms:
                     continue
                 tested_forms.add(form)
-                optimum, weights = _min_defect_lp(k, [_shift_structure(m) for m in images])
-                if not optimum < delta:
+                structures = [_shift_structure(m) for m in images]
+                most = _max_mass_lp(k, structures)
+                if most is not None and most * delta <= 1:
                     continue
+                optimum, weights = _min_defect_lp(k, structures)
+                if optimum != (0 if most is None else 1 / most):
+                    raise ArithmeticError(
+                        f"witness LP optimum {optimum} disagrees with the decision LP maximum {most}"
+                    )
                 support = (*prefix, x)
                 if any(w <= 0 for w in weights):
                     # The positive part is a smaller support whose translates

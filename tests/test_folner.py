@@ -473,16 +473,24 @@ class TestLpMemo:
 
     @staticmethod
     def _lps_solved(monkeypatch, search):
-        calls = []
-        real = folner.solve_lp
+        """The decision LPs a search solves, one per relabelling class it
+        tests, after asserting that it solves exactly one witness LP."""
+        counts = {"_max_mass_lp": 0, "_min_defect_lp": 0}
 
-        def counting(*lp):
-            calls.append(lp)
-            return real(*lp)
+        def counting(name):
+            real = getattr(folner, name)
 
-        monkeypatch.setattr(folner, "solve_lp", counting)
+            def count(*args):
+                counts[name] += 1
+                return real(*args)
+
+            return count
+
+        for name in counts:
+            monkeypatch.setattr(folner, name, counting(name))
         search()
-        return len(calls)
+        assert counts["_min_defect_lp"] == 1
+        return counts["_max_mass_lp"]
 
     # The comments give the distinct position keys, one LP each when the
     # memo was keyed on positions alone.
@@ -547,6 +555,29 @@ def _s3_points():
     return len(points), [[index[tuple(s[g[i]] for i in range(3))] for g in points] for s in shifts]
 
 
+def _z6_points():
+    """Z/6 with the shifts 1 and 5, numbered as min_rank_table numbers it."""
+    return 6, [[(s + g) % 6 for g in range(6)] for s in (1, 5)]
+
+
+def _ball_keys(problem, radius, max_k):
+    """Every position key of every run-feasible support up to max_k points
+    in the ball of min_rank_bruteforce."""
+    group, omega, delta = problem()
+    n, succ, run = _lp_points(group, omega, radius)
+    windows = [_run_windows(n, succ[r], 2 // delta + 1) for r in run]
+    return _all_images(n, succ, windows, max_k)
+
+
+def _table_keys(points):
+    """Every position key of every support of a finite group's table; its
+    shifts act in cycles, so no run bound applies."""
+    n, rows = points()
+    succ, run = folner._lp_rows(n, rows)
+    assert not run
+    return _all_images(n, succ, [], n)
+
+
 def _all_images(n, succ, windows, max_k):
     keys = set()
     for k in range(1, max_k + 1):
@@ -599,12 +630,8 @@ class TestShiftGraphForm:
         (lambda: (Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4)), 6, 6),
     ], ids=["fg_abelian_mixed-r3", "z1-shifts12-r6"])
     def test_equal_forms_have_equal_optima(self, problem, radius, max_k):
-        # every position key of every run-feasible support up to the rank
-        group, omega, delta = problem()
-        n, succ, run = _lp_points(group, omega, radius)
-        windows = [_run_windows(n, succ[r], 2 // delta + 1) for r in run]
         optima = {}
-        keys = _all_images(n, succ, windows, max_k)
+        keys = _ball_keys(problem, radius, max_k)
         for images in keys:
             k = len(images[0])
             optimum, _ = folner._min_defect_lp(k, [folner._shift_structure(m) for m in images])
@@ -631,6 +658,48 @@ class TestShiftGraphForm:
                     by_steps.setdefault(steps, set()).add(support)
                     by_images.setdefault(images, set()).add(support)
             assert sorted(map(sorted, by_steps.values())) == sorted(map(sorted, by_images.values()))
+
+
+class TestDecisionLp:
+    """The search rejects a class when its decision LP's maximum M has
+    M * delta <= 1, and solves `_min_defect_lp` only on the support it
+    accepts. Both defects are positively homogeneous, so the witness
+    optimum is 1 / M, and 0 exactly when the decision LP is unbounded."""
+
+    GRID = 2520  # the deltas beside each optimum are multiples of 1 / GRID
+
+    @pytest.mark.parametrize("keys, unbounded", [
+        (lambda: _ball_keys(lambda: _document_problem("fg_abelian_mixed.json"), 3, 9), 0),
+        (lambda: _ball_keys(lambda: (Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4)), 6, 6), 0),
+        (lambda: _table_keys(_z6_points), 1),
+        (lambda: _table_keys(_s3_points), 1),
+    ], ids=["fg_abelian_mixed-r3", "z1-shifts12-r6", "z6-table", "s3-table"])
+    def test_decision_agrees_with_the_witness_optimum(self, keys, unbounded):
+        seen = 0
+        for images in keys():
+            k = len(images[0])
+            structures = [folner._shift_structure(m) for m in images]
+            optimum, _ = folner._min_defect_lp(k, structures)
+            most = folner._max_mass_lp(k, structures)
+            assert optimum == (0 if most is None else 1 / most)
+            seen += most is None
+            below = F(math.ceil(optimum * self.GRID) - 1, self.GRID)
+            above = F(math.floor(optimum * self.GRID) + 1, self.GRID)
+            for delta in (optimum, below, above):
+                if delta > 0:
+                    assert (most is None or most * delta > 1) == (optimum < delta)
+        assert seen == unbounded
+
+    def test_witness_that_disagrees_with_the_decision_raises(self, monkeypatch):
+        real = folner._min_defect_lp
+
+        def off(k, structures):
+            optimum, weights = real(k, structures)
+            return optimum / 2, weights
+
+        monkeypatch.setattr(folner, "_min_defect_lp", off)
+        with pytest.raises(ArithmeticError, match=r"^witness LP optimum 1/5 disagrees with the decision LP maximum 5/2$"):
+            min_rank_bruteforce(Z1, [Z1.element((1,))], F(1, 2), 8)
 
 
 ZC3 = FgAbelianGroup(1, (3,))

@@ -348,6 +348,8 @@ def test_every_lp_of_the_rank_lp_searches_takes_the_reference_pivots():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(folner, "solve_lp", record)
         _run_rank_lp_searches()
-    assert len(lps) == 57  # one per relabelling class of shift graphs
+    # one decision LP per relabelling class of shift graphs, and one witness
+    # LP per search
+    assert len(lps) == 57 + 4
     for lp in lps:
         _compare(lp)
