@@ -6,8 +6,9 @@ their points once and run one exact core, `_search_supports`, on indices;
 it enumerates only the supports that hold a run longer than 2/delta along
 every shift whose action on the searched points has no cycle and that have
 no isolated point other than 0, since no other support can be the first
-to succeed, and solves one exact decision LP per relabelling class of the
-supports' shift graphs, and one witness LP for the support it accepts.
+to succeed, and solves one exact LP per relabelling class of the supports'
+shift graphs, whose optimal vertex scales to the witness of the support it
+accepts.
 """
 
 from __future__ import annotations
@@ -227,8 +228,8 @@ class RankCertificate:
     omega: tuple[AbelianElement, ...]
     search_radius: int
     exhaustive_within_radius: bool
+    defect_exact: Fraction = field(compare=False)
     exact: bool = True
-    defect_exact: Optional[Fraction] = field(default=None, compare=False)
 
 
 def _shift_structure(images: Sequence[int]) -> tuple[list, list]:
@@ -245,70 +246,51 @@ def _shift_structure(images: Sequence[int]) -> tuple[list, list]:
     return pairs, solo
 
 
-def _defect_rows(k: int, blocks: Sequence[tuple[list, list]], width: int) -> tuple[list, list]:
-    """The rows, `width` columns wide, that bound each block's defect through
-    slots: per block, for each weighted pair (i, j, c) a slot u with
-    T_i - T_j - u <= 0 and T_j - T_i - u <= 0, then the block row
-    sum c u + sum_solo T. The slots follow the k weights, block by block.
-    Returns the rows and the indices of the block rows among them."""
-    rows, ends = [], []
-    slot = k
-    for pairs, solo in blocks:
-        row = [0] * width
-        for i, j, c in pairs:
-            up = [0] * width
-            up[i], up[j], up[slot] = 1, -1, -1
-            down = [0] * width
-            down[i], down[j], down[slot] = -1, 1, -1
-            rows += (up, down)
-            row[slot] = c
-            slot += 1
-        for i in solo:
-            row[i] += 1
-        ends.append(len(rows))
-        rows.append(row)
-    return rows, ends
-
-
-def _min_defect_lp(k: int, structures: Sequence[tuple[list, list]]):
-    """Minimize the max translation defect t over weights on a k-point
-    support: variables are the k weights, one absolute-difference bound per
-    overlap pair per shift, and t, with sum T = 1 and each block row at
-    most t. Every coefficient is 0 or +-1, so the rows are plain ints."""
-    blocks = [([(i, j, 1) for i, j in pairs], solo) for pairs, solo in structures]
-    t_var = k + sum(len(pairs) for pairs, _ in blocks)
-    ub, ends = _defect_rows(k, blocks, t_var + 1)
-    for r in ends:
-        ub[r][t_var] = -1
-    eq = [[1] * k + [0] * (t_var + 1 - k)]
-    result = solve_lp([0] * t_var + [1], eq, [1], ub, [0] * len(ub))
-    return result.value, result.x[:k]
-
-
-def _max_mass_lp(k: int, structures: Sequence[tuple[list, list]]) -> Optional[Fraction]:
-    """The decision form of `_min_defect_lp`: maximize sum T over T >= 0
-    whose defect under every shift is at most 1. Each block gets one slot
-    per unordered pair {i, j}, weighted by how often the block counts it (2
-    for a shift that swaps i and j). Every right-hand side is 0 or 1, so the
-    solve starts from the all-slack basis and has no phase 1. Returns the
-    maximum, or None when it is unbounded (some nonzero T has defect 0)."""
+def _max_mass_lp(
+    k: int, structures: Sequence[tuple[list, list]], zero_defect: bool = False
+) -> Optional[tuple[Fraction, tuple[Fraction, ...]]]:
+    """The rank search's one LP: maximize sum T over weights T >= 0 on a
+    k-point support whose defect under every shift is at most 1, or, when
+    zero_defect, at most 0 with sum T at most 1. Each block gets one slot u
+    per unordered pair {i, j}, with T_i - T_j - u <= 0 and T_j - T_i - u <=
+    0, weighted in the block row by how often the block counts the pair (2
+    for a shift that swaps i and j); the block row adds the solo indices.
+    Every right-hand side is 0 or 1, so the solve starts from the all-slack
+    basis and has no phase 1. Returns the maximum and the optimal weights,
+    or None when the maximum is unbounded (some nonzero T has defect 0)."""
     blocks = []
     for pairs, solo in structures:
         weight = {}
         for i, j in pairs:
             e = (min(i, j), max(i, j))
             weight[e] = weight.get(e, 0) + 1
-        blocks.append(([(i, j, c) for (i, j), c in weight.items()], solo))
-    nvars = k + sum(len(pairs) for pairs, _ in blocks)
-    ub, ends = _defect_rows(k, blocks, nvars)
-    ub_rhs = [0] * len(ub)
-    for r in ends:
-        ub_rhs[r] = 1
+        blocks.append((weight, solo))
+    nvars = k + sum(len(weight) for weight, _ in blocks)
+    rows, rhs = [], []
+    slot = k
+    for weight, solo in blocks:
+        row = [0] * nvars
+        for (i, j), c in weight.items():
+            up = [0] * nvars
+            up[i], up[j], up[slot] = 1, -1, -1
+            down = [0] * nvars
+            down[i], down[j], down[slot] = -1, 1, -1
+            rows += (up, down)
+            rhs += (0, 0)
+            row[slot] = c
+            slot += 1
+        for i in solo:
+            row[i] += 1
+        rows.append(row)
+        rhs.append(0 if zero_defect else 1)
+    if zero_defect:
+        rows.append([1] * k + [0] * (nvars - k))
+        rhs.append(1)
     try:
-        result = solve_lp([-1] * k + [0] * (nvars - k), [], [], ub, ub_rhs)
+        result = solve_lp([-1] * k + [0] * (nvars - k), [], [], rows, rhs)
     except UnboundedError:
         return None
-    return -result.value
+    return -result.value, result.x[:k]
 
 
 def _inverse_row(row: Sequence[int]) -> tuple[int, ...]:
@@ -526,11 +508,11 @@ def _search_supports(
     max_support: Optional[int],
 ) -> Optional[tuple[int, tuple[int, ...], Optional[Fraction], tuple]]:
     """The rank search on points 0..n-1, point 0 the identity: supports
-    (0, *combo) by size, then lexicographically, so the first whose exact LP
-    optimum is below delta is canonical. rows holds one successor row per
-    shift in omega: rows[s][i] is the index of shift s applied to point i,
-    or -1 outside the points. The LP gets one block per row `_lp_rows`
-    keeps.
+    (0, *combo) by size, then lexicographically, so the first whose optimum,
+    the least defect of a normalized weighting on it, is below delta is
+    canonical. rows holds one successor row per shift in omega: rows[s][i]
+    is the index of shift s applied to point i, or -1 outside the points.
+    The LP gets one block per row `_lp_rows` keeps.
 
     Along a row with no cycle on the points, every run of a support along
     the shift has two ends, so any normalized weighting pays at least 2/run
@@ -560,14 +542,14 @@ def _search_supports(
     was tested is rejected without an LP, and one exact LP is solved per
     class.
 
-    That LP is `_max_mass_lp`, which has no phase 1: the maximum M* of sum
-    T over T >= 0 with every row's defect at most 1. Each row's defect is
-    convex and positively homogeneous, so the optimum of `_min_defect_lp`
-    is t* = 1/M*, and 0 exactly when M* is unbounded; t* < delta exactly
-    when M* is unbounded or M* delta > 1. Both LPs are exact, so no
-    tolerance enters. The support accepted still gets its own
-    `_min_defect_lp`, whose vertex is the witness, and its optimum must be
-    1/M*.
+    That LP is `_max_mass_lp`: the maximum M* of sum T over T >= 0 with
+    every row's defect at most 1. Each row's defect is positively
+    homogeneous, so the optimum is t* = 1/M*, reached by T*/M* for the
+    optimal vertex T*, and 0 exactly when M* is unbounded; t* < delta
+    exactly when M* is unbounded or M* delta > 1. The LP is exact, so no
+    tolerance enters. An unbounded class takes its weights from the same
+    LP posed with every row's defect at most 0 and sum T at most 1, whose
+    vertex has sum T = 1 and defect 0.
 
     Returns (k, support, optimum, weights), or None when no support of size
     at most max_support (default n) is accepted. optimum is None when a zero
@@ -623,14 +605,16 @@ def _search_supports(
                     continue
                 tested_forms.add(form)
                 structures = [_shift_structure(m) for m in images]
-                most = _max_mass_lp(k, structures)
-                if most is not None and most * delta <= 1:
-                    continue
-                optimum, weights = _min_defect_lp(k, structures)
-                if optimum != (0 if most is None else 1 / most):
-                    raise ArithmeticError(
-                        f"witness LP optimum {optimum} disagrees with the decision LP maximum {most}"
-                    )
+                found = _max_mass_lp(k, structures)
+                if found is None:
+                    optimum = Fraction(0)
+                    weights = _max_mass_lp(k, structures, zero_defect=True)[1]
+                else:
+                    most, vertex = found
+                    if most * delta <= 1:
+                        continue
+                    optimum = 1 / most
+                    weights = [w * optimum for w in vertex]
                 support = (*prefix, x)
                 if any(w <= 0 for w in weights):
                     # The positive part is a smaller support whose translates
@@ -641,6 +625,41 @@ def _search_supports(
                     return k, support, None, tuple((1 - eps) * w + eps / k for w in weights)
                 return k, support, optimum, tuple(weights)
     return None
+
+
+def _check_witness(achieved: Fraction, optimum: Optional[Fraction], delta: Fraction) -> None:
+    """Raises InternalInvariantError unless the accepted weights' defect,
+    derived again, is the search's optimum, or below delta when a zero
+    weight was blended away (optimum None)."""
+    if optimum is None:
+        if not achieved < delta:
+            raise InternalInvariantError(
+                f"blended witness defect {achieved} is not below delta {delta}"
+            )
+    elif achieved != optimum:
+        raise InternalInvariantError(
+            f"witness defect {achieved} disagrees with LP optimum {optimum}"
+        )
+
+
+def _rows_defect(
+    rows: Sequence[Sequence[int]], support: Sequence[int], weights: Sequence[Fraction]
+) -> Fraction:
+    """The defect of the weights on support under each successor row (as
+    `_search_supports` takes them), maximized over the rows: the l1
+    distance between the weights and their push along the row, where a
+    point pushed to -1 leaves the points."""
+    worst = Fraction(0)
+    for row in rows:
+        gap = dict(zip(support, weights))
+        left = Fraction(0)
+        for i, w in zip(support, weights):
+            if row[i] < 0:
+                left += w
+            else:
+                gap[row[i]] = gap.get(row[i], 0) - w
+        worst = max(worst, left + sum(map(abs, gap.values())))
+    return worst
 
 
 def min_rank_bruteforce(
@@ -694,15 +713,7 @@ def min_rank_bruteforce(
     k, support, optimum, weights = found
     witness = WeightedFunction(group, tuple(points[i] for i in support), weights)
     achieved = defect(witness, omega)
-    if optimum is None:
-        if not achieved < delta_frac:
-            raise InternalInvariantError(
-                f"blended witness defect {achieved} is not below delta {delta_frac}"
-            )
-    elif achieved != optimum:
-        raise InternalInvariantError(
-            f"witness defect {achieved} disagrees with LP optimum {optimum}"
-        )
+    _check_witness(achieved, optimum, delta_frac)
     return RankCertificate(
         rank=k,
         witness=witness,
@@ -728,7 +739,7 @@ def min_rank_table(
     table. Left translation replaces lattice shifts and supports are listed
     in repr order; the search is `_search_supports`, whose run bound applies
     only along a shift with no cycle on the elements, so never on a whole
-    finite group.
+    finite group. The witness defect is derived again from the rows.
     Returns the rank and the witness weight map."""
     omega = list(omega)
     if not omega:
@@ -736,14 +747,16 @@ def min_rank_table(
     points = [identity, *sorted((e for e in set(elements) if e != identity), key=repr)]
     index = {e: i for i, e in enumerate(points)}
     rows = [[index.get(multiply(s, g), -1) for g in points] for s in omega]
-    found = _search_supports(len(points), rows, exact_delta(delta), max_support)
+    delta_frac = exact_delta(delta)
+    found = _search_supports(len(points), rows, delta_frac, max_support)
     if found is None:
         size = len(points) if max_support is None else max_support
         raise RankSearchExhausted(
             f"no support of size <= {size} in the finite group achieves "
             f"defect < {delta}"
         )
-    k, support, _, weights = found
+    k, support, optimum, weights = found
+    _check_witness(_rows_defect(rows, support, weights), optimum, delta_frac)
     return k, {points[i]: w for i, w in zip(support, weights)}
 
 

@@ -199,7 +199,7 @@ def render_text(result) -> str:
         lines = [
             f"rank {result.rank}  (delta {result.delta:g}, radius {result.search_radius}, "
             f"exhaustive: {result.exhaustive_within_radius})",
-            f"  witness defect: {result.defect_exact if result.defect_exact is not None else result.defect}",
+            f"  witness defect: {result.defect_exact}",
         ]
         for e, w in zip(result.witness.support, result.witness.weights):
             lines.append(f"    {jsonable(e)}  {w}")

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -30,6 +31,7 @@ from dualent.folner import (
 )
 
 from tests.conftest import EXAMPLE_DIR
+from tests.test_simplex import reference_solve_lp
 
 F = Fraction
 
@@ -474,23 +476,19 @@ class TestLpMemo:
     @staticmethod
     def _lps_solved(monkeypatch, search):
         """The decision LPs a search solves, one per relabelling class it
-        tests, after asserting that it solves exactly one witness LP."""
-        counts = {"_max_mass_lp": 0, "_min_defect_lp": 0}
+        tests; an unbounded class accepted solves one more LP, with
+        zero_defect set, that is not counted."""
+        real = folner._max_mass_lp
+        count = 0
 
-        def counting(name):
-            real = getattr(folner, name)
+        def counting(k, structures, zero_defect=False):
+            nonlocal count
+            count += not zero_defect
+            return real(k, structures, zero_defect)
 
-            def count(*args):
-                counts[name] += 1
-                return real(*args)
-
-            return count
-
-        for name in counts:
-            monkeypatch.setattr(folner, name, counting(name))
+        monkeypatch.setattr(folner, "_max_mass_lp", counting)
         search()
-        assert counts["_min_defect_lp"] == 1
-        return counts["_max_mass_lp"]
+        return count
 
     # The comments give the distinct position keys, one LP each when the
     # memo was keyed on positions alone.
@@ -586,6 +584,44 @@ def _all_images(n, succ, windows, max_k):
     return keys
 
 
+@functools.cache
+def _min_defect_lp(k, images):
+    """The reference LP of the k-point support whose position key is images
+    (see `_images`), solved by the Fraction reference simplex: minimize the max
+    translation defect t over its k weights, one slot u per overlap pair per
+    shift with T_i - T_j - u <= 0 and T_j - T_i - u <= 0, sum T = 1, and
+    each shift's row sum u + sum_solo T at most t. Returns the optimum and
+    the optimal weights; cached, since several tests pose one ball's LPs."""
+    structures = [folner._shift_structure(m) for m in images]
+    t = k + sum(len(pairs) for pairs, _ in structures)
+    ub = []
+    slot = k
+    for pairs, solo in structures:
+        block = [0] * (t + 1)
+        for i, j in pairs:
+            up = [0] * (t + 1)
+            up[i], up[j], up[slot] = 1, -1, -1
+            down = [0] * (t + 1)
+            down[i], down[j], down[slot] = -1, 1, -1
+            ub += (up, down)
+            block[slot] = 1
+            slot += 1
+        for i in solo:
+            block[i] += 1
+        block[t] = -1
+        ub.append(block)
+    eq = [[1] * k + [0] * (t + 1 - k)]
+    result = reference_solve_lp([0] * t + [1], eq, [1], ub, [0] * len(ub), [])
+    return result.value, result.x[:k]
+
+
+def _structure_defect(structures, weights):
+    """The defect of weights on a support, maximized over the shifts whose
+    `_shift_structure`s are given."""
+    return max(sum(abs(weights[i] - weights[j]) for i, j in pairs) + sum(weights[i] for i in solo)
+               for pairs, solo in structures)
+
+
 class TestShiftGraphForm:
     """The class memo is sound when equal forms pose LPs with one optimum:
     the form must not change under relabelling, and must tell apart graphs
@@ -634,7 +670,7 @@ class TestShiftGraphForm:
         keys = _ball_keys(problem, radius, max_k)
         for images in keys:
             k = len(images[0])
-            optimum, _ = folner._min_defect_lp(k, [folner._shift_structure(m) for m in images])
+            optimum, _ = _min_defect_lp(k, images)
             optima.setdefault(folner._shift_graph_form(k, images), set()).add(optimum)
         assert all(len(found) == 1 for found in optima.values())
         assert len(optima) < len(keys)
@@ -661,10 +697,11 @@ class TestShiftGraphForm:
 
 
 class TestDecisionLp:
-    """The search rejects a class when its decision LP's maximum M has
-    M * delta <= 1, and solves `_min_defect_lp` only on the support it
-    accepts. Both defects are positively homogeneous, so the witness
-    optimum is 1 / M, and 0 exactly when the decision LP is unbounded."""
+    """The search rejects a class when its LP's maximum M has M * delta <=
+    1, and takes the witness of the class it accepts from the same LP. Both
+    it and the reference min-defect LP are positively homogeneous, so the
+    reference optimum is 1 / M, reached by the LP's vertex over M, and 0
+    exactly when the LP is unbounded."""
 
     GRID = 2520  # the deltas beside each optimum are multiples of 1 / GRID
 
@@ -674,32 +711,64 @@ class TestDecisionLp:
         (lambda: _table_keys(_z6_points), 1),
         (lambda: _table_keys(_s3_points), 1),
     ], ids=["fg_abelian_mixed-r3", "z1-shifts12-r6", "z6-table", "s3-table"])
-    def test_decision_agrees_with_the_witness_optimum(self, keys, unbounded):
+    def test_decision_agrees_with_the_reference_optimum(self, keys, unbounded):
         seen = 0
         for images in keys():
             k = len(images[0])
             structures = [folner._shift_structure(m) for m in images]
-            optimum, _ = folner._min_defect_lp(k, structures)
-            most = folner._max_mass_lp(k, structures)
-            assert optimum == (0 if most is None else 1 / most)
-            seen += most is None
+            optimum, _ = _min_defect_lp(k, images)
+            found = folner._max_mass_lp(k, structures)
+            if found is None:
+                seen += 1
+                mass, weights = folner._max_mass_lp(k, structures, zero_defect=True)
+                assert mass == sum(weights) == 1
+                assert optimum == 0 == _structure_defect(structures, weights)
+            else:
+                most, vertex = found
+                assert optimum == 1 / most == _structure_defect(structures, [w / most for w in vertex])
             below = F(math.ceil(optimum * self.GRID) - 1, self.GRID)
             above = F(math.floor(optimum * self.GRID) + 1, self.GRID)
             for delta in (optimum, below, above):
                 if delta > 0:
-                    assert (most is None or most * delta > 1) == (optimum < delta)
+                    assert (found is None or found[0] * delta > 1) == (optimum < delta)
         assert seen == unbounded
 
-    def test_witness_that_disagrees_with_the_decision_raises(self, monkeypatch):
-        real = folner._min_defect_lp
+    @staticmethod
+    def _corrupt(monkeypatch, moved):
+        """Makes the search's LP return a vertex with the share `moved` of
+        its first weight shifted onto its second."""
+        real = folner._max_mass_lp
 
-        def off(k, structures):
-            optimum, weights = real(k, structures)
-            return optimum / 2, weights
+        def corrupted(k, structures, zero_defect=False):
+            found = real(k, structures, zero_defect)
+            if found is None or k < 2:
+                return found
+            most, (first, second, *rest) = found
+            return most, (first * (1 - moved), second + first * moved, *rest)
 
-        monkeypatch.setattr(folner, "_min_defect_lp", off)
-        with pytest.raises(ArithmeticError, match=r"^witness LP optimum 1/5 disagrees with the decision LP maximum 5/2$"):
+        monkeypatch.setattr(folner, "_max_mass_lp", corrupted)
+
+    # Both searches accept uniform weights on three or five points; moving
+    # half a weight changes the defect, and moving all of it leaves a zero
+    # weight, which the search blends away.
+    @pytest.mark.parametrize("moved, message", [
+        (F(1, 2), r"^witness defect 3/5 disagrees with LP optimum 2/5$"),
+        (F(1), r"^blended witness defect 79/100 is not below delta 1/2$"),
+    ], ids=["shifted", "pooled"])
+    def test_corrupted_vertex_is_caught_in_the_lattice_search(self, monkeypatch, moved, message):
+        self._corrupt(monkeypatch, moved)
+        with pytest.raises(folner.InternalInvariantError, match=message):
             min_rank_bruteforce(Z1, [Z1.element((1,))], F(1, 2), 8)
+
+    @pytest.mark.parametrize("moved, message", [
+        (F(1, 2), r"^witness defect 1 disagrees with LP optimum 2/3$"),
+        (F(1), r"^blended witness defect 23/18 is not below delta 1$"),
+    ], ids=["shifted", "pooled"])
+    def test_corrupted_vertex_is_caught_in_the_table_search(self, monkeypatch, moved, message):
+        self._corrupt(monkeypatch, moved)
+        # 0..4 in Z/6: the shift 1 leaves the elements after 4
+        with pytest.raises(folner.InternalInvariantError, match=message):
+            min_rank_table(range(5), lambda a, b: (a + b) % 6, 0, [1], F(1))
 
 
 ZC3 = FgAbelianGroup(1, (3,))
@@ -718,7 +787,7 @@ def _element_rule(omega):
 
 
 def _support_lp(succ, support):
-    return folner._min_defect_lp(len(support), [folner._shift_structure(m) for m in _images(succ, support)])
+    return _min_defect_lp(len(support), _images(succ, support))
 
 
 def _unpruned_scan(n, succ, delta):
@@ -820,6 +889,25 @@ class TestRowRule:
         rank, witness = min_rank_table(points, lambda a, b: (a + b) % 6, 0, omega, delta)
         assert rank == k
         assert witness == {points[i]: w for i, w in zip(support, weights)}
+
+
+@pytest.mark.parametrize(
+    "group, radius, shifts",
+    [case[1:] for case in ROW_RULE_CASES],
+    ids=[case[0] for case in ROW_RULE_CASES],
+)
+def test_rows_defect_matches_the_defect(group, radius, shifts):
+    # the witness check of min_rank_table against `defect` on random
+    # weightings, zero, repeated and torsion shifts included
+    rng = random.Random(5)
+    omega = [group.element(*s) for s in shifts]
+    points, rows = _numbered_pool(group.ball(radius), omega)
+    for _ in range(50):
+        support = rng.sample(range(len(points)), rng.randint(1, len(points)))
+        raw = [rng.randint(1, 9) for _ in support]
+        weights = [F(w, sum(raw)) for w in raw]
+        witness = WeightedFunction(group, tuple(points[i] for i in support), tuple(weights))
+        assert folner._rows_defect(rows, support, weights) == defect(witness, omega)
 
 
 def _reference_search(n, rows, delta):

@@ -138,8 +138,8 @@ def test_cli_catmap_document_radius_certificate_pinned():
 def test_cli_fg_abelian_mixed_document_radius_certificate_pinned():
     # Z x Z/2 at radius 8: 9,678 supports have their runs and no isolated
     # point, and pose 2,055 distinct LPs in 331 relabelling classes. Each
-    # class gets one decision LP (4,840 pivots in all, no phase 1), and the
-    # accepted support one witness LP (22 pivots, 10 of them in phase 1).
+    # class gets one LP (4,840 pivots in all, no phase 1), and the accepted
+    # class's vertex, rescaled, is the witness.
     cert = _cli_rank_json("fg_abelian_mixed.json")
     assert cert["search_radius"] == 8
     assert cert["rank"] == 9
