@@ -6,9 +6,9 @@ their points once and run one exact core, `_search_supports`, on indices;
 it enumerates only the supports that hold a run longer than 2/delta along
 every shift whose action on the searched points has no cycle and that have
 no isolated point other than 0, since no other support can be the first
-to succeed, and solves one exact LP per relabelling class of the supports'
-shift graphs, whose optimal vertex scales to the witness of the support it
-accepts.
+to succeed, and solves one exact LP per class of supports whose LPs agree
+up to the order of their variables and rows, whose optimal vertex scales to
+the witness of the support it accepts.
 """
 
 from __future__ import annotations
@@ -445,35 +445,112 @@ def _feasible_supports(
 
 
 def _shift_graph_form(k: int, images: Sequence[Sequence[int]]) -> tuple:
-    """A canonical form of the shift graph of a k-point support under
-    relabelling its points: images[s][i] is the position of shift s applied
-    to point i, or -1. Each connected component is labelled by a walk from
-    a root, visiting neighbours in (shift, direction) order, and read as
-    the labels of each point's images; the smallest reading over the roots
-    is the component's form, and the graph's is its sorted component forms.
-    Every shift is a partial injection, so each walk is determined by its
-    root, and two supports get the same form exactly when a relabelling of
-    points carries one graph to the other."""
-    links = _point_links(k, images)
+    """A canonical form of the LP that `_max_mass_lp` poses for a k-point
+    support: images[s][i] is the position of shift s applied to point i, or
+    -1. The LP reads each block only through `_shift_structure`, that is
+    through the unordered pair {image, preimage} of each point, -1 for a
+    link leaving the support. So it stays the same, up to the order of its
+    variables and rows, when the points are relabelled, when the blocks are
+    permuted, and when any one path or cycle of a block is reversed. Two
+    supports get the same form exactly when a relabelling of the points and
+    a permutation of the blocks carry one's pairs onto the other's.
 
-    def walk(root: int) -> tuple[list, tuple]:
-        label = {-1: -1, root: 0}  # -1, a link leaving the support, keeps its label
-        order = [root]
-        for i in order:
-            for j in links[i]:
-                if j not in label:
-                    label[j] = len(order)
-                    order.append(j)
-        return order, tuple([label[row[i]] for i in order for row in images])
+    Each point gets a code per block: the number of its links leaving the
+    support, or fixed, or swapped with a neighbour. Blocks are ordered by
+    their sorted codes and permuted only within ties. Under each block
+    order, a component is labelled by walks from each point of its
+    smallest class of points with one signature (their sorted codes; among
+    classes of one size, the larger signature, whose points branch less).
+    A walk labels each point's unlabelled neighbours block by block, the
+    one with the smaller signature first, and branches over both orders
+    where the two tie. It reads each point, in label order, as one integer
+    whose digits are its blocks' pairs of labels, smaller first. The least
+    reading is the component's form, and the least sorted tuple of
+    component forms over the block orders is the graph's. A walk is
+    dropped as soon as its reading passes the least so far (individualise
+    and refine, after McKay & Piperno, Practical graph isomorphism II,
+    2014)."""
+    pairs, codes = [], []
+    for row in images:
+        block = list(zip(row, _inverse_row(row)))
+        pairs.append(block)
+        codes.append([3 if a == i else 4 if a == c else (a < 0) + (c < 0) for i, (a, c) in enumerate(block)])
+    signature = [tuple(sorted(s)) for s in zip(*codes)] if codes else [()] * k
+    blocks = sorted((sorted(code), bl) for bl, code in enumerate(codes))
+    ties = [[bl for _, bl in tie] for _, tie in itertools.groupby(blocks, key=lambda block: block[0])]
 
-    forms = []
-    walked = set()
-    for root in range(k):
-        if root not in walked:
-            component, form = walk(root)
-            walked.update(component)
-            forms.append(min([form] + [walk(other)[1] for other in component[1:]]))
-    return tuple(sorted(forms))
+    roots = []  # per component, the class of points its walks start from
+    seen = set()
+    for start in range(k):
+        if start not in seen:
+            component = [start]
+            seen.add(start)
+            for i in component:
+                for block in pairs:
+                    for j in block[i]:
+                        if j >= 0 and j not in seen:
+                            seen.add(j)
+                            component.append(j)
+            classes = {}
+            for i in component:
+                classes.setdefault(signature[i], []).append(i)
+            roots.append(min(classes.items(), key=lambda c: (len(c[1]), [-x for x in c[0]]))[1])
+
+    width = k + 2  # labels a <= c, each in -1..k-1, read as the digit (a + 1) * width + c + 1
+    span = width * width
+
+    def least(starts: list, links: list) -> list:
+        best = None
+        stack = [([root], {-1: -1, root: 0}, 0, []) for root in reversed(starts)]
+        while stack:
+            order, label, m, reading = stack.pop()
+            if best is None:
+                below = True
+            else:
+                top = best[:m]
+                if reading > top:
+                    continue
+                below = reading < top
+            while m < len(order):
+                i = order[m]
+                entry = 0
+                for a, c in links[i]:
+                    if a not in label:
+                        n = len(order)
+                        if c not in label and a != c:
+                            if signature[a] == signature[c]:
+                                other = label.copy()
+                                other[c], other[a] = n, n + 1
+                                stack.append((order + [c, a], other, m, reading[:]))
+                            elif signature[c] < signature[a]:
+                                a, c = c, a
+                            label[a], label[c] = n, n + 1
+                            order += (a, c)
+                            entry = entry * span + (n + 1) * width + n + 2
+                            continue
+                        label[a] = n
+                        order.append(a)
+                    elif c not in label:
+                        label[c] = len(order)
+                        order.append(c)
+                    a, c = label[a], label[c]
+                    entry = entry * span + ((a + 1) * width + c + 1 if a <= c else (c + 1) * width + a + 1)
+                if not below:
+                    if entry > best[m]:
+                        break
+                    below = entry < best[m]
+                reading.append(entry)
+                m += 1
+            else:
+                if below:
+                    best = reading
+        return best
+
+    def component_forms(ordering: tuple) -> list:
+        links = list(zip(*[pairs[bl] for tie in ordering for bl in tie])) if pairs else [()] * k
+        return sorted(least(starts, links) for starts in roots)
+
+    return tuple(map(tuple, min(map(component_forms, itertools.product(*map(itertools.permutations, ties))))))
 
 
 def _point_links(n: int, succ: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -499,6 +576,15 @@ def _images_from_steps(k: int, steps: Sequence[tuple[int, ...]]) -> list[list[in
             if q_preimage >= 0:
                 row[q_preimage] = p
     return images
+
+
+def _without_isolated_zero(k: int, images: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
+    """The images of a k-point support without its point at position 0,
+    when k > 1 and no shift links that point to a point of the support,
+    itself included; None otherwise."""
+    if k < 2 or any(row[0] >= 0 or 0 in row for row in images):
+        return None
+    return [[j - 1 if j > 0 else -1 for j in row[1:]] for row in images]
 
 
 def _search_supports(
@@ -537,10 +623,11 @@ def _search_supports(
     support. A point placed at position p adds the positions of its images
     and preimages among the points placed up to it, so the key of a
     support is built along the enumeration prefix, and equal keys pose the
-    same LP. Relabelling the points of a support permutes the LP's
-    variables and keeps its optimum, so a support whose `_shift_graph_form`
+    same LP. Relabelling the points of a support, permuting its blocks or
+    reversing a path or cycle inside one block permutes the LP's variables
+    and rows and keeps its optimum, so a support whose `_shift_graph_form`
     was tested is rejected without an LP, and one exact LP is solved per
-    class.
+    class of LPs equal up to that order.
 
     That LP is `_max_mass_lp`: the maximum M* of sum T over T >= 0 with
     every row's defect at most 1. Each row's defect is positively
@@ -550,6 +637,11 @@ def _search_supports(
     tolerance enters. An unbounded class takes its weights from the same
     LP posed with every row's defect at most 0 and sum T at most 1, whose
     vertex has sum T = 1 and defect 0.
+
+    Point 0 of S may be isolated too. The bound above then makes the
+    optimum of S at least that of the LP posed on S without 0, and every
+    form in the memo is a rejected class, so S is rejected without an LP
+    when the form of S without 0 is in the memo.
 
     Returns (k, support, optimum, weights), or None when no support of size
     at most max_support (default n) is accepted. optimum is None when a zero
@@ -571,7 +663,7 @@ def _search_supports(
     # always the support's own, solved in its own position order.
     nodes = {}  # (parent prefix node, step) -> prefix node
     tested_steps = {}  # prefix node -> steps of the last points tested under it
-    tested_forms = set()  # the _shift_graph_form of every LP solved
+    tested_forms = set()  # the _shift_graph_form of every support rejected
     for k in range(1, min(max_support, n) + 1):
         # pos[i] is the position of point i in the support, -1 when it is not
         # placed; pos[-1], read for a link outside the points, stays -1.
@@ -604,6 +696,9 @@ def _search_supports(
                 if form in tested_forms:
                     continue
                 tested_forms.add(form)
+                rest = _without_isolated_zero(k, images)
+                if rest is not None and _shift_graph_form(k - 1, rest) in tested_forms:
+                    continue
                 structures = [_shift_structure(m) for m in images]
                 found = _max_mass_lp(k, structures)
                 if found is None:

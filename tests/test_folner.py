@@ -469,15 +469,15 @@ def _document_search(name, radius):
 
 
 class TestLpMemo:
-    """Supports whose shift graphs are relabellings of each other pose LPs
-    with one optimum, solved once per search; the memo lives for one call
-    only."""
+    """Supports whose LPs agree up to the order of their variables and rows
+    pose LPs with one optimum, solved once per search; the memo lives for
+    one call only."""
 
     @staticmethod
     def _lps_solved(monkeypatch, search):
-        """The decision LPs a search solves, one per relabelling class it
-        tests; an unbounded class accepted solves one more LP, with
-        zero_defect set, that is not counted."""
+        """The decision LPs a search solves, one per class it tests; an
+        unbounded class accepted solves one more LP, with zero_defect set,
+        that is not counted."""
         real = folner._max_mass_lp
         count = 0
 
@@ -491,13 +491,17 @@ class TestLpMemo:
         return count
 
     # The comments give the distinct position keys, one LP each when the
-    # memo was keyed on positions alone.
+    # memo was keyed on positions alone, and the LPs of the memo keyed on
+    # relabellings of the directed shift graphs.
     @pytest.mark.parametrize("search, lps", [
-        (_document_search("fg_abelian_mixed.json", 2), 27),  # 38
-        (_document_search("fg_abelian_mixed.json", 3), 85),  # 233
-        (_document_search("catmap_z2.json", 3), 1),  # 1
-        (lambda: min_rank_bruteforce(Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4), 6), 11),  # 49
-    ], ids=["fg_abelian_mixed-r2", "fg_abelian_mixed-r3", "catmap_z2-r3", "z1-shifts12-r6-delta3/4"])
+        (_document_search("fg_abelian_mixed.json", 2), 17),  # 38, 27
+        (_document_search("fg_abelian_mixed.json", 3), 51),  # 233, 85
+        (_document_search("catmap_z2.json", 3), 1),  # 1, 1
+        (lambda: min_rank_bruteforce(Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4), 6), 7),  # 49, 11
+        # 524 without the isolated-0 rule
+        (lambda: min_rank_bruteforce(Z2, [Z2.element((1, 0)), Z2.element((0, 1))], F(3, 4), 2), 492),  # 9837, 3085
+    ], ids=["fg_abelian_mixed-r2", "fg_abelian_mixed-r3", "catmap_z2-r3", "z1-shifts12-r6-delta3/4",
+            "z2-axes-r2-delta3/4"])
     def test_distinct_lp_count_pinned(self, monkeypatch, search, lps):
         assert self._lps_solved(monkeypatch, search) == lps
 
@@ -505,7 +509,7 @@ class TestLpMemo:
         search = _document_search("fg_abelian_mixed.json", 3)
         first = self._lps_solved(monkeypatch, search)
         second = self._lps_solved(monkeypatch, search)
-        assert first == second == 85
+        assert first == second == 51
 
 
 def _images(succ, support):
@@ -535,6 +539,19 @@ def _relabelled(images, perm):
             moved[perm[i]] = perm[j] if j >= 0 else -1
         out.append(tuple(moved))
     return tuple(out)
+
+
+def _reversed_through(row, start):
+    """row with its path or cycle through point start walked the other way."""
+    back = folner._inverse_row(row)
+    members, frontier = {start}, [start]
+    while frontier:
+        i = frontier.pop()
+        for j in (row[i], back[i]):
+            if j >= 0 and j not in members:
+                members.add(j)
+                frontier.append(j)
+    return tuple(back[i] if i in members else j for i, j in enumerate(row))
 
 
 def _lp_points(group, omega, radius):
@@ -622,24 +639,54 @@ def _structure_defect(structures, weights):
                for pairs, solo in structures)
 
 
+def _lp_structure(k, images):
+    """What the LP of a support reads of its shift graph: for each point,
+    each block's unordered pair of its image and preimage, -1 outside."""
+    preimages = [folner._inverse_row(row) for row in images]
+    return tuple(tuple(tuple(sorted((row[i], back[i]))) for row, back in zip(images, preimages))
+                 for i in range(k))
+
+
+def _moved(structure, perm, order):
+    """An LP structure with point i renamed perm[i] and its blocks taken in
+    the given order."""
+    out = [None] * len(structure)
+    for i, pairs in enumerate(structure):
+        out[perm[i]] = tuple(tuple(sorted(perm[j] if j >= 0 else -1 for j in pairs[b])) for b in order)
+    return tuple(out)
+
+
 class TestShiftGraphForm:
     """The class memo is sound when equal forms pose LPs with one optimum:
-    the form must not change under relabelling, and must tell apart graphs
-    that no relabelling maps onto each other."""
+    the form must not change under relabelling the points, permuting the
+    blocks or reversing a path or cycle of one block, and must tell apart
+    LPs that no such change maps onto each other."""
 
-    @pytest.mark.parametrize("shifts, k", [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("shifts, k", [
+        (0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2),
+    ])
     def test_equal_forms_exactly_on_relabellings(self, shifts, k):
         # every graph of partial injections (cycles included) on k points,
-        # against a brute-force canonical form: the least relabelling
+        # no shift at all included, against a brute force over LP
+        # structures: two graphs are in one class when a relabelling of the
+        # points and a permutation of the blocks carry one's LP structure
+        # onto the other's
         injections = [
             tuple(row) for row in itertools.product(range(-1, k), repeat=k)
             if len([j for j in row if j >= 0]) == len({j for j in row if j >= 0})
         ]
         perms = list(itertools.permutations(range(k)))
-        forms = {}
+        orders = list(itertools.permutations(range(shifts)))
+        classes = {}  # LP structure -> the number of its class
+        forms = {}  # class -> the forms of its graphs
         for images in itertools.product(injections, repeat=shifts):
-            least = min(_relabelled(images, perm) for perm in perms)
-            forms.setdefault(least, set()).add(folner._shift_graph_form(k, images))
+            structure = _lp_structure(k, images)
+            if structure not in classes:
+                number = len(forms)
+                for perm in perms:
+                    for order in orders:
+                        classes[_moved(structure, perm, order)] = number
+            forms.setdefault(classes[structure], set()).add(folner._shift_graph_form(k, images))
         assert all(len(found) == 1 for found in forms.values())
         assert len({f for found in forms.values() for f in found}) == len(forms)
 
@@ -651,6 +698,8 @@ class TestShiftGraphForm:
         _s3_points,
     ], ids=["z", "z2", "zxz2", "zxz2-mixed", "s3-table"])
     def test_invariant_under_random_relabellings(self, points):
+        # relabel the points, permute the blocks and reverse the path or
+        # cycle of one block through one point
         n, succ = points()
         rng = random.Random(7)
         for _ in range(300):
@@ -659,12 +708,17 @@ class TestShiftGraphForm:
             images = _images(succ, support)
             perm = list(range(k))
             rng.shuffle(perm)
-            assert folner._shift_graph_form(k, _relabelled(images, perm)) == folner._shift_graph_form(k, images)
+            moved = list(_relabelled(images, perm))
+            rng.shuffle(moved)
+            b = rng.randrange(len(moved))
+            moved[b] = _reversed_through(moved[b], rng.randrange(k))
+            assert folner._shift_graph_form(k, moved) == folner._shift_graph_form(k, images)
 
     @pytest.mark.parametrize("problem, radius, max_k", [
         (lambda: _document_problem("fg_abelian_mixed.json"), 3, 9),
         (lambda: (Z1, [Z1.element((s,)) for s in (1, -1, 2, -2)], F(3, 4)), 6, 6),
-    ], ids=["fg_abelian_mixed-r3", "z1-shifts12-r6"])
+        (lambda: (Z2, [Z2.element((1, 0)), Z2.element((0, 1))], F(3, 4)), 1, 9),
+    ], ids=["fg_abelian_mixed-r3", "z1-shifts12-r6", "z2-axes-r1"])
     def test_equal_forms_have_equal_optima(self, problem, radius, max_k):
         optima = {}
         keys = _ball_keys(problem, radius, max_k)
@@ -694,6 +748,45 @@ class TestShiftGraphForm:
                     by_steps.setdefault(steps, set()).add(support)
                     by_images.setdefault(images, set()).add(support)
             assert sorted(map(sorted, by_steps.values())) == sorted(map(sorted, by_images.values()))
+
+
+class TestIsolatedZero:
+    """A support whose point 0 no shift links to a point of it is rejected
+    without an LP when its form without 0 was rejected."""
+
+    # the supports of size at least 2, with no run bound, where 0 has no link
+    FIRES = {"z-unit": 15, "z-unit-and-two": 24, "z2-axes": 0, "z2-non-axis": 179,
+             "zxz2-lattice": 11, "zxz2-mixed": 21, "no-run-shifts": 0}
+
+    @pytest.mark.parametrize(
+        "case, group, radius, shifts, max_k", RUN_GENERATOR_CASES, ids=[case[0] for case in RUN_GENERATOR_CASES]
+    )
+    def test_rule_needs_point_zero_without_links(self, case, group, radius, shifts, max_k):
+        n, succ = _numbered_ball(group, radius, shifts)
+        fired = 0
+        for k in range(1, max_k + 1):
+            for prefix, lasts in _feasible_supports(n, k, [], _adjacent(n, succ)):
+                for last in lasts:
+                    support = (*prefix, last)
+                    members = set(support)
+                    linked = any(row[0] in members or any(row[q] == 0 for q in members) for row in succ)
+                    rest = folner._without_isolated_zero(k, _images(succ, support))
+                    if linked or k == 1:
+                        assert rest is None
+                    else:
+                        fired += 1
+                        assert tuple(map(tuple, rest)) == _images(succ, support[1:])
+        assert fired == self.FIRES[case]
+
+    def test_certificates_stay_the_same(self, monkeypatch):
+        # the rule fires on 54 supports at the document radius
+        search = _document_search("fg_abelian_mixed.json", 8)
+        cert = search()
+        assert TestLpMemo._lps_solved(monkeypatch, search) == 140
+        monkeypatch.setattr(folner, "_without_isolated_zero", lambda k, images: None)
+        plain = search()
+        assert (plain, plain.defect_exact) == (cert, cert.defect_exact)
+        assert TestLpMemo._lps_solved(monkeypatch, search) == 194
 
 
 class TestDecisionLp:

@@ -58,6 +58,11 @@ BRUTEFORCE_CASES = [
     ("catmap_z2.json-r3",
      lambda: _document_search("catmap_z2.json", 3),
      5, tuple((i, 0) for i in range(-3, 2)), RUN5, F(2, 5)),
+    # the target of the LP-structure memo: 3,085 LPs under the memo keyed on
+    # relabellings of the directed shift graphs, 492 now
+    ("z2-axes-r2-delta3/4",
+     lambda: min_rank_bruteforce(Z2, [Z2.element((1, 0)), Z2.element((0, 1))], F(3, 4), 2),
+     9, tuple((a, b) for a in (-2, -1, 0) for b in (-2, -1, 0)), _weights(*["1/9"] * 9), F(2, 3)),
     ("first-coordinate-killed",
      lambda: min_rank_bruteforce(Z2, [Z2.element((0, 1)), Z2.element((0, -1))], F(1, 2), 3),
      5, tuple((0, i) for i in range(-3, 2)), RUN5, F(2, 5)),
@@ -137,9 +142,11 @@ def test_cli_catmap_document_radius_certificate_pinned():
 
 def test_cli_fg_abelian_mixed_document_radius_certificate_pinned():
     # Z x Z/2 at radius 8: 9,678 supports have their runs and no isolated
-    # point, and pose 2,055 distinct LPs in 331 relabelling classes. Each
-    # class gets one LP (4,840 pivots in all, no phase 1), and the accepted
-    # class's vertex, rescaled, is the witness.
+    # point, and pose 2,055 distinct LPs in 194 classes of LPs equal up to
+    # the order of their variables and rows. 54 classes whose point 0 is
+    # isolated are rejected through the memo, so 140 LPs are solved (1,941
+    # pivots in all, no phase 1), and the accepted class's vertex,
+    # rescaled, is the witness.
     cert = _cli_rank_json("fg_abelian_mixed.json")
     assert cert["search_radius"] == 8
     assert cert["rank"] == 9

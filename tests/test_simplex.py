@@ -303,8 +303,8 @@ def test_every_lp_of_the_rank_lp_searches_takes_the_reference_pivots():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(folner, "solve_lp", record)
         _run_rank_lp_searches()
-    # one LP per relabelling class of shift graphs; the witness is the
-    # accepting class's vertex, rescaled
-    assert len(lps) == 57
+    # one LP per class of LPs equal up to the order of their variables and
+    # rows; the witness is the accepting class's vertex, rescaled
+    assert len(lps) == 35
     for lp in lps:
         _compare(lp)
