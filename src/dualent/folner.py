@@ -117,20 +117,20 @@ class WeightedFunction:
 
 def defect(t: WeightedFunction, omega: Sequence[AbelianElement]) -> Fraction:
     """max over s in omega of the l1 distance between T and its s-translate,
-    sum_g |T(g - s) - T(g)|, as an exact rational."""
+    sum_g |T(g - s) - T(g)|, as an exact rational. The translate is built
+    once per shift: the sum runs over the support, and the translated
+    weights that land outside it each add their own weight."""
     if not omega:
         raise ValueError("omega must be nonempty")
     for s in omega:
         if s.group != t.group:
             raise ShapeError("shift outside the function's group")
-    val = t.value_map()
     zero = Fraction(0)
     worst = zero
     for s in omega:
-        keys = set(t.support) | {e + s for e in t.support}
-        total = zero
-        for g in keys:
-            total += abs(val.get(g - s, zero) - val.get(g, zero))
+        moved = {e + s: w for e, w in zip(t.support, t.weights)}
+        total = sum((abs(moved.pop(g, zero) - w) for g, w in zip(t.support, t.weights)), zero)
+        total += sum(moved.values(), zero)
         if total > worst:
             worst = total
     return worst

@@ -16,6 +16,10 @@ own radices do not. Past that point keys are Python ints in object arrays,
 re-packed at every step, with the same code; either way the sizes are
 exact. The layers, |E| points each, are built only as far as a horizon
 needs them.
+
+A step forms the next array of each torsion value as the union of the
+previous arrays shifted by packed layer points: |E| sorted runs, merged
+block by block over cuts of the key range, with repeats dropped per block.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ DEFAULT_CAP = 5_000_000
 TAIL_K = 3
 # A packing horizon set at depth d reaches at most depth 2 d + _LOOKAHEAD.
 _LOOKAHEAD = 32
-# Keys compared and moved at a time when _distinct drops repeats in place.
-_BLOCK = 1 << 16
+# A block of _union holds at most this many keys of each shifted run.
+_BLOCK = 1 << 17
 
 
 class SumsetCapError(ArithmeticError):
@@ -147,35 +151,55 @@ def _repack(np, keys, bounds: Sequence[int], weights: Sequence[int], dtype):
     return out
 
 
-def _sums(np, parts: list):
-    """All sums a + x over the pairs (a, x) in parts, each a sorted key array
-    and a packed shift, in one array of sorted runs."""
-    keys = np.empty(sum(len(a) for a, _ in parts), dtype=parts[0][0].dtype)
-    start = 0
-    for a, x in parts:
-        np.add(a, x, out=keys[start:start + len(a)])
-        start += len(a)
-    return keys
+def _union(np, parts: list, limit: int):
+    """The sorted distinct values a + x over the pairs (a, x) in parts, each
+    a sorted array of distinct keys and a packed shift, or None when there
+    are more than limit of them.
 
-
-def _distinct(np, keys):
-    """The sorted distinct values of keys, which it sorts and compacts in
-    place. The stable sort is a merge of the sorted runs, and stays fast on
-    Python-int arrays."""
-    keys.sort(kind="stable")
-    size = 1
-    for start in range(1, len(keys), _BLOCK):
-        block = keys[start:start + _BLOCK]
-        fresh = block[block != keys[start - 1:start - 1 + len(block)]]
-        keys[size:size + len(fresh)] = fresh
-        size += len(fresh)
-    # No view of keys outlives this function, so shrinking it in place is
-    # safe, and the freed tail goes back to the allocator. numpy 1.x's
-    # resize keeps the Python ints of an object array's dropped tail alive,
-    # so the tail is cleared first.
-    keys[size:] = 0
-    keys.resize(size, refcheck=False)
-    return keys
+    The key range is cut at every _BLOCK-th key of every shifted run, so a
+    block holds at most _BLOCK keys of each run, and one searchsorted per
+    run finds its slice of every block. Equal sums lie in one block, so each
+    block is shifted, sorted (a stable sort merges its sorted runs) and
+    stripped of repeats on its own; only one block of sums is held at a
+    time. One code path serves int64 and object (Python-int) keys.
+    """
+    dtype = parts[0][0].dtype
+    cuts = np.concatenate([a[_BLOCK::_BLOCK] + x for a, x in parts])
+    cuts.sort()
+    # bounds[r, i] is the number of keys of run r below the i-th cut.
+    bounds = np.empty((len(parts), len(cuts) + 2), dtype=np.intp)
+    bounds[:, 0] = 0
+    for r, (a, x) in enumerate(parts):
+        bounds[r, 1:-1] = np.searchsorted(a, cuts - x)
+        bounds[r, -1] = len(a)
+    block = np.empty(int(np.diff(bounds, axis=1).sum(axis=0).max(initial=0)), dtype=dtype)
+    keep = np.empty(len(block), dtype=bool)
+    # The output is allocated once at its largest possible size and shrunk
+    # at the end: pages that are never written never become resident.
+    out = np.empty(min(sum(len(a) for a, _ in parts), limit), dtype=dtype)
+    size = 0
+    rows = bounds.tolist()
+    for i in range(len(cuts) + 1):
+        n = 0
+        for (a, x), row in zip(parts, rows):
+            lo, hi = row[i], row[i + 1]
+            np.add(a[lo:hi], x, out=block[n:n + hi - lo])
+            n += hi - lo
+        if n == 0:
+            continue
+        sums = block[:n]
+        sums.sort(kind="stable")
+        keep[0] = True
+        np.not_equal(sums[1:], sums[:-1], out=keep[1:n])
+        fresh = int(np.count_nonzero(keep[:n]))
+        if size + fresh > limit:
+            return None
+        np.compress(keep[:n], sums, out=out[size:size + fresh])
+        size += fresh
+    # No view of out exists yet, so shrinking it in place is safe; the
+    # dropped tail holds only unwritten slots.
+    out.resize(size, refcheck=False)
+    return out
 
 
 def growth_series(
@@ -191,8 +215,10 @@ def growth_series(
     flag is set and only fully computed sizes are reported).
 
     Each sumset is one sorted array of packed lattice keys per torsion value
-    (see the module docstring); a step adds every shift to every array,
-    releases the previous sumset, sorts, and drops repeats in place.
+    (see the module docstring); a step merges, for each target torsion
+    value, the previous arrays shifted by the packed layer points, block by
+    block, dropping repeats as it goes (`_union`), so it holds the previous
+    and the next sumset plus one block of sums, never all |E| s_n sums.
     """
     import numpy as np  # deferred so that importing the CLI stays cheap
 
@@ -245,27 +271,24 @@ def growth_series(
             }
         shifts = [(_pack(e.lattice, weights), e.torsion) for e in layers[depth]]
         pending: dict[tuple[int, ...], list] = {}
-        held = 0
         for (t, keys), (x, u) in itertools.product(current.items(), shifts):
             pending.setdefault(_torsion_add(t, u, orders), []).append((keys, x))
-            held += len(keys)
-            if held > cap:
-                # Drop repeats before materialising more than cap sums.
-                pending = {
-                    s: [(_distinct(np, _sums(np, parts)), 0)] for s, parts in pending.items()
-                }
-                held = sum(len(parts[0][0]) for parts in pending.values())
-                if held > cap:
-                    capped = True
-                    break
+        # Each target torsion value's union reads the previous sumset, which
+        # is released once they are all built; the cap still left bounds
+        # each union, so capped is set exactly when the sumset exceeds cap.
+        unions, left = {}, cap
+        for s, parts in pending.items():
+            keys = _union(np, parts, left)
+            if keys is None:
+                capped = True
+                break
+            unions[s] = keys
+            left -= len(keys)
         if capped:
             break
-        # Only the sums are held while they are sorted: the previous sumset
-        # goes first, including the loop's own reference to one of its arrays.
-        sums = {s: _sums(np, parts) for s, parts in pending.items()}
-        del current, pending, keys
-        current = {s: _distinct(np, sums.pop(s)) for s in list(sums)}
-        sizes.append(sum(len(keys) for keys in current.values()))
+        del pending, parts
+        current = unions
+        sizes.append(cap - left)
     return GrowthSeries(sizes=tuple(sizes), capped=capped)
 
 

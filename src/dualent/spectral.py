@@ -17,9 +17,10 @@ from typing import Sequence
 
 from .groups import IntMatrix, _as_int
 
-# Computed eigenvalue moduli this close to 1 are snapped to exactly 1; integer
-# matrices cannot have eigenvalues genuinely this near the unit circle without
-# being on it (small degrees; the gap for degree <= 12 is far larger).
+# Computed eigenvalue moduli this close to 1 are snapped to exactly 1. This is
+# a heuristic: char_poly takes any degree, and no gap between the unit circle
+# and the other roots of integer polynomials is proved here for every degree.
+# Deciding zero entropy exactly (cyclotomic factors) is ROADMAP item 4.
 UNIT_CIRCLE_SNAP = 1e-10
 
 DEFAULT_ROOT_TOL = 1e-12

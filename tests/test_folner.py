@@ -140,6 +140,39 @@ class TestDefect:
         s = element(shift)
         assert defect(f, [s]) == defect(f, [-s])
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1), st.integers(0, 2)),
+            st.integers(1, 30),
+            min_size=1,
+            max_size=10,
+        ),
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 1), st.integers(0, 2)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_matches_the_sum_over_the_union_of_support_and_translate(self, raw, shifts):
+        g = FgAbelianGroup(2, (2, 3))
+        points = {g.element(p[:2], p[2:]): w for p, w in raw.items()}
+        total = sum(points.values())
+        f = WeightedFunction(g, tuple(points), tuple(F(w, total) for w in points.values()))
+        omega = [g.element(s[:2], s[2:]) for s in shifts]
+
+        def reference(t, omega):
+            val = t.value_map()
+            worst = F(0)
+            for s in omega:
+                keys = set(t.support) | {e + s for e in t.support}
+                worst = max(worst, sum((abs(val.get(x - s, F(0)) - val.get(x, F(0))) for x in keys), F(0)))
+            return worst
+
+        got = defect(f, omega)
+        assert type(got) is Fraction
+        assert got == reference(f, omega)
+
 
 class TestConvolution:
     def test_point_mass_is_identity(self, z1):

@@ -1,5 +1,8 @@
 import itertools
 import math
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -16,6 +19,7 @@ from dualent.growth import (
     growth_rate_estimate,
     sumset,
 )
+from tests.conftest import child_env
 from tests.test_groups import unimodular_strategy
 
 GOLDEN_ENTROPY = 0.9624236501192069
@@ -250,13 +254,17 @@ def growth_instances(draw):
     return auto, base, n_max, cap
 
 
+@settings(max_examples=150, deadline=None)
+@given(growth_instances())
+def check_matches_plain_tuple_sumsets(instance):
+    auto, base, n_max, cap = instance
+    series = growth_series(auto, base, n_max, cap=cap)
+    assert (series.sizes, series.capped) == naive_series(auto, base, n_max, cap)
+
+
 class TestPackedKernel:
-    @settings(max_examples=150, deadline=None)
-    @given(growth_instances())
-    def test_matches_plain_tuple_sumsets(self, instance):
-        auto, base, n_max, cap = instance
-        series = growth_series(auto, base, n_max, cap=cap)
-        assert (series.sizes, series.capped) == naive_series(auto, base, n_max, cap)
+    def test_matches_plain_tuple_sumsets(self):
+        check_matches_plain_tuple_sumsets()
 
     def test_collision_matrix_sizes_are_exact(self, z2):
         # The packed keys pass 2^62 here and move to Python ints; a float or
@@ -365,3 +373,119 @@ class TestPackingHorizon:
         assert time.perf_counter() - start < 2.0
         assert series.sizes == sizes
         assert series.capped
+
+
+# --- the block-wise union of shifted runs --------------------------------
+
+np = pytest.importorskip("numpy")
+
+
+def plain_union(parts):
+    return np.unique(np.concatenate([a + x for a, x in parts]))
+
+
+def random_run(rng, size, low, high):
+    return np.unique(rng.integers(low, high, size=size))
+
+
+@pytest.fixture(params=[1, 3, 64], ids=lambda b: f"block{b}")
+def block(request, monkeypatch):
+    """Runs the test with _union cutting every b-th key of every run."""
+    monkeypatch.setattr(growth, "_BLOCK", request.param)
+    return request.param
+
+
+class TestUnion:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_unique_of_all_sums_on_int64_runs(self, block, seed):
+        rng = np.random.default_rng(seed)
+        parts = [
+            (random_run(rng, rng.integers(0, 300), -500, 500), int(rng.integers(-200, 200)))
+            for _ in range(rng.integers(1, 6))
+        ]
+        expected = plain_union(parts)
+        got = growth._union(np, parts, 10**9)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_unique_of_all_sums_on_python_int_keys(self, block, seed):
+        rng = np.random.default_rng(seed)
+        big = 2**63
+        parts = []
+        for _ in range(rng.integers(1, 5)):
+            run = [big * int(q) + int(r) for q, r in zip(rng.integers(-3, 4, 80), rng.integers(0, 40, 80))]
+            parts.append((np.array(sorted(set(run)), dtype=object), big * int(rng.integers(-2, 3)) + int(rng.integers(-20, 20))))
+        expected = sorted({int(k) + x for a, x in parts for k in a})
+        got = growth._union(np, parts, 10**9)
+        assert got.dtype == object
+        assert got.tolist() == expected
+        assert max(abs(k) for k in expected) >= big
+
+    @pytest.mark.parametrize(
+        "runs",
+        [
+            [([0, 2, 5, 9], 3)],
+            [([0, 1, 4], 0), ([], 7), ([2, 3], 1)],
+            [([0, 1, 2, 3], 0), ([0, 1, 2], 100)],
+            [([-4, 0, 3, 8], 2)] * 4,
+        ],
+        ids=["single-run", "empty-run", "shifted-past-the-others", "identical-runs"],
+    )
+    def test_edge_cases(self, block, runs):
+        parts = [(np.array(a, dtype=np.int64), x) for a, x in runs]
+        expected = plain_union(parts)
+        assert np.array_equal(growth._union(np, parts, 10**9), expected)
+
+    def test_limit_is_the_largest_size_returned(self, block):
+        rng = np.random.default_rng(7)
+        parts = [(random_run(rng, 200, 0, 400), x) for x in (0, 5, 50)]
+        size = len(plain_union(parts))
+        assert np.array_equal(growth._union(np, parts, size), plain_union(parts))
+        assert growth._union(np, parts, size - 1) is None
+
+    # Blocks of 1 and 3 keys a run put block cuts everywhere in a step.
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_small_blocks_match_plain_tuple_sumsets(self, monkeypatch, size):
+        monkeypatch.setattr(growth, "_BLOCK", size)
+        check_matches_plain_tuple_sumsets()
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_small_blocks_on_the_collision_matrix(self, z2, monkeypatch, size):
+        monkeypatch.setattr(growth, "_BLOCK", size)
+        TestPackingHorizon().test_collision_matrix_matches_plain_sumsets_at_every_depth(z2)
+
+
+MEMORY_PROBE = """
+    import itertools
+    from dualent.groups import AbelianAutomorphism, FgAbelianGroup
+    from dualent.growth import FiniteSubset, growth_series
+
+    def peak_bytes():
+        # VmHWM is the peak RSS of this process image alone: ru_maxrss would
+        # also count the image that ran before exec, the test runner here.
+        with open("/proc/self/status") as status:
+            return next(1024 * int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+    z2 = FgAbelianGroup(2)
+    auto = AbelianAutomorphism.from_matrix(z2, ((2, 1), (1, 1)))
+    corners = FiniteSubset.of(z2, itertools.product((0, 1), repeat=2))
+    growth_series(auto, corners, 8)
+    before = peak_bytes()
+    sizes = growth_series(auto, corners, 15).sizes
+    print(sizes[-2], sizes[-1], peak_bytes() - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_a_step_holds_little_more_than_two_sumsets():
+    # A step holds the previous and the next sumset, 8 bytes a key, and one
+    # block of sums; materialising all 4 s_14 sums at once, plus the merge
+    # buffer of a sort over them, costs about 68 MiB here, above the bound.
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(MEMORY_PROBE)],
+        capture_output=True, text=True, env=child_env(), timeout=120, check=True,
+    )
+    s14, s15, grown = map(int, proc.stdout.split())
+    assert (s14, s15) == (fib(31) - 1, fib(33) - 1)
+    assert grown <= 1.5 * 8 * (s14 + s15)
