@@ -166,7 +166,8 @@ class TestDefect:
             worst = F(0)
             for s in omega:
                 keys = set(t.support) | {e + s for e in t.support}
-                worst = max(worst, sum((abs(val.get(x - s, F(0)) - val.get(x, F(0))) for x in keys), F(0)))
+                total = sum((abs(val.get(x - s, F(0)) - val.get(x, F(0))) for x in keys), F(0))
+                worst = max(worst, total)
             return worst
 
         got = defect(f, omega)

@@ -5,6 +5,7 @@ import sys
 import textwrap
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -377,9 +378,6 @@ class TestPackingHorizon:
 
 # --- the block-wise union of shifted runs --------------------------------
 
-np = pytest.importorskip("numpy")
-
-
 def plain_union(parts):
     return np.unique(np.concatenate([a + x for a, x in parts]))
 
@@ -410,16 +408,22 @@ class TestUnion:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_unique_of_all_sums_on_python_int_keys(self, block, seed):
+        # Keys q 2^63 + r, so sums agree in r and differ in q, or the reverse.
         rng = np.random.default_rng(seed)
         big = 2**63
+
+        def key(q, r):
+            return big * int(q) + int(r)
+
         parts = []
         for _ in range(rng.integers(1, 5)):
-            run = [big * int(q) + int(r) for q, r in zip(rng.integers(-3, 4, 80), rng.integers(0, 40, 80))]
-            parts.append((np.array(sorted(set(run)), dtype=object), big * int(rng.integers(-2, 3)) + int(rng.integers(-20, 20))))
-        expected = sorted({int(k) + x for a, x in parts for k in a})
+            run = {key(q, r) for q, r in zip(rng.integers(-3, 4, 80), rng.integers(0, 40, 80))}
+            shift = key(rng.integers(-2, 3), rng.integers(-20, 20))
+            parts.append((np.array(sorted(run), dtype=object), shift))
+        expected = plain_union(parts)
         got = growth._union(np, parts, 10**9)
         assert got.dtype == object
-        assert got.tolist() == expected
+        assert got.tolist() == expected.tolist()
         assert max(abs(k) for k in expected) >= big
 
     @pytest.mark.parametrize(
