@@ -20,6 +20,8 @@ needs them.
 A step forms the next array of each torsion value as the union of the
 previous arrays shifted by packed layer points: |E| sorted runs, merged
 block by block over cuts of the key range, with repeats dropped per block.
+Only the sizes leave `growth_series`, so the last step counts the distinct
+sums of each block and never builds the last sumset.
 """
 
 from __future__ import annotations
@@ -151,10 +153,11 @@ def _repack(np, keys, bounds: Sequence[int], weights: Sequence[int], dtype):
     return out
 
 
-def _union(np, parts: list, limit: int):
+def _union(np, parts: list, limit: int, count: bool = False):
     """The sorted distinct values a + x over the pairs (a, x) in parts, each
     a sorted array of distinct keys and a packed shift, or None when there
-    are more than limit of them.
+    are more than limit of them. With count set, only their number is
+    returned (still None past limit), and no output array is allocated.
 
     The key range is cut at every _BLOCK-th key of every shifted run, so a
     block holds at most _BLOCK keys of each run, and one searchsorted per
@@ -176,7 +179,8 @@ def _union(np, parts: list, limit: int):
     keep = np.empty(len(block), dtype=bool)
     # The output is allocated once at its largest possible size and shrunk
     # at the end: pages that are never written never become resident.
-    out = np.empty(min(sum(len(a) for a, _ in parts), limit), dtype=dtype)
+    if not count:
+        out = np.empty(min(sum(len(a) for a, _ in parts), limit), dtype=dtype)
     size = 0
     rows = bounds.tolist()
     for i in range(len(cuts) + 1):
@@ -194,8 +198,11 @@ def _union(np, parts: list, limit: int):
         fresh = int(np.count_nonzero(keep[:n]))
         if size + fresh > limit:
             return None
-        np.compress(keep[:n], sums, out=out[size:size + fresh])
+        if not count:
+            np.compress(keep[:n], sums, out=out[size:size + fresh])
         size += fresh
+    if count:
+        return size
     # No view of out exists yet, so shrinking it in place is safe; the
     # dropped tail holds only unwritten slots.
     out.resize(size, refcheck=False)
@@ -218,7 +225,9 @@ def growth_series(
     (see the module docstring); a step merges, for each target torsion
     value, the previous arrays shifted by the packed layer points, block by
     block, dropping repeats as it goes (`_union`), so it holds the previous
-    and the next sumset plus one block of sums, never all |E| s_n sums.
+    and the next sumset plus one block of sums, never all |E| s_n sums. The
+    last step only counts the distinct sums, so it holds the previous
+    sumset and one block.
     """
     import numpy as np  # deferred so that importing the CLI stays cheap
 
@@ -276,14 +285,18 @@ def growth_series(
         # Each target torsion value's union reads the previous sumset, which
         # is released once they are all built; the cap still left bounds
         # each union, so capped is set exactly when the sumset exceeds cap.
+        last = depth == n_max - 1
         unions, left = {}, cap
         for s, parts in pending.items():
-            keys = _union(np, parts, left)
-            if keys is None:
+            union = _union(np, parts, left, count=last)
+            if union is None:
                 capped = True
                 break
-            unions[s] = keys
-            left -= len(keys)
+            if last:
+                left -= union
+            else:
+                unions[s] = union
+                left -= len(union)
         if capped:
             break
         del pending, parts

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import subprocess
@@ -219,6 +220,39 @@ def naive_series(auto, base, n_max, cap):
     return tuple(sizes), False
 
 
+class TestCapBoundary:
+    """cap = s_n keeps all n sizes and cap = s_n - 1 stops after n - 1, both
+    when depth n - 1 is the last step, which only counts its sumset, and
+    when a deeper n_max makes that step build it."""
+
+    @staticmethod
+    def check(auto, base, n, deeper, sizes):
+        s_n = sizes[n - 1]
+        at_cap = growth_series(auto, base, n + deeper, cap=s_n)
+        assert (at_cap.sizes, at_cap.capped) == (sizes[:n], deeper > 0)
+        below = growth_series(auto, base, n + deeper, cap=s_n - 1)
+        assert (below.sizes, below.capped) == (sizes[:n - 1], True)
+
+    @pytest.mark.parametrize("deeper", [0, 2], ids=["last-step", "built-step"])
+    @pytest.mark.parametrize("n", [2, 6, 11])
+    def test_cat_map_corners(self, cat_auto, z2, n, deeper):
+        sizes = tuple(fib(2 * k + 3) - 1 for k in range(1, n + 1))
+        self.check(cat_auto, corners(z2), n, deeper, sizes)
+
+    @pytest.mark.parametrize("deeper", [0, 2], ids=["last-step", "built-step"])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_mixing_map_on_z2_x_c2(self, n, deeper):
+        # The mixing moves layer points to torsion 1, so a step has two
+        # target torsion values, and the second union gets what the first
+        # left of the cap.
+        group = FgAbelianGroup(2, (2,))
+        auto = AbelianAutomorphism.build(group, CAT, mixing=((1,), (0,)))
+        sizes, capped = naive_series(auto, corners(group), n, DEFAULT_CAP)
+        assert not capped
+        assert {auto.apply(e).torsion for e in corners(group).elements} == {(0,), (1,)}
+        self.check(auto, corners(group), n, deeper, sizes)
+
+
 GROUPS = {
     "Z": FgAbelianGroup(1),
     "Z2": FgAbelianGroup(2),
@@ -386,6 +420,26 @@ def random_run(rng, size, low, high):
     return np.unique(rng.integers(low, high, size=size))
 
 
+def int64_parts(rng):
+    return [
+        (random_run(rng, rng.integers(0, 300), -500, 500), int(rng.integers(-200, 200)))
+        for _ in range(rng.integers(1, 6))
+    ]
+
+
+def python_int_parts(rng):
+    # Keys q 2^63 + r, so sums agree in r and differ in q, or the reverse.
+    def key(q, r):
+        return 2**63 * int(q) + int(r)
+
+    parts = []
+    for _ in range(rng.integers(1, 5)):
+        run = {key(q, r) for q, r in zip(rng.integers(-3, 4, 80), rng.integers(0, 40, 80))}
+        shift = key(rng.integers(-2, 3), rng.integers(-20, 20))
+        parts.append((np.array(sorted(run), dtype=object), shift))
+    return parts
+
+
 @pytest.fixture(params=[1, 3, 64], ids=lambda b: f"block{b}")
 def block(request, monkeypatch):
     """Runs the test with _union cutting every b-th key of every run."""
@@ -396,11 +450,7 @@ def block(request, monkeypatch):
 class TestUnion:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_unique_of_all_sums_on_int64_runs(self, block, seed):
-        rng = np.random.default_rng(seed)
-        parts = [
-            (random_run(rng, rng.integers(0, 300), -500, 500), int(rng.integers(-200, 200)))
-            for _ in range(rng.integers(1, 6))
-        ]
+        parts = int64_parts(np.random.default_rng(seed))
         expected = plain_union(parts)
         got = growth._union(np, parts, 10**9)
         assert got.dtype == np.int64
@@ -408,23 +458,23 @@ class TestUnion:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_unique_of_all_sums_on_python_int_keys(self, block, seed):
-        # Keys q 2^63 + r, so sums agree in r and differ in q, or the reverse.
-        rng = np.random.default_rng(seed)
-        big = 2**63
-
-        def key(q, r):
-            return big * int(q) + int(r)
-
-        parts = []
-        for _ in range(rng.integers(1, 5)):
-            run = {key(q, r) for q, r in zip(rng.integers(-3, 4, 80), rng.integers(0, 40, 80))}
-            shift = key(rng.integers(-2, 3), rng.integers(-20, 20))
-            parts.append((np.array(sorted(run), dtype=object), shift))
+        parts = python_int_parts(np.random.default_rng(seed))
         expected = plain_union(parts)
         got = growth._union(np, parts, 10**9)
         assert got.dtype == object
         assert got.tolist() == expected.tolist()
-        assert max(abs(k) for k in expected) >= big
+        assert max(abs(k) for k in expected) >= 2**63
+
+    @pytest.mark.parametrize("keys", [int64_parts, python_int_parts], ids=["int64", "python-int"])
+    @pytest.mark.parametrize("size", [1, 3, growth._BLOCK], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_count_is_the_size_of_the_union(self, monkeypatch, keys, size, seed):
+        monkeypatch.setattr(growth, "_BLOCK", size)
+        parts = keys(np.random.default_rng(seed))
+        union = len(growth._union(np, parts, 10**9))
+        assert growth._union(np, parts, 10**9, count=True) == union
+        assert growth._union(np, parts, union, count=True) == union
+        assert growth._union(np, parts, union - 1, count=True) is None
 
     @pytest.mark.parametrize(
         "runs",
@@ -481,15 +531,39 @@ MEMORY_PROBE = """
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
-def test_a_step_holds_little_more_than_two_sumsets():
-    # A step holds the previous and the next sumset, 8 bytes a key, and one
-    # block of sums; materialising all 4 s_14 sums at once, plus the merge
-    # buffer of a sort over them, costs about 68 MiB here, above the bound.
+@functools.cache
+def memory_probe():
+    """s_14, s_15 and the bytes by which the cat-map series to n = 15 grows
+    the peak RSS of a fresh process."""
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(MEMORY_PROBE)],
         capture_output=True, text=True, env=child_env(), timeout=120, check=True,
     )
     s14, s15, grown = map(int, proc.stdout.split())
     assert (s14, s15) == (fib(31) - 1, fib(33) - 1)
+    return s14, s15, grown
+
+
+linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+
+
+@linux_only
+def test_a_step_holds_little_more_than_two_sumsets():
+    # A step holds the previous and the next sumset, 8 bytes a key, and one
+    # block of sums; materialising all 4 s_14 sums at once, plus the merge
+    # buffer of a sort over them, costs about 68 MiB here, above the bound.
+    s14, s15, grown = memory_probe()
     assert grown <= 1.5 * 8 * (s14 + s15)
+
+
+@linux_only
+def test_the_last_step_never_holds_the_last_sumset():
+    # The last step only counts, so it holds s_14 and one block; the step
+    # before it holds s_13 + s_14 < 1.5 s_14 keys and one block. A block of
+    # the 4 runs is 8 bytes a key of sums, 1 of the repeat mask and up to 4
+    # of the stable sort's merge buffer. Building the last sumset adds its
+    # 8 s_15 bytes (43 MiB in all here).
+    s14, s15, grown = memory_probe()
+    block = 4 * growth._BLOCK * (8 + 1 + 4)
+    assert 1.5 * 8 * s14 + block < 8 * s15
+    assert grown <= 1.5 * 8 * s14 + block
