@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -24,10 +25,7 @@ from .folner import (
     defect,
     convolution_tower,
     exact_delta,
-    interval_folner,
     min_rank_bruteforce,
-    parallelepiped_folner,
-    Parallelepiped,
 )
 from .growth import DEFAULT_CAP, FiniteSubset, SumsetCapError, growth_rate_estimate, growth_series
 from .reports import emit_report
@@ -193,31 +191,48 @@ def _first_upper_bound(witnesses, delta_frac, omega, exhausted: str) -> RankCert
     raise RankSearchExhausted(exhausted)
 
 
-def _interval_defect(halfwidth: int, steps) -> Fraction:
-    """defect(interval_folner(halfwidth), omega) in closed form, steps the
-    shifts of omega as integers: a shift by s moves min(|s|, 2h + 1) of the
-    2h + 1 points off the interval and as many onto it."""
+def _box_defect(halfwidth: int, omega) -> Fraction:
+    """defect of the uniform axis box [-h, h]^p in closed form: a shift s
+    keeps prod max(0, 2h + 1 - |s_i|) of the (2h + 1)^p points on the box,
+    and moves the rest off it and as many onto it."""
     size = 2 * halfwidth + 1
-    return max(Fraction(2 * min(abs(s), size), size) for s in steps)
-
-
-def _rank_interval(doc: SpecDocument, omega, delta_frac) -> RankCertificate:
-    group = doc.group
-    _require(
-        group.rank == 1 and not group.torsion,
-        "group", "--method interval needs the rank-1 torsion-free group",
+    return max(
+        2 * (1 - math.prod(Fraction(max(0, size - abs(c)), size) for c in s.lattice))
+        for s in omega
     )
-    limit = 200000
-    exhausted = f"no interval of halfwidth <= {limit} reaches the tolerance"
-    steps = [s.lattice[0] for s in omega]
+
+
+def _axis_box(group, halfwidth: int) -> WeightedFunction:
+    """Uniform weights on the lattice points of [-halfwidth, halfwidth]^p."""
+    points = itertools.product(range(-halfwidth, halfwidth + 1), repeat=group.rank)
+    return WeightedFunction.uniform(group, [group.element(x) for x in points])
+
+
+def _rank_box(doc: SpecDocument, omega, delta_frac, method: str) -> RankCertificate:
+    """The first uniform axis box [-h, h]^p, h from 0 (interval) or 1
+    (parallelepiped), whose defect is below delta."""
+    group = doc.group
+    if method == "interval":
+        _require(
+            group.rank == 1 and not group.torsion,
+            "group", "--method interval needs the rank-1 torsion-free group",
+        )
+        first, limit, box = 0, 200000, "interval"
+    else:
+        _require(
+            group.rank >= 1 and not group.torsion,
+            "group", "--method parallelepiped needs a torsion-free lattice group",
+        )
+        first, limit, box = 1, 2000 if group.rank == 1 else 60, "axis box"
+    exhausted = f"no {box} of halfwidth <= {limit} reaches the tolerance"
 
     def fits(h: int) -> bool:
-        return _interval_defect(h, steps) < delta_frac
+        return _box_defect(h, omega) < delta_frac
 
-    # The defect does not increase with the half-width, so gallop to the
-    # first fitting power of two and bisect below it: the first fitting
-    # half-width with O(log h) checks.
-    low, high = -1, 0  # low does not fit (-1: none tried), high is next
+    # Each factor of the closed form grows with the half-width, so the
+    # defect does not: gallop to the first fitting power of two and bisect
+    # below it, the first fitting half-width in O(log h) checks.
+    low, high = first - 1, first  # low does not fit or is not tried; high is next
     while not fits(high):
         if high == limit:
             raise RankSearchExhausted(exhausted)
@@ -228,25 +243,7 @@ def _rank_interval(doc: SpecDocument, omega, delta_frac) -> RankCertificate:
             high = mid
         else:
             low = mid
-    return _first_upper_bound([(high, interval_folner(high))], delta_frac, omega, exhausted)
-
-
-def _rank_parallelepiped(doc: SpecDocument, omega, delta_frac) -> RankCertificate:
-    group = doc.group
-    _require(
-        group.rank >= 1 and not group.torsion,
-        "group", "--method parallelepiped needs a torsion-free lattice group",
-    )
-    basis = tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(group.rank))
-        for i in range(group.rank)
-    )
-    chi = Parallelepiped(basis, Fraction(1))
-    limit = 2000 if group.rank == 1 else 60
-    return _first_upper_bound(
-        ((c, parallelepiped_folner(chi, c)) for c in range(1, limit + 1)),
-        delta_frac, omega, f"no axis box of halfwidth <= {limit} reaches the tolerance",
-    )
+    return _first_upper_bound([(high, _axis_box(group, high))], delta_frac, omega, exhausted)
 
 
 def _rank_tower(doc: SpecDocument, omega, delta_frac, cap) -> RankCertificate:
@@ -279,10 +276,8 @@ def _run_rank(doc: SpecDocument, args) -> object:
     omega = list(doc.omega)
     if args.method == "lp":
         return min_rank_bruteforce(doc.group, omega, delta, radius)
-    if args.method == "interval":
-        return _rank_interval(doc, omega, delta_frac)
-    if args.method == "parallelepiped":
-        return _rank_parallelepiped(doc, omega, delta_frac)
+    if args.method in ("interval", "parallelepiped"):
+        return _rank_box(doc, omega, delta_frac, args.method)
     cap = _param(args.cap, doc.params.cap, DEFAULT_CAP)
     return _rank_tower(doc, omega, delta_frac, cap)
 

@@ -107,7 +107,6 @@ class GrowthSeries:
 
     sizes: tuple[int, ...]
     capped: bool
-    zero_adjoined: bool = True
 
     def __post_init__(self):
         if not self.sizes or any(s < 1 for s in self.sizes):
@@ -219,7 +218,8 @@ def growth_series(
     where E is the base set with 0 adjoined.
 
     Stops early when the next sumset would exceed cap (soft stop: the capped
-    flag is set and only fully computed sizes are reported).
+    flag is set and only fully computed sizes are reported); raises
+    SumsetCapError when s_1 = |E with 0| alone exceeds cap.
 
     Each sumset is one sorted array of packed lattice keys per torsion value
     (see the module docstring); a step merges, for each target torsion
@@ -268,6 +268,8 @@ def growth_series(
         buckets.setdefault(e.torsion, []).append(_pack(e.lattice, weights))
     current = {t: np.array(sorted(keys), dtype=dtype) for t, keys in buckets.items()}
     sizes = [len(layers[0])]
+    if sizes[0] > cap:
+        raise SumsetCapError(cap, sizes[0])
     capped = False
     for depth in range(1, n_max):
         if depth > reach:
@@ -325,6 +327,6 @@ def growth_rate_estimate(series: GrowthSeries) -> EntropyEstimate:
             "endpoint": math.log(s[-1]) / n,
             "tail_k": k_eff,
             "capped": series.capped,
-            "zero_adjoined": series.zero_adjoined,
+            "zero_adjoined": True,  # growth_series always adjoins 0 to the base
         },
     )

@@ -54,7 +54,7 @@ def jsonable(obj):
             "type": "growth_series",
             "sizes": list(obj.sizes),
             "capped": obj.capped,
-            "zero_adjoined": obj.zero_adjoined,
+            "zero_adjoined": True,  # growth_series always adjoins 0 to the base
             "log_over_n": [jsonable(x) for x in obj.log_over_n()],
         }
     if isinstance(obj, RankCertificate):

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -9,7 +10,7 @@ import pytest
 
 from dualent import cli
 from dualent.cli import main, EXIT_OK, EXIT_COMPUTATION, EXIT_SPEC, EXIT_VERIFY_FAILED
-from dualent.folner import defect, interval_folner
+from dualent.folner import Parallelepiped, defect, interval_folner, parallelepiped_folner
 from dualent.groups import FgAbelianGroup
 from dualent.specdoc import parse_spec
 
@@ -92,6 +93,15 @@ class TestPetersCommand:
         )
         assert code == EXIT_COMPUTATION
 
+    def test_cap_below_the_base_set_is_computation_error(self, example_dir):
+        code, out, err = run_cli(
+            ["peters", doc_path(example_dir, "catmap_z2.json"), "--cap", "3", "--n", "1",
+             "--format", "csv"]
+        )
+        assert code == EXIT_COMPUTATION
+        assert out == ""
+        assert err == "computation error: sumset exceeded the 3-element budget (at least 4 elements)\n"
+
     def test_crystal_document_rejected(self, example_dir):
         code, _, err = run_cli(
             ["peters", doc_path(example_dir, "crystal_dinfty.json")]
@@ -154,51 +164,101 @@ class TestRankCommand:
         assert proc.stderr == "computation error: delta must be positive\n"
 
 
-class TestIntervalMethod:
-    """--method interval gallops and bisects on the closed-form defect of a
-    uniform interval; both must agree with a linear scan of exact defects."""
+class TestBoxMethods:
+    """--method interval and --method parallelepiped gallop and bisect on the
+    closed-form defect of the uniform axis box [-h, h]^p; both must agree
+    with a linear scan of exact defects."""
 
-    def test_closed_form_is_the_exact_defect(self):
-        z1 = FgAbelianGroup(1)
-        for h in range(13):
-            f = interval_folner(h)
-            for s in range(-30, 31):
-                assert cli._interval_defect(h, [s]) == defect(f, [z1.element((s,))])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_closed_form_is_the_exact_defect(self, p):
+        group = FgAbelianGroup(p)
+        rng = random.Random(p)
+        # The zero shift, shifts that leave the box (|s_i| > 2h + 1 for
+        # every h tried) and random small ones.
+        shifts = [(0,) * p, (10,) + (0,) * (p - 1), (-1,) * (p - 1) + (-11,)]
+        shifts += [tuple(rng.randint(-6, 6) for _ in range(p)) for _ in range(12)]
+        for h in range(5):
+            box = cli._axis_box(group, h)
+            assert len(box.support) == (2 * h + 1) ** p
+            for s in shifts:
+                omega = [group.element(s)]
+                assert cli._box_defect(h, omega) == defect(box, omega), (h, s)
 
+    def test_box_is_the_interval_and_the_parallelepiped(self):
+        assert cli._axis_box(FgAbelianGroup(1), 0) == interval_folner(0)
+        for p in (1, 2, 3):
+            unit = tuple(tuple(int(i == j) for j in range(p)) for i in range(p))
+            for h in (1, 2, 3):
+                box = cli._axis_box(FgAbelianGroup(p), h)
+                assert box == parallelepiped_folner(Parallelepiped(unit), h)
+                if p == 1:
+                    assert box == interval_folner(h)
+
+    @pytest.mark.parametrize("method", ["interval", "parallelepiped"])
     @pytest.mark.parametrize("shifts", [(1, -1), (2,), (0, 3, -1), (0,), (7, -5)])
-    def test_first_halfwidth_matches_a_linear_scan(self, example_dir, shifts):
-        doc = parse_spec(doc_path(example_dir, "rank_z1.json"))
-        omega = [doc.group.element((s,)) for s in shifts]
-        exact = [defect(interval_folner(h), omega) for h in range(41)]
-        deltas = {d + eps for d in exact for eps in (0, Fraction(1, 10**6))} | {Fraction(5, 2)}
-        for delta in sorted(d for d in deltas if d > exact[-1]):
-            cert = cli._rank_interval(doc, omega, delta)
-            first = next(h for h, d in enumerate(exact) if d < delta)
-            assert cert.search_radius == first
-            assert cert.witness == interval_folner(first)
-            assert cert.defect_exact == defect(interval_folner(first), omega) < delta
+    def test_first_halfwidth_matches_a_linear_scan_in_rank_one(self, example_dir, method, shifts):
+        self.check_scan(example_dir / "rank_z1.json", method, [(s,) for s in shifts], 41)
+
+    @pytest.mark.parametrize("shifts", [
+        [(1, 0), (-1, 0)], [(1, 1)], [(0, 0), (2, -1), (0, 3)], [(0, 0)], [(5, -4), (-1, 2)],
+    ])
+    def test_first_halfwidth_matches_a_linear_scan_in_rank_two(self, example_dir, shifts):
+        self.check_scan(example_dir / "catmap_z2.json", "parallelepiped", shifts, 13)
 
     @staticmethod
-    def _child(example_dir, delta):
+    def check_scan(path, method, shifts, scanned):
+        doc = parse_spec(str(path))
+        omega = [doc.group.element(s) for s in shifts]
+        first = 0 if method == "interval" else 1
+        exact = {h: defect(cli._axis_box(doc.group, h), omega) for h in range(first, scanned)}
+        deltas = {d + eps for d in exact.values() for eps in (0, Fraction(1, 10**6))}
+        deltas.add(Fraction(5, 2))
+        for delta in sorted(d for d in deltas if d > exact[scanned - 1]):
+            cert = cli._rank_box(doc, omega, delta, method)
+            h = next(h for h, d in exact.items() if d < delta)
+            assert cert.search_radius == h
+            assert cert.witness == cli._axis_box(doc.group, h)
+            assert cert.defect_exact == exact[h] < delta
+
+    @staticmethod
+    def _child(example_dir, name, method, delta, timeout=60):
         return subprocess.run(
-            [sys.executable, "-m", "dualent.cli", "rank", doc_path(example_dir, "rank_z1.json"),
-             "--method", "interval", "--delta", delta, "--format", "csv"],
+            [sys.executable, "-m", "dualent.cli", "rank", doc_path(example_dir, name),
+             "--method", method, "--delta", delta, "--format", "csv"],
             capture_output=True,
             text=True,
-            timeout=60,
+            timeout=timeout,
             env=child_env(),
         )
 
     def test_small_delta_answers(self, example_dir):
-        proc = self._child(example_dir, "0.0001")
+        proc = self._child(example_dir, "rank_z1.json", "interval", "0.0001")
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[1] == "20001,9.99950002499875e-05,0.0001,10000,False"
 
     def test_past_the_limit_is_computation_error(self, example_dir):
-        proc = self._child(example_dir, "0.000001")
+        proc = self._child(example_dir, "rank_z1.json", "interval", "0.000001")
         assert proc.returncode == EXIT_COMPUTATION
         assert proc.stdout == ""
         assert proc.stderr == "computation error: no interval of halfwidth <= 200000 reaches the tolerance\n"
+
+    # Building and checking every box up to the answer takes about 40 s on
+    # the rank-one run and 20 s on the exit-1 run, so the time limit holds
+    # the search to the closed form.
+    @pytest.mark.parametrize("name, delta, row", [
+        ("rank_z1.json", "0.001", "2001,0.0009995002498750624,0.001,1000,False"),
+        ("catmap_z2.json", "0.04", "2601,0.0392156862745098,0.04,25,False"),
+    ])
+    def test_parallelepiped_small_delta_answers(self, example_dir, name, delta, row):
+        proc = self._child(example_dir, name, "parallelepiped", delta, timeout=20)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[1] == row
+
+    def test_parallelepiped_past_the_limit_is_computation_error(self, example_dir):
+        proc = self._child(example_dir, "catmap_z2.json", "parallelepiped", "0.01", timeout=20)
+        assert proc.returncode == EXIT_COMPUTATION
+        assert proc.stdout == ""
+        assert proc.stderr == "computation error: no axis box of halfwidth <= 60 reaches the tolerance\n"
 
 
 class TestVerifyCommand:

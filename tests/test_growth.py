@@ -126,7 +126,13 @@ class TestGrowthComputation:
         base = FiniteSubset.of(z2, [(1, 0)])
         series = growth_series(cat_auto, base, 3)
         assert series.sizes[0] == 2
-        assert series.zero_adjoined
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_cap_below_the_first_size_raises(self, z2, cat_auto, n_max):
+        # s_1 = |E with 0| = 4 already exceeds the cap, so no size fits it.
+        with pytest.raises(SumsetCapError) as exc:
+            growth_series(cat_auto, corners(z2), n_max, cap=3)
+        assert (exc.value.cap, exc.value.partial) == (3, 4)
 
     def test_soft_cap_reports_partial_series(self, z2, cat_auto):
         series = growth_series(cat_auto, corners(z2), 12, cap=100)
@@ -196,7 +202,8 @@ CAT = ((2, 1), (1, 1))
 def naive_series(auto, base, n_max, cap):
     """Sizes and capped flag of growth_series, from Python sets of flat int
     tuples: lattice coordinates added, torsion coordinates added mod their
-    orders, the layers gamma^k(E) taken from auto.apply."""
+    orders, the layers gamma^k(E) taken from auto.apply. Raises
+    SumsetCapError when s_1 alone exceeds cap."""
     group = auto.group
     p, orders = group.rank, group.torsion
 
@@ -210,6 +217,8 @@ def naive_series(auto, base, n_max, cap):
 
     layer = list(base.elements | {group.zero()})
     current = {flat(e) for e in layer}
+    if len(current) > cap:
+        raise SumsetCapError(cap, len(current))
     sizes = [len(current)]
     for _ in range(1, n_max):
         layer = [auto.apply(e) for e in layer]
@@ -293,8 +302,18 @@ def growth_instances(draw):
 @given(growth_instances())
 def check_matches_plain_tuple_sumsets(instance):
     auto, base, n_max, cap = instance
-    series = growth_series(auto, base, n_max, cap=cap)
-    assert (series.sizes, series.capped) == naive_series(auto, base, n_max, cap)
+
+    def outcome(series_of):
+        try:
+            return series_of(auto, base, n_max, cap)
+        except SumsetCapError as exc:
+            return "SumsetCapError", exc.cap, exc.partial
+
+    def packed(*args):
+        series = growth_series(*args)
+        return series.sizes, series.capped
+
+    assert outcome(packed) == outcome(naive_series)
 
 
 class TestPackedKernel:
