@@ -22,8 +22,8 @@ from .folner import (
     RankCertificate,
     RankSearchExhausted,
     WeightedFunction,
+    _tower_depths,
     defect,
-    convolution_tower,
     exact_delta,
     min_rank_bruteforce,
 )
@@ -257,7 +257,7 @@ def _rank_tower(doc: SpecDocument, omega, delta_frac, cap) -> RankCertificate:
         seed_support.add(-s)
     f = WeightedFunction.uniform(group, sorted(seed_support, key=lambda e: e.key()))
     return _first_upper_bound(
-        ((depth, convolution_tower(f, auto, depth, cap=cap)) for depth in range(1, 61)),
+        enumerate(itertools.islice(_tower_depths(f, auto, cap), 60), 1),
         delta_frac, omega, "convolution tower did not reach the tolerance by depth 60",
     )
 

@@ -9,6 +9,8 @@ section at h with the lattice translation a, multiplied by
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,7 +24,6 @@ from .groups import (
     smith_normal_form,
 )
 from .folner import (
-    RankSearchExhausted,
     exact_delta,
     min_rank_bruteforce,
     min_rank_table,
@@ -638,8 +639,8 @@ def fg_abelian_entropy(auto: AbelianAutomorphism, tol: float = 1e-12) -> Entropy
 
 @dataclass(frozen=True)
 class ExtensionRankReport:
-    """Comparison of a direct (or kernel-restricted) rank at doubled
-    tolerance against the quotient-times-kernel product bound."""
+    """Comparison of the rank at doubled tolerance, searched on a box of
+    the crystal group, against the quotient-times-kernel product bound."""
 
     lhs: int
     rhs: int
@@ -647,7 +648,6 @@ class ExtensionRankReport:
     quotient_rank: int
     kernel_rank: int
     delta: float
-    restricted_to_kernel: bool
 
 
 def _conjugated_kernel_set(
@@ -687,11 +687,9 @@ def extension_rank_bound(
     """Checks that the rank of omega at doubled tolerance is bounded by the
     product of the quotient rank and the rank of the conjugated kernel set.
 
-    When the point group acts nontrivially the left side is evaluated over
-    weight functions supported in the lattice only (shifts leaving the
-    lattice coset then have defect exactly 2), and the report flags the
-    comparison as upper-bound-versus-upper-bound.
-    """
+    The left side is the rank search over the box of elements (h, a) with
+    every |a_i| <= radius, by left translation: a shift that leaves the box
+    leaves the searched points."""
     omega = list(omega)
     if not omega:
         raise ValueError("omega must be nonempty")
@@ -718,42 +716,14 @@ def extension_rank_bound(
     ).rank
     rhs = quotient_rank * kernel_rank
 
-    doubled = 2 * delta_frac
-    trivial_action = all(
-        group.action[h] == IntMatrix.identity(p) for h in range(f.order)
+    box = [
+        group.element(h, a)
+        for h in range(f.order)
+        for a in itertools.product(range(-radius, radius + 1), repeat=p)
+    ]
+    lhs, _ = min_rank_table(
+        box, operator.mul, group.identity_element(), omega, 2 * delta_frac
     )
-    abelian_shape = (
-        trivial_action
-        and f.is_abelian()
-        and all(
-            group.cocycle[h][k] == group.cocycle[k][h]
-            for h in range(f.order)
-            for k in range(f.order)
-        )
-    )
-    if abelian_shape:
-        presentation = stabilizer_center(group)
-        mapped = [presentation.coordinates(w) for w in omega]
-        lhs = min_rank_bruteforce(
-            presentation.abelian, mapped, doubled, radius
-        ).rank
-        restricted = False
-    else:
-        mixed = [w for w in omega if w.fpart != f.identity]
-        if mixed and doubled <= 2:
-            raise RankSearchExhausted(
-                "shifts leave the lattice coset: any lattice-supported weight "
-                "function has defect exactly 2, which does not beat the "
-                f"doubled tolerance {float(doubled)}"
-            )
-        pure = [
-            lattice.element(w.lattice) for w in omega if w.fpart == f.identity
-        ]
-        if pure:
-            lhs = min_rank_bruteforce(lattice, pure, doubled, radius).rank
-        else:
-            lhs = 1
-        restricted = True
 
     return ExtensionRankReport(
         lhs=lhs,
@@ -762,7 +732,6 @@ def extension_rank_bound(
         quotient_rank=quotient_rank,
         kernel_rank=kernel_rank,
         delta=float(delta_frac),
-        restricted_to_kernel=restricted,
     )
 
 

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .groups import (
     AbelianAutomorphism,
@@ -158,6 +158,19 @@ def _transport(f: WeightedFunction, auto: AbelianAutomorphism) -> WeightedFuncti
     return WeightedFunction(f.group, tuple(auto.apply(e) for e in f.support), f.weights)
 
 
+def _tower_depths(
+    f: WeightedFunction, gamma: AbelianAutomorphism, cap: Optional[int]
+) -> Iterator[WeightedFunction]:
+    """The towers of depth 1, 2, ... of `convolution_tower`, without end:
+    each depth is the last one convolved with the next push-forward of f,
+    built only when it is asked for."""
+    result = pushed = f
+    while True:
+        yield result
+        pushed = _transport(pushed, gamma)
+        result = convolution(result, pushed, cap=cap)
+
+
 def convolution_tower(
     f: WeightedFunction,
     gamma: AbelianAutomorphism,
@@ -175,11 +188,7 @@ def convolution_tower(
         raise ShapeError("automorphism and function live on different groups")
     if n < 1:
         raise ValueError("n must be at least 1")
-    result = f
-    pushed = f
-    for _ in range(1, n):
-        pushed = _transport(pushed, gamma)
-        result = convolution(result, pushed, cap=cap)
+    result = next(itertools.islice(_tower_depths(f, gamma, cap), n - 1, None))
     if omega is not None:
         base = defect(f, omega)
         spread = list(omega)
@@ -591,7 +600,6 @@ def _search_supports(
     n: int,
     rows: Sequence[Sequence[int]],
     delta: Fraction,
-    max_support: Optional[int],
 ) -> Optional[tuple[int, tuple[int, ...], Optional[Fraction], tuple]]:
     """The rank search on points 0..n-1, point 0 the identity: supports
     (0, *combo) by size, then lexicographically, so the first whose optimum,
@@ -643,16 +651,12 @@ def _search_supports(
     form in the memo is a rejected class, so S is rejected without an LP
     when the form of S without 0 is in the memo.
 
-    Returns (k, support, optimum, weights), or None when no support of size
-    at most max_support (default n) is accepted. optimum is None when a zero
-    weight was blended away; the weights' defect must then be derived again.
+    Returns (k, support, optimum, weights), or None when no support is
+    accepted. optimum is None when a zero weight was blended away; the
+    weights' defect must then be derived again.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if max_support is None:
-        max_support = n
-    if max_support < 1:
-        raise ValueError("max_support must be at least 1")
     short = 2 // delta  # a run this long or shorter leaves defect >= 2/run >= delta
     succ, run = _lp_rows(n, rows)
     windows = [_run_windows(n, succ[r], short + 1) for r in run]
@@ -664,7 +668,7 @@ def _search_supports(
     nodes = {}  # (parent prefix node, step) -> prefix node
     tested_steps = {}  # prefix node -> steps of the last points tested under it
     tested_forms = set()  # the _shift_graph_form of every support rejected
-    for k in range(1, min(max_support, n) + 1):
+    for k in range(1, n + 1):
         # pos[i] is the position of point i in the support, -1 when it is not
         # placed; pos[-1], read for a link outside the points, stays -1.
         pos = [-1] * (n + 1)
@@ -762,7 +766,6 @@ def min_rank_bruteforce(
     omega: Sequence[AbelianElement],
     delta,
     radius: int,
-    max_support: Optional[int] = None,
     exact: Optional[bool] = None,
     candidates: Optional[Sequence[AbelianElement]] = None,
 ) -> RankCertificate:
@@ -797,12 +800,11 @@ def min_rank_bruteforce(
     points = [zero, *sorted((e for e in set(pool) if e != zero), key=lambda e: e.key())]
     index = {e: i for i, e in enumerate(points)}
     found = _search_supports(
-        len(points), [[index.get(e + s, -1) for e in points] for s in omega], delta_frac, max_support
+        len(points), [[index.get(e + s, -1) for e in points] for s in omega], delta_frac
     )
     if found is None:
-        size = len(points) if max_support is None else max_support
         raise RankSearchExhausted(
-            f"no support of size <= {size} within radius {radius} achieves "
+            f"no support of size <= {len(points)} within radius {radius} achieves "
             f"defect < {delta}; retry with a larger radius"
         )
     k, support, optimum, weights = found
@@ -828,14 +830,15 @@ def min_rank_table(
     identity,
     omega: Sequence,
     delta,
-    max_support: Optional[int] = None,
 ) -> tuple[int, dict]:
-    """Rank search over an explicit finite group given by a multiplication
-    table. Left translation replaces lattice shifts and supports are listed
-    in repr order; the search is `_search_supports`, whose run bound applies
-    only along a shift with no cycle on the elements, so never on a whole
-    finite group. The witness defect is derived again from the rows.
-    Returns the rank and the witness weight map."""
+    """Rank search over a finite pool of elements with a multiplication,
+    such as a finite group or a box of a crystal group. Left translation
+    replaces lattice shifts, a product that falls outside the pool leaves
+    the searched points, and supports are listed in repr order; the search
+    is `_search_supports`, whose run bound applies only along a shift with
+    no cycle on the elements, so never on a whole finite group. The witness
+    defect is derived again from the rows. Returns the rank and the witness
+    weight map."""
     omega = list(omega)
     if not omega:
         raise ValueError("omega must be nonempty")
@@ -843,12 +846,11 @@ def min_rank_table(
     index = {e: i for i, e in enumerate(points)}
     rows = [[index.get(multiply(s, g), -1) for g in points] for s in omega]
     delta_frac = exact_delta(delta)
-    found = _search_supports(len(points), rows, delta_frac, max_support)
+    found = _search_supports(len(points), rows, delta_frac)
     if found is None:
-        size = len(points) if max_support is None else max_support
         raise RankSearchExhausted(
-            f"no support of size <= {size} in the finite group achieves "
-            f"defect < {delta}"
+            f"no support of size <= {len(points)} in the pool of elements "
+            f"achieves defect < {delta}"
         )
     k, support, optimum, weights = found
     _check_witness(_rows_defect(rows, support, weights), optimum, delta_frac)

@@ -98,7 +98,6 @@ def jsonable(obj):
             "quotient_rank": obj.quotient_rank,
             "kernel_rank": obj.kernel_rank,
             "delta": obj.delta,
-            "restricted_to_kernel": obj.restricted_to_kernel,
         }
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
@@ -214,7 +213,7 @@ def render_text(result) -> str:
         return (
             f"extension bound: lhs {result.lhs} <= rhs {result.rhs} "
             f"({'holds' if result.holds else 'VIOLATED'}; quotient {result.quotient_rank}, "
-            f"kernel {result.kernel_rank}, restricted: {result.restricted_to_kernel})\n"
+            f"kernel {result.kernel_rank})\n"
         )
     return str(result) + "\n"
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,8 +20,10 @@ from dualent.crystal import (
     point_reflection_square,
     glide_plane_group,
 )
-from dualent.folner import RankSearchExhausted
+from dualent.folner import min_rank_bruteforce
+from dualent.specdoc import parse_spec
 from dualent.laws import random_unimodular
+from tests.conftest import EXAMPLE_DIR
 
 CAT = ((2, 1), (1, 1))
 GOLDEN_ENTROPY = 0.9624236501192069
@@ -357,7 +360,6 @@ class TestExtensionRankBound:
         # direct rank at doubled tolerance 1: a 3-run along the orbit of the
         # shift reaches defect 2/3, and no 2-point support goes below 1
         assert report.lhs == 3
-        assert not report.restricted_to_kernel
         # quotient average over Z/2 is rank 2; the conjugated kernel set is
         # the unit shift of Z, rank 5 at tolerance 1/2
         assert report.rhs == 10
@@ -371,17 +373,75 @@ class TestExtensionRankBound:
         assert report.holds
         assert report.lhs == 3
         assert report.rhs == 5
-        assert report.restricted_to_kernel
 
-    def test_mixed_dihedral_shift_exhausts_at_tight_delta(self):
+    def test_mixed_dihedral_shift_at_tight_delta(self):
+        # the flip carries (e, a) to (f, a), so weights on one coset pay 2
+        # on it: the witness puts 3 points on the lattice and 2 on its coset
         g = dihedral_infinite()
         omega = [g.element("f", (0,)), g.lattice_element((1,))]
-        with pytest.raises(RankSearchExhausted):
-            extension_rank_bound(g, omega, Fraction(1, 2), 6)
+        report = extension_rank_bound(g, omega, Fraction(1, 2), 6)
+        assert (report.lhs, report.rhs) == (5, 10)
+        assert report.holds
+        assert (report.quotient_rank, report.kernel_rank) == (2, 5)
 
     def test_mixed_dihedral_shift_drops_at_loose_delta(self):
         g = dihedral_infinite()
         omega = [g.element("f", (0,)), g.lattice_element((1,))]
         report = extension_rank_bound(g, omega, Fraction(5, 4), 6)
         assert report.holds
-        assert report.lhs <= report.rhs
+        assert (report.lhs, report.rhs) == (1, 4)
+
+    def test_glide_reflection_alone(self):
+        # the glide squares to the unit translation, so its orbit is a run
+        # that alternates between the two cosets
+        g = glide_plane_group()
+        report = extension_rank_bound(g, [g.element("g", (0, 0))], Fraction(1, 2), 2)
+        assert (report.lhs, report.rhs) == (3, 10)
+        assert report.holds
+
+    def test_point_reflection_alone(self):
+        # the reflection swaps (e, 0) and (r, 0): their average is invariant
+        g = point_reflection_square()
+        report = extension_rank_bound(g, [g.element("r", (0, 0))], Fraction(1, 2), 2)
+        assert (report.lhs, report.rhs) == (2, 2)
+        assert report.holds
+
+
+def _center_rank(group, omega, delta, radius):
+    """The rank at doubled tolerance searched in the coordinates of the
+    stabilizer center, over its ball of the given radius. On a group whose
+    point group is abelian, acts trivially and has a symmetric cocycle, the
+    center is the whole group, so this is a second route to the left side
+    of `extension_rank_bound`."""
+    presentation = stabilizer_center(group)
+    mapped = [presentation.coordinates(w) for w in omega]
+    return min_rank_bruteforce(presentation.abelian, mapped, 2 * delta, radius).rank
+
+
+def _abelian_shaped_groups():
+    square_root_of_t = CrystalGroup(
+        point_group=PointGroup.cyclic(2),
+        rank=1,
+        action=(IntMatrix.identity(1), IntMatrix.identity(1)),
+        cocycle=(((0,), (0,)), ((0,), (1,))),
+    )
+    catmap = parse_spec(str(EXAMPLE_DIR / "crystal_z2xc2_catmap.json")).group
+    return {
+        "z_times_c2": (trivial_product(1, PointGroup.cyclic(2)), 4),
+        "c2_squaring_to_t": (square_root_of_t, 4),
+        "z2xc2_catmap": (catmap, 2),
+    }
+
+
+class TestExtensionRankAgainstTheCenter:
+    @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(3, 4)])
+    @pytest.mark.parametrize("name", sorted(_abelian_shaped_groups()))
+    def test_box_rank_matches_the_center_rank(self, name, delta):
+        group, radius = _abelian_shaped_groups()[name]
+        for a in itertools.product((-1, 0, 1), repeat=group.rank):
+            for h in range(group.point_group.order):
+                shift = group.element(h, a)
+                if shift.is_identity():
+                    continue
+                report = extension_rank_bound(group, [shift], delta, radius)
+                assert report.lhs == _center_rank(group, [shift], delta, radius), shift

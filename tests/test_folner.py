@@ -480,15 +480,6 @@ class TestRunDrivenEnumeration:
         ):
             min_rank_bruteforce(Z1, omega, F(1, 10), 3)
 
-    def test_support_budget_below_the_needed_run_is_exhausted(self):
-        # delta = 1/2 needs a run of 5 points; 4 slots cannot hold one
-        omega = [Z1.element((1,)), Z1.element((-1,))]
-        with pytest.raises(
-            RankSearchExhausted,
-            match=r"^no support of size <= 4 within radius 8 achieves defect < 1/2; ",
-        ):
-            min_rank_bruteforce(Z1, omega, F(1, 2), 8, max_support=4)
-
 
 def _document_problem(name):
     doc = parse_spec(str(EXAMPLE_DIR / name))
@@ -1086,7 +1077,7 @@ class TestReferenceSearch:
         omega = _seeded_shifts(rng, group, choices)
         delta = rng.choice(REFERENCE_DELTAS)
         n, rows = _numbered_ball(group, radius, omega)
-        assert folner._search_supports(n, rows, delta, None) == _reference_search(n, rows, delta)
+        assert folner._search_supports(n, rows, delta) == _reference_search(n, rows, delta)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_candidate_pool(self, seed):
@@ -1097,7 +1088,7 @@ class TestReferenceSearch:
         delta = rng.choice(REFERENCE_DELTAS)
         points, rows = _numbered_pool(pool, omega)
         found = _reference_search(len(points), rows, delta)
-        assert folner._search_supports(len(points), rows, delta, None) == found
+        assert folner._search_supports(len(points), rows, delta) == found
         if found is not None:
             cert = min_rank_bruteforce(Z2, omega, delta, 2, candidates=pool)
             assert cert.rank == found[0]
@@ -1113,7 +1104,7 @@ class TestReferenceSearch:
             row = list(range(n)) if rng.random() < 0.3 else rng.sample(range(n), n)
             rows.append([j if rng.random() < 0.7 else -1 for j in row])
         delta = rng.choice(REFERENCE_DELTAS)
-        assert folner._search_supports(n, rows, delta, None) == _reference_search(n, rows, delta)
+        assert folner._search_supports(n, rows, delta) == _reference_search(n, rows, delta)
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("table", ["z6", "s3"])
@@ -1150,20 +1141,20 @@ class TestMinRankTable:
         assert rank == 1
 
     def test_full_group_average_is_invariant(self):
-        # averaging over the whole finite group always reaches defect 0, so
-        # exhaustion only happens through a support-size budget
+        # averaging over the whole finite group always reaches defect 0
         elems = list(range(3))
         mul = lambda a, b: (a + b) % 3
         rank, _ = min_rank_table(elems, mul, 0, [1], F(1, 10))
         assert rank == 3
-        with pytest.raises(RankSearchExhausted):
-            min_rank_table(elems, mul, 0, [1], F(1, 10), max_support=2)
 
-    def test_zero_max_support_is_rejected(self):
-        elems = list(range(3))
-        mul = lambda a, b: (a + b) % 3
-        with pytest.raises(ValueError):
-            min_rank_table(elems, mul, 0, [1], F(1, 10), max_support=0)
+    def test_pool_that_is_not_a_group_is_exhausted(self):
+        # 0..4 in Z/6: the shift 1 leaves the pool after 4, so every support
+        # holds a run of at most 5 points and pays at least 2/5 along it
+        with pytest.raises(
+            RankSearchExhausted,
+            match=r"^no support of size <= 5 in the pool of elements achieves defect < 1/10$",
+        ):
+            min_rank_table(range(5), lambda a, b: (a + b) % 6, 0, [1], F(1, 10))
 
     @pytest.mark.parametrize("n", (3, 4, 6))
     @pytest.mark.parametrize("delta", (F(1, 2), F(1), F(3, 2)))
