@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from dualent.crystal import dihedral_infinite, extension_rank_bound
 from dualent.groups import FgAbelianGroup
 from dualent.folner import WeightedFunction, min_rank_bruteforce
 from dualent.growth import GrowthSeries
@@ -96,3 +97,14 @@ def test_unserializable_type_rejected():
 def test_matrix_serializes_as_rows():
     data = json.loads(render_json(IntMatrix(((2, 1), (1, 1)))))
     assert data == [[2, 1], [1, 1]]
+
+
+def test_extension_rank_report_payloads():
+    g = dihedral_infinite()
+    omega = [g.element("f", (0,)), g.lattice_element((1,))]
+    report = extension_rank_bound(g, omega, Fraction(1, 2), 6)
+    assert json.loads(render_json(report)) == {
+        "type": "extension_rank_report", "lhs": 5, "rhs": 10, "holds": True,
+        "quotient_rank": 2, "kernel_rank": 5, "delta": 0.5,
+    }
+    assert render_text(report) == "extension bound: lhs 5 <= rhs 10 (holds; quotient 2, kernel 5)\n"
