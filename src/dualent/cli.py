@@ -4,6 +4,14 @@ Subcommands: `entropy` (eigenvalue route), `peters` (sumset growth route),
 `rank` (delta-rank search or constructive upper bounds), `verify` (law
 suite). Exit codes: 0 success, 1 computation error, 2 spec/usage error,
 3 verify found failures.
+
+Start-up: importing this module loads only `dualent` and `dualent.cli`;
+each route imports its modules inside the function that runs it. Every
+subcommand loads `groups` (the parser's help reads DEFAULT_CAP), `specdoc`
+and `reports`. On top of these `entropy` loads `crystal` and `spectral`;
+`peters` loads `growth`, `spectral` and numpy; `rank` loads `folner` and
+`simplex`; `verify` loads `laws`, `spectral`, `growth`, `folner` and
+`simplex`. Parsing a crystal document loads `crystal` too.
 """
 
 from __future__ import annotations
@@ -13,23 +21,11 @@ import itertools
 import math
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import laws
-from .crystal import crystal_entropy, fg_abelian_entropy
-from .groups import AbelianAutomorphism
-from .folner import (
-    RankCertificate,
-    RankSearchExhausted,
-    WeightedFunction,
-    _tower_depths,
-    defect,
-    exact_delta,
-    min_rank_bruteforce,
-)
-from .growth import DEFAULT_CAP, FiniteSubset, SumsetCapError, growth_rate_estimate, growth_series
-from .reports import emit_report
-from .specdoc import SpecDocument, SpecFormatError, parse_spec
+if TYPE_CHECKING:
+    from .folner import RankCertificate, WeightedFunction
+    from .specdoc import SpecDocument
 
 EXIT_OK = 0
 EXIT_COMPUTATION = 1
@@ -70,6 +66,8 @@ def _nonnegative_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .groups import DEFAULT_CAP
+
     parser = argparse.ArgumentParser(
         prog="dualent",
         description="Dual entropy of group automorphisms: spectral and "
@@ -132,6 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _require(condition: bool, path: str, message: str):
+    from .specdoc import SpecFormatError
+
     if not condition:
         raise SpecFormatError(path, message)
 
@@ -145,6 +145,8 @@ def _param(flag, spec_value, fallback):
 
 
 def _run_entropy(doc: SpecDocument, args) -> object:
+    from .crystal import crystal_entropy, fg_abelian_entropy
+
     _require(doc.automorphism is not None, "auto", "entropy requires an automorphism block")
     tol = _param(args.tol, doc.params.tol, 1e-12)
     if doc.kind == "crystal":
@@ -153,6 +155,8 @@ def _run_entropy(doc: SpecDocument, args) -> object:
 
 
 def _run_peters(doc: SpecDocument, args) -> object:
+    from .growth import DEFAULT_CAP, FiniteSubset, growth_rate_estimate, growth_series
+
     _require(doc.kind != "crystal", "group.kind", "peters runs on abelian documents")
     _require(doc.automorphism is not None, "auto", "peters requires an automorphism block")
     group = doc.group
@@ -175,6 +179,8 @@ def _run_peters(doc: SpecDocument, args) -> object:
 def _first_upper_bound(witnesses, delta_frac, omega, exhausted: str) -> RankCertificate:
     """The first (radius, witness) pair whose defect is below delta, as a
     non-exhaustive certificate; RankSearchExhausted(exhausted) if none is."""
+    from .folner import RankCertificate, RankSearchExhausted, defect
+
     for radius, witness in witnesses:
         d = defect(witness, omega)
         if d < delta_frac:
@@ -204,6 +210,8 @@ def _box_defect(halfwidth: int, omega) -> Fraction:
 
 def _axis_box(group, halfwidth: int) -> WeightedFunction:
     """Uniform weights on the lattice points of [-halfwidth, halfwidth]^p."""
+    from .folner import WeightedFunction
+
     points = itertools.product(range(-halfwidth, halfwidth + 1), repeat=group.rank)
     return WeightedFunction.uniform(group, [group.element(x) for x in points])
 
@@ -211,6 +219,8 @@ def _axis_box(group, halfwidth: int) -> WeightedFunction:
 def _rank_box(doc: SpecDocument, omega, delta_frac, method: str) -> RankCertificate:
     """The first uniform axis box [-h, h]^p, h from 0 (interval) or 1
     (parallelepiped), whose defect is below delta."""
+    from .folner import RankSearchExhausted
+
     group = doc.group
     if method == "interval":
         _require(
@@ -247,6 +257,9 @@ def _rank_box(doc: SpecDocument, omega, delta_frac, method: str) -> RankCertific
 
 
 def _rank_tower(doc: SpecDocument, omega, delta_frac, cap) -> RankCertificate:
+    from .folner import WeightedFunction, _tower_depths
+    from .groups import AbelianAutomorphism
+
     group = doc.group
     auto = doc.automorphism
     if auto is None:
@@ -263,6 +276,9 @@ def _rank_tower(doc: SpecDocument, omega, delta_frac, cap) -> RankCertificate:
 
 
 def _run_rank(doc: SpecDocument, args) -> object:
+    from .folner import exact_delta, min_rank_bruteforce
+    from .groups import DEFAULT_CAP
+
     _require(doc.kind != "crystal", "group.kind", "rank runs on abelian documents")
     _require(doc.omega is not None, "omega", "rank requires a shift set")
     delta = _param(args.delta, doc.params.delta, None)
@@ -283,6 +299,8 @@ def _run_rank(doc: SpecDocument, args) -> object:
 
 
 def _run_verify(args) -> tuple[object, int]:
+    from . import laws
+
     trials = args.trials
     seed = args.seed
     if args.suite == "all":
@@ -305,6 +323,8 @@ def _run_verify(args) -> tuple[object, int]:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from .reports import emit_report
+    from .specdoc import SpecFormatError, parse_spec
 
     code = EXIT_OK
     try:
@@ -325,9 +345,6 @@ def main(argv: Optional[list] = None) -> int:
     except SpecFormatError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (SumsetCapError, RankSearchExhausted) as exc:
-        print(f"computation error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
     except (ValueError, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION

@@ -23,11 +23,6 @@ from .groups import (
     ShapeError,
     smith_normal_form,
 )
-from .folner import (
-    exact_delta,
-    min_rank_bruteforce,
-    min_rank_table,
-)
 from .spectral import EntropyEstimate, eigen_entropy
 
 
@@ -690,6 +685,8 @@ def extension_rank_bound(
     The left side is the rank search over the box of elements (h, a) with
     every |a_i| <= radius, by left translation: a shift that leaves the box
     leaves the searched points."""
+    from .folner import exact_delta, min_rank_bruteforce, min_rank_table
+
     omega = list(omega)
     if not omega:
         raise ValueError("omega must be nonempty")

@@ -20,15 +20,16 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .groups import (
+    DEFAULT_CAP,
     AbelianAutomorphism,
     AbelianElement,
     FgAbelianGroup,
     InternalInvariantError,
     NotInvertibleError,
     ShapeError,
+    SumsetCapError,
     _fraction_inverse,
 )
-from .growth import DEFAULT_CAP, SumsetCapError
 from .simplex import UnboundedError, solve_lp
 
 

@@ -26,6 +26,20 @@ class InternalInvariantError(AssertionError):
     a bug, never bad user input."""
 
 
+# The default size budget of a sumset (growth) and of a convolution
+# tower's support (folner); kept here so that neither module needs the other.
+DEFAULT_CAP = 5_000_000
+
+
+class SumsetCapError(ArithmeticError):
+    """A sumset exceeded its size budget; carries the partial count reached."""
+
+    def __init__(self, cap: int, partial: int):
+        super().__init__(f"sumset exceeded the {cap}-element budget (at least {partial} elements)")
+        self.cap = cap
+        self.partial = partial
+
+
 def _as_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"expected an exact integer, got {x!r}")

@@ -31,24 +31,22 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .groups import AbelianAutomorphism, AbelianElement, FgAbelianGroup, ShapeError, _torsion_add
+from .groups import (
+    DEFAULT_CAP,
+    AbelianAutomorphism,
+    AbelianElement,
+    FgAbelianGroup,
+    ShapeError,
+    SumsetCapError,
+    _torsion_add,
+)
 from .spectral import EntropyEstimate
 
-DEFAULT_CAP = 5_000_000
 TAIL_K = 3
 # A packing horizon set at depth d reaches at most depth 2 d + _LOOKAHEAD.
 _LOOKAHEAD = 32
 # A block of _union holds at most this many keys of each shifted run.
 _BLOCK = 1 << 17
-
-
-class SumsetCapError(ArithmeticError):
-    """A sumset exceeded its size budget; carries the partial count reached."""
-
-    def __init__(self, cap: int, partial: int):
-        super().__init__(f"sumset exceeded the {cap}-element budget (at least {partial} elements)")
-        self.cap = cap
-        self.partial = partial
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 from .groups import AbelianElement, IntMatrix
-from .crystal import CrystalElement, ExtensionRankReport
-from .spectral import EntropyEstimate
-from .growth import GrowthSeries
-from .folner import RankCertificate, WeightedFunction
-from .laws import LawInstance, LawReport
+
+
+def _is(obj, module: str, name: str) -> bool:
+    """isinstance(obj, dualent.<module>.<name>) without importing the module:
+    no object is an instance of a class whose module was never loaded."""
+    home = sys.modules.get(f"{__package__}.{module}")
+    return home is not None and isinstance(obj, getattr(home, name))
 
 
 def jsonable(obj):
@@ -29,19 +32,27 @@ def jsonable(obj):
         return obj
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
+    # No result class below is a container, so plain data is matched first.
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = list(obj)
+        if isinstance(obj, (set, frozenset)):
+            items = sorted(items, key=repr)
+        return [jsonable(x) for x in items]
     if isinstance(obj, IntMatrix):
         return [list(row) for row in obj.entries]
     if isinstance(obj, AbelianElement):
         return list(obj.lattice) + list(obj.torsion)
-    if isinstance(obj, CrystalElement):
+    if _is(obj, "crystal", "CrystalElement"):
         return [obj.label(), *obj.lattice]
-    if isinstance(obj, WeightedFunction):
+    if _is(obj, "folner", "WeightedFunction"):
         return {
             "support": [jsonable(e) for e in obj.support],
             "weights": [jsonable(w) for w in obj.weights],
             "exact": True,  # weights are always exact rationals
         }
-    if isinstance(obj, EntropyEstimate):
+    if _is(obj, "spectral", "EntropyEstimate"):
         return {
             "type": "entropy",
             "value": obj.value,
@@ -49,7 +60,7 @@ def jsonable(obj):
             "tolerance": obj.tolerance,
             "diagnostics": jsonable(obj.diagnostics),
         }
-    if isinstance(obj, GrowthSeries):
+    if _is(obj, "growth", "GrowthSeries"):
         return {
             "type": "growth_series",
             "sizes": list(obj.sizes),
@@ -57,7 +68,7 @@ def jsonable(obj):
             "zero_adjoined": True,  # growth_series always adjoins 0 to the base
             "log_over_n": [jsonable(x) for x in obj.log_over_n()],
         }
-    if isinstance(obj, RankCertificate):
+    if _is(obj, "folner", "RankCertificate"):
         return {
             "type": "rank_certificate",
             "rank": obj.rank,
@@ -70,14 +81,14 @@ def jsonable(obj):
             "exhaustive_within_radius": obj.exhaustive_within_radius,
             "witness": jsonable(obj.witness),
         }
-    if isinstance(obj, LawInstance):
+    if _is(obj, "laws", "LawInstance"):
         return {
             "index": obj.index,
             "deviation": obj.deviation,
             "note": obj.note,
             "inputs": {key: jsonable(value) for key, value in obj.inputs},
         }
-    if isinstance(obj, LawReport):
+    if _is(obj, "laws", "LawReport"):
         return {
             "type": "law_report",
             "law": obj.law,
@@ -89,7 +100,7 @@ def jsonable(obj):
             "failures": [jsonable(f) for f in obj.failures],
             "inconclusive": [jsonable(f) for f in obj.inconclusive],
         }
-    if isinstance(obj, ExtensionRankReport):
+    if _is(obj, "crystal", "ExtensionRankReport"):
         return {
             "type": "extension_rank_report",
             "lhs": obj.lhs,
@@ -99,13 +110,6 @@ def jsonable(obj):
             "kernel_rank": obj.kernel_rank,
             "delta": obj.delta,
         }
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = list(obj)
-        if isinstance(obj, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [jsonable(x) for x in items]
     raise TypeError(f"no serialization for {type(obj).__name__}")
 
 
@@ -127,13 +131,15 @@ def _csv_lines(rows) -> str:
 def render_csv(result) -> str:
     """CSV form. A growth series becomes n,size,log_size_over_n rows; other
     results flatten to header-plus-row of their scalar fields."""
-    if isinstance(result, GrowthSeries):
+    if _is(result, "growth", "GrowthSeries"):
         rows = [("n", "size", "log_size_over_n")]
         for i, (size, lg) in enumerate(zip(result.sizes, result.log_over_n())):
             rows.append((i + 1, size, repr(lg)))
         return _csv_lines(rows)
-    if isinstance(result, EntropyEstimate):
+    if _is(result, "spectral", "EntropyEstimate"):
         if result.method == "peters" and "sizes" in result.diagnostics:
+            from .growth import GrowthSeries
+
             series = GrowthSeries(
                 sizes=tuple(result.diagnostics["sizes"]),
                 capped=bool(result.diagnostics.get("capped", False)),
@@ -143,7 +149,7 @@ def render_csv(result) -> str:
             ("value", "method", "tolerance"),
             (repr(result.value), result.method, repr(result.tolerance)),
         ])
-    if isinstance(result, RankCertificate):
+    if _is(result, "folner", "RankCertificate"):
         return _csv_lines([
             ("rank", "defect", "delta", "search_radius", "exhaustive"),
             (
@@ -155,7 +161,7 @@ def render_csv(result) -> str:
             ),
         ])
     if isinstance(result, (list, tuple)) and all(
-        isinstance(r, LawReport) for r in result
+        _is(r, "laws", "LawReport") for r in result
     ):
         rows = [(
             "law", "passed", "instances", "failures", "inconclusive",
@@ -172,13 +178,13 @@ def render_csv(result) -> str:
                 repr(rep.tolerance),
             ))
         return _csv_lines(rows)
-    if isinstance(result, LawReport):
+    if _is(result, "laws", "LawReport"):
         return render_csv([result])
     raise TypeError(f"no CSV form for {type(result).__name__}")
 
 
 def render_text(result) -> str:
-    if isinstance(result, EntropyEstimate):
+    if _is(result, "spectral", "EntropyEstimate"):
         lines = [f"entropy {result.value:.10f}  (method: {result.method})"]
         diag = result.diagnostics
         if "root_moduli" in diag:
@@ -191,10 +197,10 @@ def render_text(result) -> str:
             if diag.get("capped"):
                 lines.append("  series hit the enumeration cap; estimate uses the computed prefix")
         return "\n".join(lines) + "\n"
-    if isinstance(result, GrowthSeries):
+    if _is(result, "growth", "GrowthSeries"):
         lines = [f"sizes: {list(result.sizes)}", f"capped: {result.capped}"]
         return "\n".join(lines) + "\n"
-    if isinstance(result, RankCertificate):
+    if _is(result, "folner", "RankCertificate"):
         lines = [
             f"rank {result.rank}  (delta {result.delta:g}, radius {result.search_radius}, "
             f"exhaustive: {result.exhaustive_within_radius})",
@@ -203,13 +209,13 @@ def render_text(result) -> str:
         for e, w in zip(result.witness.support, result.witness.weights):
             lines.append(f"    {jsonable(e)}  {w}")
         return "\n".join(lines) + "\n"
-    if isinstance(result, LawReport):
+    if _is(result, "laws", "LawReport"):
         return result.summary() + "\n"
     if isinstance(result, (list, tuple)) and all(
-        isinstance(r, LawReport) for r in result
+        _is(r, "laws", "LawReport") for r in result
     ):
         return "".join(render_text(r) for r in result)
-    if isinstance(result, ExtensionRankReport):
+    if _is(result, "crystal", "ExtensionRankReport"):
         return (
             f"extension bound: lhs {result.lhs} <= rhs {result.rhs} "
             f"({'holds' if result.holds else 'VIOLATED'}; quotient {result.quotient_rank}, "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .groups import (
     AbelianAutomorphism,
@@ -17,13 +17,9 @@ from .groups import (
     FgAbelianGroup,
     IntMatrix,
 )
-from .crystal import (
-    CrystalAutomorphism,
-    CrystalElement,
-    CrystalGroup,
-    GroupValidationError,
-    PointGroup,
-)
+
+if TYPE_CHECKING:  # crystal is imported only to parse a crystal document
+    from .crystal import CrystalAutomorphism, CrystalGroup, PointGroup
 
 GROUP_KINDS = ("free_abelian", "fg_abelian", "crystal")
 
@@ -155,6 +151,8 @@ def _parse_abelian_group(obj: dict, kind: str) -> FgAbelianGroup:
 
 
 def _parse_point_group(obj: dict) -> PointGroup:
+    from .crystal import GroupValidationError, PointGroup
+
     _check_keys(obj, "group.point_group", ("elements", "table"))
     labels = tuple(
         _expect_str(x, f"group.point_group.elements[{i}]")
@@ -176,6 +174,8 @@ def _parse_point_group(obj: dict) -> PointGroup:
 
 
 def _parse_crystal_group(obj: dict) -> CrystalGroup:
+    from .crystal import CrystalGroup, GroupValidationError
+
     _check_keys(obj, "group", ("kind", "rank", "point_group"), ("action", "cocycle"))
     rank = _expect_int(obj["rank"], "group.rank")
     if rank < 1:
@@ -258,6 +258,8 @@ def _parse_abelian_auto(obj: dict, group: FgAbelianGroup) -> AbelianAutomorphism
 
 
 def _parse_crystal_auto(obj: dict, group: CrystalGroup) -> CrystalAutomorphism:
+    from .crystal import CrystalAutomorphism, GroupValidationError
+
     _check_keys(obj, "auto", (), ("lattice", "quotient_map", "translation"))
     lattice = None
     if "lattice" in obj:
