@@ -694,8 +694,6 @@ def extension_rank_bound(
         if w.group != group:
             raise ShapeError("shift outside the group")
     delta_frac = exact_delta(delta)
-    if delta_frac <= 0:
-        raise ValueError("delta must be positive")
     f = group.point_group
     p = group.rank
 

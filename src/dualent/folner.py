@@ -1,20 +1,23 @@
 """Amenable delta-rank machinery: translation defects of finitely supported
 weight functions, brute-force minimum-support rank search backed by exact
 linear programming, and the constructive Folner-set upper bounds (intervals,
-lattice parallelepipeds, convolution towers). Both rank searches number
-their points once and run one exact core, `_search_supports`, on indices;
-it enumerates only the supports that hold a run longer than 2/delta along
-every shift whose action on the searched points has no cycle and that have
-no isolated point other than 0, since no other support can be the first
-to succeed, and solves one exact LP per class of supports whose LPs agree
-up to the order of their variables and rows, whose optimal vertex scales to
-the witness of the support it accepts.
+lattice parallelepipeds, convolution towers). Both rank searches, over a
+lattice ball and over a finite table or crystal box, are one pool search,
+`_pool_search`: it numbers the points, checks the witness on their
+successor rows, and runs one exact core, `_search_supports`, on indices.
+The core enumerates only the supports that hold a run longer than 2/delta
+along every shift whose action on the searched points has no cycle and
+that have no isolated point other than 0, since no other support can be
+the first to succeed, and solves one exact LP per class of supports whose
+LPs agree up to the order of their variables and rows, whose optimal
+vertex scales to the witness of the support it accepts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -727,21 +730,6 @@ def _search_supports(
     return None
 
 
-def _check_witness(achieved: Fraction, optimum: Optional[Fraction], delta: Fraction) -> None:
-    """Raises InternalInvariantError unless the accepted weights' defect,
-    derived again, is the search's optimum, or below delta when a zero
-    weight was blended away (optimum None)."""
-    if optimum is None:
-        if not achieved < delta:
-            raise InternalInvariantError(
-                f"blended witness defect {achieved} is not below delta {delta}"
-            )
-    elif achieved != optimum:
-        raise InternalInvariantError(
-            f"witness defect {achieved} disagrees with LP optimum {optimum}"
-        )
-
-
 def _rows_defect(
     rows: Sequence[Sequence[int]], support: Sequence[int], weights: Sequence[Fraction]
 ) -> Fraction:
@@ -762,6 +750,33 @@ def _rows_defect(
     return worst
 
 
+def _pool_search(
+    pool: Iterable, multiply: Callable, identity, omega: Sequence, delta: Fraction, order: Callable,
+    where: str,
+) -> tuple[int, tuple, tuple[Fraction, ...], Fraction]:
+    """The one rank search over a pool of elements. The identity is point 0,
+    the other elements follow in the given sort order, and shift s sends g
+    to multiply(s, g), which leaves the points outside the pool. Runs
+    `_search_supports` on one successor row per shift; on exhaustion raises
+    "no support of size <= n " + where. The accepted weights' defect is
+    derived again from the rows (the support lies in the pool, so it is the
+    group defect too) and must be the search's optimum, or below delta when
+    a zero weight was blended away. Returns (rank, support, weights, defect)."""
+    points = [identity, *sorted((e for e in set(pool) if e != identity), key=order)]
+    index = {e: i for i, e in enumerate(points)}
+    rows = [[index.get(multiply(s, g), -1) for g in points] for s in omega]
+    found = _search_supports(len(points), rows, delta)
+    if found is None:
+        raise RankSearchExhausted(f"no support of size <= {len(points)} {where}")
+    k, support, optimum, weights = found
+    achieved = _rows_defect(rows, support, weights)
+    if optimum is None and not achieved < delta:
+        raise InternalInvariantError(f"blended witness defect {achieved} is not below delta {delta}")
+    if optimum is not None and achieved != optimum:
+        raise InternalInvariantError(f"witness defect {achieved} disagrees with LP optimum {optimum}")
+    return k, tuple(points[i] for i in support), weights, achieved
+
+
 def min_rank_bruteforce(
     group: FgAbelianGroup,
     omega: Sequence[AbelianElement],
@@ -779,8 +794,8 @@ def min_rank_bruteforce(
     key() order, so the returned witness is the canonical first success.
     Containing 0 loses no generality: translating a support translates the
     weighting and leaves every defect unchanged. The search is always exact
-    (`exact` accepts None or True): it runs `_search_supports` on the point
-    indices and derives the witness defect again over the full omega.
+    (`exact` accepts None or True): it is the pool search `_pool_search`,
+    the same one `min_rank_table` runs, with addition as the multiplication.
     """
     omega = list(omega)
     if not omega:
@@ -798,23 +813,13 @@ def min_rank_bruteforce(
     pool = group.ball(radius) if candidates is None else list(candidates)
     if zero not in pool:
         raise ValueError("candidate set must contain 0")
-    points = [zero, *sorted((e for e in set(pool) if e != zero), key=lambda e: e.key())]
-    index = {e: i for i, e in enumerate(points)}
-    found = _search_supports(
-        len(points), [[index.get(e + s, -1) for e in points] for s in omega], delta_frac
+    k, support, weights, achieved = _pool_search(
+        pool, operator.add, zero, omega, delta_frac, AbelianElement.key,
+        f"within radius {radius} achieves defect < {delta}; retry with a larger radius",
     )
-    if found is None:
-        raise RankSearchExhausted(
-            f"no support of size <= {len(points)} within radius {radius} achieves "
-            f"defect < {delta}; retry with a larger radius"
-        )
-    k, support, optimum, weights = found
-    witness = WeightedFunction(group, tuple(points[i] for i in support), weights)
-    achieved = defect(witness, omega)
-    _check_witness(achieved, optimum, delta_frac)
     return RankCertificate(
         rank=k,
-        witness=witness,
+        witness=WeightedFunction(group, support, weights),
         defect=float(achieved),
         delta=float(delta_frac),
         omega=tuple(omega),
@@ -833,29 +838,19 @@ def min_rank_table(
     delta,
 ) -> tuple[int, dict]:
     """Rank search over a finite pool of elements with a multiplication,
-    such as a finite group or a box of a crystal group. Left translation
-    replaces lattice shifts, a product that falls outside the pool leaves
-    the searched points, and supports are listed in repr order; the search
-    is `_search_supports`, whose run bound applies only along a shift with
-    no cycle on the elements, so never on a whole finite group. The witness
-    defect is derived again from the rows. Returns the rank and the witness
-    weight map."""
+    such as a finite group or a box of a crystal group: the pool search
+    `_pool_search` that `min_rank_bruteforce` runs too, by left translation,
+    with supports in repr order and the identity adjoined when missing. Its
+    run bound applies only along a shift with no cycle on the elements, so
+    never on a whole finite group. Returns the rank and the witness map."""
     omega = list(omega)
     if not omega:
         raise ValueError("omega must be nonempty")
-    points = [identity, *sorted((e for e in set(elements) if e != identity), key=repr)]
-    index = {e: i for i, e in enumerate(points)}
-    rows = [[index.get(multiply(s, g), -1) for g in points] for s in omega]
-    delta_frac = exact_delta(delta)
-    found = _search_supports(len(points), rows, delta_frac)
-    if found is None:
-        raise RankSearchExhausted(
-            f"no support of size <= {len(points)} in the pool of elements "
-            f"achieves defect < {delta}"
-        )
-    k, support, optimum, weights = found
-    _check_witness(_rows_defect(rows, support, weights), optimum, delta_frac)
-    return k, {points[i]: w for i, w in zip(support, weights)}
+    k, support, weights, _ = _pool_search(
+        elements, multiply, identity, omega, exact_delta(delta), repr,
+        f"in the pool of elements achieves defect < {delta}",
+    )
+    return k, dict(zip(support, weights))
 
 
 # --- Folner constructions --------------------------------------------------

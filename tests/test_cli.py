@@ -146,6 +146,16 @@ class TestRankCommand:
         )
         assert code == EXIT_COMPUTATION
 
+    def test_exhausted_ball_is_computation_error(self, example_dir):
+        # the radius-1 ball of Z holds 3 points, and 5 are needed below 1/2
+        code, out, err = run_cli(["rank", doc_path(example_dir, "rank_z1.json"), "--radius", "1"])
+        assert code == EXIT_COMPUTATION == 1
+        assert out == ""
+        assert err == (
+            "computation error: no support of size <= 3 within radius 1 achieves "
+            "defect < 0.5; retry with a larger radius\n"
+        )
+
     @pytest.mark.parametrize("delta", ["0", "-0.25"])
     @pytest.mark.parametrize("method", ["lp", "interval", "parallelepiped", "tower"])
     def test_nonpositive_delta_is_computation_error(self, example_dir, method, delta):

@@ -406,6 +406,14 @@ class TestExtensionRankBound:
         assert (report.lhs, report.rhs) == (2, 2)
         assert report.holds
 
+    @pytest.mark.parametrize("delta", [Fraction(0), Fraction(-1, 2)], ids=["0", "-1/2"])
+    def test_delta_must_be_positive(self, delta):
+        # raised by the quotient search, before any box is built
+        g = dihedral_infinite()
+        with pytest.raises(ValueError, match=r"^delta must be positive$") as caught:
+            extension_rank_bound(g, [g.lattice_element((1,))], delta, 2)
+        assert caught.type is ValueError
+
 
 def _center_rank(group, omega, delta, radius):
     """The rank at doubled tolerance searched in the coordinates of the

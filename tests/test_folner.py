@@ -311,6 +311,16 @@ class TestMinRank:
         cert = min_rank_bruteforce(z1, omega, 0.5, 4, candidates=candidates)
         assert cert.rank == 5
 
+    def test_shuffled_doubled_ball_as_candidates(self):
+        # the pool is numbered from its set of elements in key() order, so
+        # neither the order nor repeats of the candidates reach the result
+        omega = [ZC2.element((1,), (1,)), ZC2.element((-1,), (1,))]
+        cert = min_rank_bruteforce(ZC2, omega, F(1, 2), 2)
+        assert (cert.rank, cert.defect_exact) == (5, F(2, 5))
+        pool = ZC2.ball(2) * 2
+        random.Random(7).shuffle(pool)
+        assert min_rank_bruteforce(ZC2, omega, F(1, 2), 2, candidates=pool) == cert
+
     def test_candidates_must_include_zero(self, z1):
         with pytest.raises(ValueError):
             min_rank_bruteforce(
@@ -1015,7 +1025,8 @@ class TestRowRule:
     ids=[case[0] for case in ROW_RULE_CASES],
 )
 def test_rows_defect_matches_the_defect(group, radius, shifts):
-    # the witness check of min_rank_table against `defect` on random
+    # the witness check of the pool search (`_pool_search`, behind both
+    # min_rank_bruteforce and min_rank_table) against `defect` on random
     # weightings, zero, repeated and torsion shifts included
     rng = random.Random(5)
     omega = [group.element(*s) for s in shifts]
@@ -1146,6 +1157,12 @@ class TestMinRankTable:
         mul = lambda a, b: (a + b) % 3
         rank, _ = min_rank_table(elems, mul, 0, [1], F(1, 10))
         assert rank == 3
+
+    def test_missing_identity_is_adjoined(self):
+        # 1..4 in Z/6 with 0 adjoined: the run 0..4 along the shift 1
+        rank, weights = min_rank_table([1, 2, 3, 4], lambda a, b: (a + b) % 6, 0, [1], F(1, 2))
+        assert rank == 5
+        assert weights == {g: F(1, 5) for g in range(5)}
 
     def test_pool_that_is_not_a_group_is_exhausted(self):
         # 0..4 in Z/6: the shift 1 leaves the pool after 4, so every support

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualent.folner import min_rank_bruteforce, min_rank_table
+from dualent.folner import defect, min_rank_bruteforce, min_rank_table
 from dualent.groups import FgAbelianGroup
 from dualent.specdoc import parse_spec
 
@@ -113,6 +113,8 @@ def test_bruteforce_certificate_pinned(search, rank, support, weights, defect_ex
     assert cert.witness.weights == weights
     assert all(type(w) is Fraction for w in cert.witness.weights)
     assert cert.defect_exact == defect_exact
+    # the search checks its witness on the pool's rows; the group defect is the reference
+    assert cert.defect_exact == defect(cert.witness, cert.omega)
 
 
 def _cli_rank_json(name):
