@@ -1,6 +1,6 @@
 """Crystallographic groups: lattice extensions of a finite point group with
-an explicit cocycle, their automorphisms, and entropy via the center of the
-lattice stabilizer.
+an explicit cocycle, their automorphisms, the center of the lattice
+stabilizer, and entropy from the automorphism's action on the lattice.
 
 A group element is a pair (h, a) standing for the product of the chosen
 section at h with the lattice translation a, multiplied by
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .groups import (
@@ -600,20 +600,25 @@ def center_quotient_matrix(
 def crystal_entropy(
     group: CrystalGroup, auto: CrystalAutomorphism, tol: float = 1e-12
 ) -> EntropyEstimate:
-    """Entropy of a crystal automorphism: the spectral entropy of its action
-    on the free part of the stabilizer center."""
-    presentation = stabilizer_center(group)
-    rho = center_quotient_matrix(presentation, auto)
-    inner = eigen_entropy(rho, tol)
-    diagnostics = dict(inner.diagnostics)
-    diagnostics["note"] = "crystal center reduction"
-    diagnostics["center_rank"] = len(presentation.free_basis)
-    return EntropyEstimate(
-        value=inner.value,
-        method="spectral",
-        diagnostics=diagnostics,
-        tolerance=inner.tolerance,
-    )
+    """Entropy of a crystal automorphism: the spectral entropy of its lattice
+    part sigma. The diagnostics keep the center reduction's note, and
+    center_rank is the lattice rank.
+
+    This equals the entropy of the induced matrix rho on the free part of the
+    stabilizer center (`center_quotient_matrix`). Validation forces
+    q(e) = e and t(e) = 0, so the automorphism maps (e, a) to (e, sigma a).
+    The lattice L is torsion-free, central in the lattice stabilizer S and of
+    finite index in its center Z(S), so L maps injectively and equivariantly
+    onto a finite-index sublattice of the free part of Z(S). Hence rho and
+    sigma are conjugate over Q, with equal characteristic polynomials and
+    determinants, which is all eigen_entropy reads.
+    """
+    if auto.group != group:
+        raise ShapeError("automorphism of a different group")
+    inner = eigen_entropy(auto.lattice_part, tol)
+    return replace(inner, diagnostics={
+        **inner.diagnostics, "note": "crystal center reduction", "center_rank": group.rank,
+    })
 
 
 def fg_abelian_entropy(auto: AbelianAutomorphism, tol: float = 1e-12) -> EntropyEstimate:

@@ -37,7 +37,9 @@ from .simplex import UnboundedError, solve_lp
 
 
 class RankSearchExhausted(ArithmeticError):
-    """No support inside the search ball achieved the requested defect."""
+    """No support tried achieved the requested defect: none in a rank search's
+    pool (ball, candidate list, table or crystal box), or in a box or tower
+    route up to its limit."""
 
 
 class DegenerateBasisError(ValueError):
@@ -231,8 +233,11 @@ def sqrt_overlap_check(t: WeightedFunction, h: AbelianElement) -> tuple[float, f
 
 @dataclass(frozen=True)
 class RankCertificate:
-    """Minimal support cardinality achieving defect < delta inside the search
-    ball, together with the witness that achieves it."""
+    """A support size achieving defect < delta, with the witness that
+    achieves it. From `min_rank_bruteforce` it is the least such size on the
+    searched pool, a ball of search_radius or a candidate list
+    (exhaustive_within_radius); from a box or tower route it is an upper
+    bound, and search_radius is the box half-width or the tower depth."""
 
     rank: int
     witness: WeightedFunction

@@ -128,23 +128,21 @@ def _csv_lines(rows) -> str:
     return "\n".join(",".join(_csv_escape(cell) for cell in row) for row in rows) + "\n"
 
 
-def render_csv(result) -> str:
-    """CSV form. A growth series becomes n,size,log_size_over_n rows; other
-    results flatten to header-plus-row of their scalar fields."""
-    if _is(result, "growth", "GrowthSeries"):
-        rows = [("n", "size", "log_size_over_n")]
-        for i, (size, lg) in enumerate(zip(result.sizes, result.log_over_n())):
-            rows.append((i + 1, size, repr(lg)))
-        return _csv_lines(rows)
-    if _is(result, "spectral", "EntropyEstimate"):
-        if result.method == "peters" and "sizes" in result.diagnostics:
-            from .growth import GrowthSeries
+def _series_csv(sizes, log_over_n) -> str:
+    rows = [(n, size, repr(lg)) for n, (size, lg) in enumerate(zip(sizes, log_over_n), 1)]
+    return _csv_lines([("n", "size", "log_size_over_n"), *rows])
 
-            series = GrowthSeries(
-                sizes=tuple(result.diagnostics["sizes"]),
-                capped=bool(result.diagnostics.get("capped", False)),
-            )
-            return render_csv(series)
+
+def render_csv(result) -> str:
+    """CSV form. A growth series, and a peters estimate through the series in
+    its diagnostics, becomes n,size,log_size_over_n rows; other results
+    flatten to header-plus-row of their scalar fields."""
+    if _is(result, "growth", "GrowthSeries"):
+        return _series_csv(result.sizes, result.log_over_n())
+    if _is(result, "spectral", "EntropyEstimate"):
+        diag = result.diagnostics
+        if result.method == "peters" and "sizes" in diag:
+            return _series_csv(diag["sizes"], diag["log_over_n"])
         return _csv_lines([
             ("value", "method", "tolerance"),
             (repr(result.value), result.method, repr(result.tolerance)),

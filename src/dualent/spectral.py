@@ -334,8 +334,10 @@ def complex_roots(p: IntPolynomial, tol: float = DEFAULT_ROOT_TOL) -> list[compl
     """All complex roots of p, repeated with multiplicity.
 
     Multiple roots are handled by exact square-free decomposition first, so
-    the iteration only ever sees simple roots.  Each returned root r satisfies
-    |p(r)| <= tol * sum_i |c_i| |r|^i; a failure to reach that residual raises
+    the iteration only ever sees simple roots.  The residual is checked on
+    each square-free factor f, not on p: each root r returned for f satisfies
+    |f(r)| <= t * sum_i |f_i| |r|^i with t = max(tol, 1e-11), so a tol below
+    1e-11 does not tighten it. A failure to reach that residual raises
     RootFindingError rather than returning silently degraded values.
     """
     roots: list[complex] = []
@@ -349,29 +351,17 @@ def complex_roots(p: IntPolynomial, tol: float = DEFAULT_ROOT_TOL) -> list[compl
     return roots
 
 
-def eigen_entropy(
-    matrix: IntMatrix,
-    tol: float = DEFAULT_ROOT_TOL,
-    endomorphism: bool = False,
-) -> EntropyEstimate:
-    """Entropy of the automorphism of Z^n given by an integer matrix: the sum
-    of log|lambda| over eigenvalues outside the closed unit disc, equivalently
-    the log Mahler measure of the characteristic polynomial.
-
-    With endomorphism=True any nonsingular integer matrix is accepted
-    (injective endomorphism); otherwise the matrix must be unimodular.
+def eigen_entropy(matrix: IntMatrix, tol: float = DEFAULT_ROOT_TOL) -> EntropyEstimate:
+    """Entropy of the automorphism of Z^n given by a unimodular integer
+    matrix: the sum of log|lambda| over eigenvalues outside the closed unit
+    disc, equivalently the log Mahler measure of the characteristic
+    polynomial. A matrix of any other determinant raises ValueError.
     """
     poly = char_poly(matrix)
     # det(t*I - M) at t = 0 is det(-M) = (-1)^n det M.
     d = -poly.coeffs[-1] if poly.degree % 2 else poly.coeffs[-1]
-    if endomorphism:
-        if d == 0:
-            raise ValueError("matrix is singular; no injective endomorphism")
-    elif d not in (1, -1):
-        raise ValueError(
-            f"determinant is {d}; an automorphism of Z^n must be unimodular "
-            "(pass endomorphism=True for injective endomorphisms)"
-        )
+    if d not in (1, -1):
+        raise ValueError(f"determinant is {d}; an automorphism of Z^n must be unimodular")
     roots = complex_roots(poly, tol)
     total = 0.0
     moduli = []

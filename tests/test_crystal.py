@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dualent.groups import FgAbelianGroup, IntMatrix, AbelianAutomorphism
+from dualent.groups import FgAbelianGroup, IntMatrix, AbelianAutomorphism, ShapeError
 from dualent.crystal import (
     GroupValidationError,
     PointGroup,
@@ -23,6 +23,7 @@ from dualent.crystal import (
 from dualent.folner import min_rank_bruteforce
 from dualent.specdoc import parse_spec
 from dualent.laws import random_unimodular
+from dualent.spectral import char_poly, eigen_entropy
 from tests.conftest import EXAMPLE_DIR
 
 CAT = ((2, 1), (1, 1))
@@ -334,6 +335,98 @@ class TestCrystalEntropy:
             g, lattice_part=((1, 0), (0, -1)), translations={"g": (0, 3)}
         )
         assert crystal_entropy(g, auto).value == 0.0
+
+    def test_group_mismatch_raises(self):
+        prod = trivial_product(2, PointGroup.cyclic(2))
+        auto = CrystalAutomorphism.build(prod, lattice_part=CAT)
+        with pytest.raises(ShapeError, match=r"^automorphism of a different group$"):
+            crystal_entropy(point_reflection_square(), auto)
+
+    def test_answers_without_the_center_presentation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("center presentation built")
+
+        monkeypatch.setattr("dualent.crystal.stabilizer_center", refuse)
+        monkeypatch.setattr("dualent.crystal.center_quotient_matrix", refuse)
+        g = trivial_product(2, PointGroup.cyclic(2))
+        est = crystal_entropy(g, CrystalAutomorphism.build(g, lattice_part=CAT))
+        assert abs(est.value - GOLDEN_ENTROPY) < 1e-9
+        assert est.diagnostics["center_rank"] == 2
+
+
+def random_automorphisms(rng, per_group):
+    """Seeded random automorphisms of each canned group: a random lattice
+    block with random translations, or with zero translations, where the
+    group admits it (else the identity: the glide group rejects most
+    blocks), followed by a random word in that group's canned
+    automorphisms."""
+    canned = canned_automorphisms()
+    out = []
+    for g in canned_groups():
+        words = [a for h, a in canned if h == g]
+        for _ in range(per_group):
+            sigma = random_unimodular(rng, g.rank)
+            shifts = {
+                h: [rng.randrange(-9, 10) for _ in range(g.rank)]
+                for h in range(1, g.point_group.order)
+            }
+            auto = CrystalAutomorphism.identity(g)
+            for translations in (shifts, None):
+                try:
+                    auto = CrystalAutomorphism.build(g, lattice_part=sigma, translations=translations)
+                    break
+                except GroupValidationError:
+                    pass
+            for _ in range(rng.randrange(1, 4)):
+                auto = rng.choice(words).compose(auto)
+            out.append((g, auto))
+    return out
+
+
+def c3_inversion():
+    """Z^2 x C3 with the cat map on the lattice and g1 <-> g2 on C3."""
+    g = trivial_product(2, PointGroup.cyclic(3))
+    return g, CrystalAutomorphism.build(g, lattice_part=CAT, quotient_map=("e", "g2", "g1"))
+
+
+class TestLatticeRoute:
+    """crystal_entropy reads the lattice part sigma; the center route reads
+    the induced matrix rho on the free part of the stabilizer center. The two
+    are conjugate over Q, so every entropy byte agrees."""
+
+    DOCUMENTS = ("crystal_dinfty", "crystal_glide", "crystal_p2_catmap", "crystal_z2xc2_catmap")
+
+    def test_center_route_agrees_on_documents_canned_and_random(self):
+        docs = [parse_spec(str(EXAMPLE_DIR / f"{name}.json")) for name in self.DOCUMENTS]
+        random_instances = random_automorphisms(random.Random(27), 26)
+        assert len(random_instances) >= 100
+        instances = (
+            [(doc.group, doc.automorphism) for doc in docs]
+            + canned_automorphisms()
+            + random_instances
+            + [c3_inversion()]
+        )
+        for g, auto in instances:
+            presentation = stabilizer_center(g)
+            rho = center_quotient_matrix(presentation, auto)
+            assert char_poly(rho) == char_poly(auto.lattice_part), (g, auto)
+            center = eigen_entropy(rho)
+            est = crystal_entropy(g, auto)
+            assert est.value == center.value
+            for key in ("root_moduli", "char_poly", "determinant"):
+                assert est.diagnostics[key] == center.diagnostics[key], key
+            assert est.diagnostics["center_rank"] == len(presentation.free_basis)
+            assert est.diagnostics["note"] == "crystal center reduction"
+
+    def test_c3_inversion_center_matrix_differs_from_sigma(self):
+        # the Smith basis of the center mixes the lattice with the C3
+        # generator, so rho is another integer matrix with sigma's
+        # characteristic polynomial
+        g, auto = c3_inversion()
+        rho = center_quotient_matrix(stabilizer_center(g), auto)
+        assert rho == IntMatrix(((1, 1), (1, 2)))
+        assert rho != auto.lattice_part
+        assert crystal_entropy(g, auto).value == eigen_entropy(rho).value
 
 
 class TestFgAbelianEntropy:

@@ -6,7 +6,7 @@ import pytest
 from dualent.crystal import dihedral_infinite, extension_rank_bound
 from dualent.groups import FgAbelianGroup
 from dualent.folner import WeightedFunction, min_rank_bruteforce
-from dualent.growth import GrowthSeries
+from dualent.growth import GrowthSeries, growth_rate_estimate
 from dualent.spectral import eigen_entropy
 from dualent.groups import IntMatrix
 from dualent.reports import emit_report, render_json, render_csv, render_text
@@ -48,6 +48,12 @@ def test_growth_series_csv():
     assert lines[0] == "n,size,log_size_over_n"
     assert lines[1].startswith("1,4,")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("sizes, capped", [((4, 12, 33), False), ((3, 9, 21, 39, 63), True)])
+def test_peters_estimate_csv_is_its_series_csv(sizes, capped):
+    series = GrowthSeries(sizes=sizes, capped=capped)
+    assert emit_report(growth_rate_estimate(series), "csv") == emit_report(series, "csv")
 
 
 def test_entropy_csv_single_row(cat_matrix):

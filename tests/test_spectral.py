@@ -374,15 +374,9 @@ def test_entropy_transpose_invariant(cat_matrix):
 
 
 def test_entropy_rejects_non_unimodular_by_default():
-    with pytest.raises(ValueError):
+    message = r"^determinant is 2; an automorphism of Z\^n must be unimodular$"
+    with pytest.raises(ValueError, match=message):
         eigen_entropy(IntMatrix(((2, 0), (0, 1))))
-
-
-def test_entropy_endomorphism_mode():
-    est = eigen_entropy(IntMatrix(((2, 0), (0, 1))), endomorphism=True)
-    assert est.value == pytest.approx(math.log(2), abs=1e-9)
-    with pytest.raises(ValueError):
-        eigen_entropy(IntMatrix(((1, 0), (0, 0))), endomorphism=True)
 
 
 def test_entropy_diagnostics_payload(cat_matrix):
