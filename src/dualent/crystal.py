@@ -143,10 +143,26 @@ class PointGroup:
 # --- crystallographic groups -----------------------------------------------
 
 
+def _unit(p: int, i: int) -> tuple[int, ...]:
+    return tuple(int(j == i) for j in range(p))
+
+
+def _first_differing_column(a: IntMatrix, b: IntMatrix) -> Optional[int]:
+    """The first i with a e_i != b e_i, or None when a == b."""
+    return next(
+        (i for i, (x, y) in enumerate(zip(zip(*a.entries), zip(*b.entries))) if x != y),
+        None,
+    )
+
+
 @dataclass(frozen=True)
 class CrystalGroup:
     """Extension of a finite point group by the lattice Z^p, described by a
-    lattice action and an integer cocycle against a fixed unital section."""
+    lattice action and an integer cocycle against a fixed unital section.
+
+    The product is associative exactly when, for all h, k, l in F,
+    A(l)A(k) = A(kl) and theta(hk, l) + A(l) theta(h, k) =
+    theta(h, kl) + theta(k, l); both are checked at construction."""
 
     point_group: PointGroup
     rank: int
@@ -183,26 +199,32 @@ class CrystalGroup:
         object.__setattr__(self, "action", acts)
         object.__setattr__(self, "cocycle", coc)
 
-        # Associativity over representatives (h, 0) and (h, e_i) is exact for
-        # the whole group because multiplication is affine in each lattice slot.
-        sample = self._validation_sample()
-        for x in sample:
-            for y in sample:
-                for z in sample:
-                    if (x * y) * z != x * (y * z):
+        # ((h, a)(k, b))(l, c) and (h, a)((k, b)(l, c)) have lattice parts
+        # theta(hk, l) + A(l)theta(h, k) + A(l)A(k)a + A(l)b + c and
+        # theta(h, kl) + theta(k, l) + A(kl)a + A(l)b + c, so the product is
+        # associative exactly when A is a right action and theta a 2-cocycle.
+        mul = f.table
+        for k in range(n):
+            for l in range(n):
+                i = _first_differing_column(acts[l] * acts[k], acts[mul[k][l]])
+                if i is not None:
+                    raise GroupValidationError(
+                        f"associativity fails at {self.element(e, _unit(p, i))}, "
+                        f"{self.element(k, (0,) * p)}, {self.element(l, (0,) * p)}: "
+                        f"A({f.elements[l]})A({f.elements[k]}) != A({f.elements[mul[k][l]]})"
+                    )
+        for h in range(n):
+            for k in range(n):
+                for l in range(n):
+                    moved = acts[l].apply(coc[h][k])
+                    lhs = tuple(map(operator.add, coc[mul[h][k]][l], moved))
+                    rhs = tuple(map(operator.add, coc[h][mul[k][l]], coc[k][l]))
+                    if lhs != rhs:
+                        x, y, z = (self.element(g, (0,) * p) for g in (h, k, l))
                         raise GroupValidationError(
-                            f"associativity fails at {x}, {y}, {z}"
+                            f"associativity fails at {x}, {y}, {z}: "
+                            "the cocycle identity does not hold"
                         )
-
-    def _validation_sample(self) -> list["CrystalElement"]:
-        vecs = [(0,) * self.rank]
-        for i in range(self.rank):
-            vecs.append(tuple(int(j == i) for j in range(self.rank)))
-        return [
-            CrystalElement(self, h, v)
-            for h in range(self.point_group.order)
-            for v in vecs
-        ]
 
     def element(self, fpart, lattice: Sequence[int]) -> "CrystalElement":
         if isinstance(fpart, str):
@@ -259,6 +281,9 @@ class CrystalElement:
     def key(self):
         return (self.fpart, self.lattice)
 
+    def __str__(self) -> str:
+        return f"({self.label()}, {self.lattice})"
+
 
 # --- automorphisms ----------------------------------------------------------
 
@@ -268,9 +293,10 @@ class CrystalAutomorphism:
     """Automorphism (quotient bijection, lattice matrix, section translations)
     acting by (h, a) -> (qh, t(h) + sigma a).
 
-    Validity is the homomorphism identity, checked exhaustively over pairs of
-    representatives (h, 0), (h, e_i); affineness in the lattice slots makes
-    that finite check conclusive.
+    It is a homomorphism exactly when, for all h, k in F, q(hk) = q(h)q(k),
+    sigma A(k) = A(q(k)) sigma and t(hk) + sigma theta(h, k) =
+    theta(q(h), q(k)) + A(q(k)) t(h) + t(k); these are checked at
+    construction, and with q a bijection and sigma unimodular it is bijective.
     """
 
     group: CrystalGroup
@@ -293,15 +319,40 @@ class CrystalAutomorphism:
         object.__setattr__(self, "quotient_map", q)
         object.__setattr__(self, "translations", trans)
 
-        sample = g._validation_sample()
-        for x in sample:
-            for y in sample:
-                if self.apply(x * y) != self.apply(x) * self.apply(y):
+        # gamma((h, a)(k, b)) and gamma(h, a)gamma(k, b) have point parts
+        # q(hk) and q(h)q(k) and lattice parts t(hk) + sigma theta(h, k) +
+        # sigma A(k)a + sigma b and theta(qh, qk) + A(qk)t(h) + t(k) +
+        # A(qk)sigma a + sigma b. They agree for all a, b exactly when the
+        # three identities below hold, and then q(e) = e and t(e) = 0, so
+        # gamma fixes the identity.
+        f = g.point_group
+        mul, coc, acts, sigma = f.table, g.cocycle, g.action, self.lattice_part
+        zero = (0,) * p
+        for h in range(n):
+            for k in range(n):
+                if q[mul[h][k]] != mul[q[h]][q[k]]:
                     raise GroupValidationError(
-                        f"not a homomorphism: fails at {x}, {y}"
+                        f"not a homomorphism: fails at {g.element(h, zero)}, "
+                        f"{g.element(k, zero)}: q is not a homomorphism of F"
                     )
-        if not self.apply(g.identity_element()).is_identity():
-            raise GroupValidationError("automorphism must fix the identity")
+        for h in range(n):
+            for k in range(n):
+                lhs = tuple(map(operator.add, trans[mul[h][k]], sigma.apply(coc[h][k])))
+                moved = acts[q[k]].apply(trans[h])
+                rhs = tuple(a + b + c for a, b, c in zip(coc[q[h]][q[k]], moved, trans[k]))
+                if lhs != rhs:
+                    raise GroupValidationError(
+                        f"not a homomorphism: fails at {g.element(h, zero)}, "
+                        f"{g.element(k, zero)}: the translations do not match the cocycle"
+                    )
+        for k in range(n):
+            i = _first_differing_column(sigma * acts[k], acts[q[k]] * sigma)
+            if i is not None:
+                raise GroupValidationError(
+                    f"not a homomorphism: fails at {g.element(f.identity, _unit(p, i))}, "
+                    f"{g.element(k, zero)}: the lattice part does not intertwine "
+                    f"A({f.elements[k]}) with A({f.elements[q[k]]})"
+                )
 
     @classmethod
     def build(

@@ -264,9 +264,41 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
 # Root finding
 
 
+def _reciprocal_sums(xs: Sequence[complex]) -> list[complex]:
+    """For each i, the sum over j != i of 1/(x_i - x_j), added in increasing
+    j from 0j, with 1/1e-12 for a coincident pair (x_i - x_j == 0).
+
+    Each difference and its reciprocal is computed once per pair i < j. The
+    term 1/(x_i - x_j) goes to root i's row; root j gets it through col[j],
+    which sums the terms 1/(x_i - x_j) = -1/(x_j - x_i) over i < j, so root
+    j starts from 0j - col[j] and then adds its own row. That is the same
+    float sum bit for bit: CPython's complex subtraction and division are
+    sign-symmetric, negating every term of a left-to-right sum negates each
+    partial sum, and an accumulator that starts at +0 never holds -0. A
+    coincident pair gives +1/1e-12 to both roots, so col subtracts it."""
+    n = len(xs)
+    col = [0j] * n
+    out = []
+    for i, x in enumerate(xs):
+        s = 0j - col[i]
+        for j in range(i + 1, n):
+            d = x - xs[j]
+            if d:
+                r = 1 / d
+                col[j] += r
+            else:
+                r = 1 / 1e-12
+                col[j] -= r
+            s += r
+        out.append(s)
+    return out
+
+
 def _aberth_simple_roots(coeffs: Sequence[int]) -> list[complex]:
     """All roots of a square-free polynomial by Aberth-Ehrlich simultaneous
-    iteration in double precision."""
+    iteration in double precision. Each sweep corrects every root from the
+    previous sweep's roots; plain float and complex arithmetic only, so the
+    bits do not depend on numpy or on how builtin sum() rounds."""
     n = len(coeffs) - 1
     if n == 0:
         return []
@@ -279,16 +311,19 @@ def _aberth_simple_roots(coeffs: Sequence[int]) -> list[complex]:
         radius * cmath.exp(2j * math.pi * (k / n) + 0.4j)
         for k in range(n)
     ]
+    # p(x) and p'(x) by Horner in one loop, each started at its leading
+    # coefficient (0j * x + c is c exactly).
+    first, dfirst = cs[0], dcs[0]
+    middle = list(zip(cs[1:-1], dcs[1:]))
     last = cs[-1]
 
     for _ in range(_ABERTH_MAX_ITERATIONS):
         converged = True
         new_roots = roots[:]
+        sums = _reciprocal_sums(roots)
         for i, x in enumerate(roots):
-            # p(x) and p'(x) by Horner in one loop: each takes the same steps
-            # as in a loop of its own.
-            px = dpx = 0j
-            for c, dc in zip(cs, dcs):
+            px, dpx = first, dfirst
+            for c, dc in middle:
                 px = px * x + c
                 dpx = dpx * x + dc
             px = px * x + last
@@ -299,12 +334,7 @@ def _aberth_simple_roots(coeffs: Sequence[int]) -> list[complex]:
                 converged = False
                 continue
             w = px / dpx
-            s = 0j
-            for y in roots[:i]:
-                s += 1 / ((x - y) or 1e-12)
-            for y in roots[i + 1:]:
-                s += 1 / ((x - y) or 1e-12)
-            denom = 1 - w * s
+            denom = 1 - w * sums[i]
             if denom == 0:
                 correction = w
             else:

@@ -308,6 +308,32 @@ class TestErrorPaths:
             assert out == ""
             assert err == "spec error: not UTF-8 text: invalid continuation byte at byte 49\n"
 
+    @pytest.mark.parametrize("broken, message", [
+        ({"group": {"cocycle": {"g,g": [1]}}},
+         "spec error: group: associativity fails at (g, (0,)), (g, (0,)), (g, (0,)): "
+         "the cocycle identity does not hold\n"),
+        ({"group": {"action": {"g": [[1]]}}, "auto": {"lattice": [[1]], "translation": {"g": [1]}}},
+         "spec error: auto: not a homomorphism: fails at (g, (0,)), (g, (0,)): "
+         "the translations do not match the cocycle\n"),
+    ])
+    def test_crystal_rejection_names_elements(self, tmp_path, broken, message):
+        doc = {
+            "group": {
+                "kind": "crystal", "rank": 1,
+                "point_group": {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]},
+                "action": {"g": [[-1]]},
+            },
+            "auto": {"lattice": [[1]]},
+        }
+        for key, part in broken.items():
+            doc[key].update(part)
+        p = tmp_path / "crystal.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(["entropy", str(p)])
+        assert code == EXIT_SPEC
+        assert out == ""
+        assert err == message
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "1e400"])
     @pytest.mark.parametrize("command, key", [("rank", "delta"), ("entropy", "tol")])
     def test_non_finite_params_are_spec_errors(self, tmp_path, command, key, constant):

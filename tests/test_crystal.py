@@ -1,5 +1,9 @@
+import ast
+import functools
 import itertools
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -188,6 +192,265 @@ class TestCrystalAutomorphism:
         assert auto.power(2).apply(x) == auto.apply(auto.apply(x))
         assert auto.power(-1).apply(auto.apply(x)) == x
         assert auto.power(0).apply(x) == x
+
+
+def _group(point_group, action, cocycle=None):
+    """A crystal group from action matrices and a {(h, k): vector} cocycle
+    (zero where absent), both keyed by point-group index."""
+    n = point_group.order
+    rank = len(action[0])
+    coc = [[(0,) * rank for _ in range(n)] for _ in range(n)]
+    for (h, k), vec in (cocycle or {}).items():
+        coc[h][k] = tuple(vec)
+    return CrystalGroup(
+        point_group=point_group,
+        rank=rank,
+        action=tuple(IntMatrix(tuple(map(tuple, m))) for m in action),
+        cocycle=tuple(map(tuple, coc)),
+    )
+
+
+class TestValidationMessages:
+    """Each defect class names a failing triple or pair by label and
+    lattice vector, never by the group's repr."""
+
+    def test_broken_cocycle_identity(self):
+        with pytest.raises(GroupValidationError) as err:
+            _group(PointGroup.cyclic(2), (((1,),), ((-1,),)), {(1, 1): (1,)})
+        assert str(err.value) == (
+            "associativity fails at (g1, (0,)), (g1, (0,)), (g1, (0,)): "
+            "the cocycle identity does not hold"
+        )
+
+    def test_non_multiplicative_action(self):
+        with pytest.raises(GroupValidationError) as err:
+            _group(PointGroup.cyclic(3), (((1,),), ((-1,),), ((-1,),)))
+        assert str(err.value) == (
+            "associativity fails at (e, (1,)), (g1, (0,)), (g1, (0,)): A(g1)A(g1) != A(g2)"
+        )
+
+    def test_quotient_map_not_a_homomorphism(self):
+        g = trivial_product(1, PointGroup.cyclic(4))
+        with pytest.raises(GroupValidationError) as err:
+            CrystalAutomorphism.build(g, quotient_map=("e", "g2", "g1", "g3"))
+        assert str(err.value) == (
+            "not a homomorphism: fails at (g1, (0,)), (g1, (0,)): q is not a homomorphism of F"
+        )
+
+    def test_lattice_part_does_not_intertwine(self):
+        g = _group(PointGroup.cyclic(2), (((1, 0), (0, 1)), ((1, 0), (0, -1))))
+        with pytest.raises(GroupValidationError) as err:
+            CrystalAutomorphism.build(g, lattice_part=CAT)
+        assert str(err.value) == (
+            "not a homomorphism: fails at (e, (1, 0)), (g1, (0, 0)): "
+            "the lattice part does not intertwine A(g1) with A(g1)"
+        )
+
+    def test_bad_translations(self):
+        with pytest.raises(GroupValidationError) as err:
+            CrystalAutomorphism.build(glide_plane_group(), translations={"g": (1, 0)})
+        assert str(err.value) == (
+            "not a homomorphism: fails at (g, (0, 0)), (g, (0, 0)): "
+            "the translations do not match the cocycle"
+        )
+
+
+# --- the sampled-product reference ------------------------------------------
+# Validation as first written: the multiplication rule of docs/format.md on
+# every triple (or pair) of representatives (h, 0), (h, e_i).
+
+
+def _raw_product(table, action, cocycle, x, y):
+    (h, a), (k, b) = x, y
+    moved = action[k].apply(a)
+    return table[h][k], tuple(t + m + c for t, m, c in zip(cocycle[h][k], moved, b))
+
+
+def _sample(order, rank):
+    vecs = [(0,) * rank] + [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    return [(h, v) for h in range(order) for v in vecs]
+
+
+def _sampled_failure(table, action, cocycle, rank):
+    def mul(x, y):
+        return _raw_product(table, action, cocycle, x, y)
+
+    for x in _sample(len(table), rank):
+        for y in _sample(len(table), rank):
+            for z in _sample(len(table), rank):
+                if mul(mul(x, y), z) != mul(x, mul(y, z)):
+                    return x, y, z
+    return None
+
+
+def _sampled_hom_failure(group, q, sigma, trans):
+    def mul(x, y):
+        return _raw_product(group.point_group.table, group.action, group.cocycle, x, y)
+
+    def gamma(x):
+        return q[x[0]], tuple(a + b for a, b in zip(trans[x[0]], sigma.apply(x[1])))
+
+    for x in _sample(group.point_group.order, group.rank):
+        for y in _sample(group.point_group.order, group.rank):
+            if gamma(mul(x, y)) != mul(gamma(x), gamma(y)):
+                return x, y
+    if gamma((group.point_group.identity, (0,) * group.rank)) != (0, (0,) * group.rank):
+        return "identity"
+    return None
+
+
+def _named_elements(message, labels):
+    """The (label, vector) pairs a rejection message names."""
+    return [
+        (labels.index(lab), ast.literal_eval(vec))
+        for lab, vec in re.findall(r"\((\w+), (\([-\d, ]*\))\)", message)
+    ]
+
+
+SWAP = ((0, 1), (1, 0))
+ROT4 = ((0, -1), (1, 0))
+ROT3 = ((0, -1), (1, -1))
+MATRICES = ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), SWAP, ROT4, ROT3, CAT
+
+
+def matrix_point_group(generators):
+    """The finite group generated by integer matrices, acting on the right:
+    hk is the element with A(hk) = A(k)A(h), so A(l)A(k) = A(kl)."""
+    mats = [IntMatrix.identity(len(generators[0]))]
+    for m in mats:
+        for gen in generators:
+            nxt = IntMatrix(gen) * m
+            if nxt not in mats:
+                mats.append(nxt)
+    table = tuple(tuple(mats.index(b * a) for b in mats) for a in mats)
+    labels = ("e",) + tuple(f"m{i}" for i in range(1, len(mats)))
+    return _group(PointGroup(labels, table), [m.entries for m in mats])
+
+
+def base_groups():
+    """The canned groups, Z, and the split groups of C4, C3, C2 x C2 and the
+    nonabelian S3 acting on Z^2."""
+    return canned_groups() + [
+        trivial_product(1, PointGroup.trivial()),
+        matrix_point_group([ROT4]),
+        matrix_point_group([ROT3]),
+        matrix_point_group([((1, 0), (0, -1)), ((-1, 0), (0, 1))]),
+        matrix_point_group([ROT3, SWAP]),
+    ]
+
+
+def twisted(rng, g):
+    """g with its cocycle changed by a random coboundary: the section
+    h -> (h, c(h)), c(e) = 0, gives theta(h, k) + A(k)c(h) + c(k) - c(hk),
+    again a valid cocycle."""
+    f, p = g.point_group, g.rank
+    c = [(0,) * p if h == f.identity else tuple(rng.randrange(-3, 4) for _ in range(p))
+         for h in range(f.order)]
+    coc = tuple(
+        tuple(
+            tuple(t + m + b - d for t, m, b, d in zip(
+                g.cocycle[h][k], g.action[k].apply(c[h]), c[k], c[f.multiply(h, k)]))
+            for k in range(f.order)
+        )
+        for h in range(f.order)
+    )
+    return replace(g, cocycle=coc)
+
+
+def sampled_automorphisms(g):
+    """Every (q, sigma, t) the sampled products accept with q fixing e,
+    sigma in a small set of blocks, and t(h) in {-1, 0, 1}^p for point
+    groups of order 2 (zero otherwise)."""
+    f, p = g.point_group, g.rank
+    blocks = [IntMatrix(m) for m in MATRICES] if p == 2 else [IntMatrix(((1,),)), IntMatrix(((-1,),))]
+    shifts = itertools.product(range(-1, 2), repeat=p) if f.order == 2 else [(0,) * p]
+    out = []
+    for t in shifts:
+        trans = [(0,) * p if h == f.identity else t for h in range(f.order)]
+        for q in itertools.permutations(range(f.order)):
+            if q[f.identity] != f.identity:
+                continue
+            for sigma in blocks:
+                if _sampled_hom_failure(g, q, sigma, trans) is None:
+                    out.append((q, sigma, trans))
+    return out
+
+
+class TestValidationAgainstSampledProducts:
+    """Checking the defining identities accepts exactly the tables the
+    sampled products accept, and a rejection names elements that really
+    fail the multiplication rule."""
+
+    def test_groups(self):
+        rng = random.Random(28)
+        bases = base_groups()
+        decisions = []
+        for _ in range(160):
+            g = twisted(rng, rng.choice(bases))
+            f, p = g.point_group, g.rank
+            action = list(g.action)
+            coc = [list(row) for row in g.cocycle]
+            others = [h for h in range(f.order) if h != f.identity]
+            kind = rng.randrange(4)
+            if others and kind in (1, 3):
+                h, k = rng.choice(others), rng.choice(others)
+                coc[h][k] = tuple(x + rng.randrange(-2, 3) for x in coc[h][k])
+            if others and kind in (2, 3):
+                blocks = MATRICES if p == 2 else (((1,),), ((-1,),))
+                action[rng.choice(others)] = IntMatrix(rng.choice(blocks))
+            failure = _sampled_failure(f.table, action, coc, p)
+            try:
+                CrystalGroup(f, p, tuple(action), tuple(map(tuple, coc)))
+            except GroupValidationError as exc:
+                assert failure is not None, exc
+                named = _named_elements(str(exc), list(f.elements))
+                assert len(named) == 3, exc
+                x, y, z = named
+                mul = functools.partial(_raw_product, f.table, action, coc)
+                assert mul(mul(x, y), z) != mul(x, mul(y, z)), exc
+                decisions.append(False)
+            else:
+                assert failure is None, failure
+                decisions.append(True)
+        assert 40 < sum(decisions) < 120
+
+    def test_automorphisms(self):
+        rng = random.Random(29)
+        groups = [twisted(rng, g) for g in base_groups() for _ in range(2)]
+        pools = [(g, sampled_automorphisms(g)) for g in groups]
+        decisions = []
+        for _ in range(300):
+            g, pool = rng.choice(pools)
+            f, p = g.point_group, g.rank
+            q, sigma, trans = rng.choice(pool)
+            q, trans = list(q), [list(t) for t in trans]
+            kind = rng.randrange(4)
+            if kind == 1:
+                h = rng.randrange(f.order)
+                trans[h] = [x + rng.randrange(-2, 3) for x in trans[h]]
+            elif kind == 2:
+                sigma = random_unimodular(rng, p)
+            elif kind == 3:
+                rng.shuffle(q)
+            failure = _sampled_hom_failure(g, q, sigma, trans)
+            try:
+                CrystalAutomorphism(g, tuple(q), sigma, tuple(map(tuple, trans)))
+            except GroupValidationError as exc:
+                assert failure is not None, exc
+                named = _named_elements(str(exc), list(f.elements))
+                assert len(named) == 2, exc
+                x, y = named
+                mul = functools.partial(_raw_product, f.table, g.action, g.cocycle)
+
+                def gamma(z):
+                    return q[z[0]], tuple(a + b for a, b in zip(trans[z[0]], sigma.apply(z[1])))
+
+                assert gamma(mul(x, y)) != mul(gamma(x), gamma(y)), exc
+                decisions.append(False)
+            else:
+                assert failure is None, failure
+                decisions.append(True)
+        assert 75 < sum(decisions) < 250
 
 
 class TestStabilizerCenter:

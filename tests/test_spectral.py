@@ -176,6 +176,51 @@ def test_aberth_matches_reference_bit_for_bit():
         _check_aberth_against_reference(coeffs)
 
 
+def per_root_reciprocal_sums(xs) -> list[complex]:
+    """For each root, the sum over the others of 1/(x_i - x_j), added in
+    increasing j from 0j, with 1/1e-12 for a coincident pair: the formula
+    _reciprocal_sums must give bit for bit while sharing each pair."""
+    out = []
+    for i, x in enumerate(xs):
+        s = 0j
+        for j, y in enumerate(xs):
+            if j != i:
+                s += 1 / ((x - y) or 1e-12)
+        out.append(s)
+    return out
+
+
+# Signed zeros, halves and small integers: differences with an exactly zero
+# real or imaginary part, coincident points and exactly cancelling terms.
+GRID = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("xs", [
+    [],
+    [1 + 1j],
+    [1 + 1j, 1 + 1j],
+    [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)],
+    [1j, -1j, 2j, 1 + 0j, -1 + 0j, 2 + 0j],
+    [1 + 2j, 1 - 3j, 1 + 2j, 4 + 2j, 1 + 2j],
+    [0.5 + 0.5j, -0.5 - 0.5j, 0.5 - 0.5j, -0.5 + 0.5j, 0j],
+])
+def test_reciprocal_sums_match_the_per_root_formula(xs):
+    assert _hex_roots(spectral._reciprocal_sums(xs)) == _hex_roots(per_root_reciprocal_sums(xs))
+
+
+def test_reciprocal_sums_match_the_per_root_formula_on_seeded_grids():
+    rng = random.Random(28)
+    for _ in range(400):
+        n = rng.randrange(2, 10)
+        xs = [complex(rng.choice(GRID), rng.choice(GRID)) for _ in range(n)]
+        assert _hex_roots(spectral._reciprocal_sums(xs)) == _hex_roots(per_root_reciprocal_sums(xs)), xs
+    for _ in range(200):
+        n = rng.randrange(2, 14)
+        xs = [cmath.rect(rng.uniform(0.1, 3.0), rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+        xs += [rng.choice(xs) for _ in range(rng.randrange(3))]
+        assert _hex_roots(spectral._reciprocal_sums(xs)) == _hex_roots(per_root_reciprocal_sums(xs)), xs
+
+
 def test_char_poly_matches_reference_on_unimodular_matrices():
     rng = random.Random(2024)
     for dim in range(2, 13):
