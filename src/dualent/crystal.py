@@ -143,16 +143,12 @@ class PointGroup:
 # --- crystallographic groups -----------------------------------------------
 
 
-def _unit(p: int, i: int) -> tuple[int, ...]:
-    return tuple(int(j == i) for j in range(p))
-
-
-def _first_differing_column(a: IntMatrix, b: IntMatrix) -> Optional[int]:
-    """The first i with a e_i != b e_i, or None when a == b."""
-    return next(
-        (i for i, (x, y) in enumerate(zip(zip(*a.entries), zip(*b.entries))) if x != y),
-        None,
-    )
+def _first_separating_unit(a: IntMatrix, b: IntMatrix) -> Optional[tuple[int, ...]]:
+    """The first unit vector e_i with a e_i != b e_i, or None when a == b."""
+    for i, (x, y) in enumerate(zip(zip(*a.entries), zip(*b.entries))):
+        if x != y:
+            return tuple(int(j == i) for j in range(a.dim))
+    return None
 
 
 @dataclass(frozen=True)
@@ -203,24 +199,24 @@ class CrystalGroup:
         # theta(hk, l) + A(l)theta(h, k) + A(l)A(k)a + A(l)b + c and
         # theta(h, kl) + theta(k, l) + A(kl)a + A(l)b + c, so the product is
         # associative exactly when A is a right action and theta a 2-cocycle.
-        mul = f.table
+        mul, zero = f.table, (0,) * p
         for k in range(n):
             for l in range(n):
-                i = _first_differing_column(acts[l] * acts[k], acts[mul[k][l]])
-                if i is not None:
+                unit = _first_separating_unit(acts[l] * acts[k], acts[mul[k][l]])
+                if unit is not None:
                     raise GroupValidationError(
-                        f"associativity fails at {self.element(e, _unit(p, i))}, "
-                        f"{self.element(k, (0,) * p)}, {self.element(l, (0,) * p)}: "
+                        f"associativity fails at {self.element(e, unit)}, "
+                        f"{self.element(k, zero)}, {self.element(l, zero)}: "
                         f"A({f.elements[l]})A({f.elements[k]}) != A({f.elements[mul[k][l]]})"
                     )
         for h in range(n):
             for k in range(n):
                 for l in range(n):
                     moved = acts[l].apply(coc[h][k])
-                    lhs = tuple(map(operator.add, coc[mul[h][k]][l], moved))
-                    rhs = tuple(map(operator.add, coc[h][mul[k][l]], coc[k][l]))
+                    lhs = tuple(a + b for a, b in zip(coc[mul[h][k]][l], moved))
+                    rhs = tuple(a + b for a, b in zip(coc[h][mul[k][l]], coc[k][l]))
                     if lhs != rhs:
-                        x, y, z = (self.element(g, (0,) * p) for g in (h, k, l))
+                        x, y, z = (self.element(j, zero) for j in (h, k, l))
                         raise GroupValidationError(
                             f"associativity fails at {x}, {y}, {z}: "
                             "the cocycle identity does not hold"
@@ -337,7 +333,7 @@ class CrystalAutomorphism:
                     )
         for h in range(n):
             for k in range(n):
-                lhs = tuple(map(operator.add, trans[mul[h][k]], sigma.apply(coc[h][k])))
+                lhs = tuple(a + b for a, b in zip(trans[mul[h][k]], sigma.apply(coc[h][k])))
                 moved = acts[q[k]].apply(trans[h])
                 rhs = tuple(a + b + c for a, b, c in zip(coc[q[h]][q[k]], moved, trans[k]))
                 if lhs != rhs:
@@ -346,10 +342,10 @@ class CrystalAutomorphism:
                         f"{g.element(k, zero)}: the translations do not match the cocycle"
                     )
         for k in range(n):
-            i = _first_differing_column(sigma * acts[k], acts[q[k]] * sigma)
-            if i is not None:
+            unit = _first_separating_unit(sigma * acts[k], acts[q[k]] * sigma)
+            if unit is not None:
                 raise GroupValidationError(
-                    f"not a homomorphism: fails at {g.element(f.identity, _unit(p, i))}, "
+                    f"not a homomorphism: fails at {g.element(f.identity, unit)}, "
                     f"{g.element(k, zero)}: the lattice part does not intertwine "
                     f"A({f.elements[k]}) with A({f.elements[q[k]]})"
                 )

@@ -313,6 +313,11 @@ ROT3 = ((0, -1), (1, -1))
 MATRICES = ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), SWAP, ROT4, ROT3, CAT
 
 
+def blocks(p):
+    """Unimodular p x p matrices to try as actions and lattice parts."""
+    return [IntMatrix(m) for m in (MATRICES if p == 2 else (((1,),), ((-1,),)))]
+
+
 def matrix_point_group(generators):
     """The finite group generated by integer matrices, acting on the right:
     hk is the element with A(hk) = A(k)A(h), so A(l)A(k) = A(kl)."""
@@ -362,7 +367,6 @@ def sampled_automorphisms(g):
     sigma in a small set of blocks, and t(h) in {-1, 0, 1}^p for point
     groups of order 2 (zero otherwise)."""
     f, p = g.point_group, g.rank
-    blocks = [IntMatrix(m) for m in MATRICES] if p == 2 else [IntMatrix(((1,),)), IntMatrix(((-1,),))]
     shifts = itertools.product(range(-1, 2), repeat=p) if f.order == 2 else [(0,) * p]
     out = []
     for t in shifts:
@@ -370,7 +374,7 @@ def sampled_automorphisms(g):
         for q in itertools.permutations(range(f.order)):
             if q[f.identity] != f.identity:
                 continue
-            for sigma in blocks:
+            for sigma in blocks(p):
                 if _sampled_hom_failure(g, q, sigma, trans) is None:
                     out.append((q, sigma, trans))
     return out
@@ -396,8 +400,7 @@ class TestValidationAgainstSampledProducts:
                 h, k = rng.choice(others), rng.choice(others)
                 coc[h][k] = tuple(x + rng.randrange(-2, 3) for x in coc[h][k])
             if others and kind in (2, 3):
-                blocks = MATRICES if p == 2 else (((1,),), ((-1,),))
-                action[rng.choice(others)] = IntMatrix(rng.choice(blocks))
+                action[rng.choice(others)] = rng.choice(blocks(p))
             failure = _sampled_failure(f.table, action, coc, p)
             try:
                 CrystalGroup(f, p, tuple(action), tuple(map(tuple, coc)))

@@ -25,7 +25,12 @@ import pytest
 from dualent.cli import EXIT_OK, main
 from dualent.groups import IntMatrix
 from dualent.laws import random_unimodular
-from dualent.spectral import _aberth_simple_roots, char_poly, eigen_entropy, squarefree_decomposition
+from dualent.spectral import (
+    _aberth_simple_roots,
+    char_poly,
+    eigen_entropy,
+    squarefree_decomposition,
+)
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "entropy"
