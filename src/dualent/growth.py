@@ -20,12 +20,16 @@ needs them.
 A step forms the next array of each torsion value as the union of the
 previous arrays shifted by packed layer points: |E| sorted runs, merged
 block by block over cuts of the key range, with repeats dropped per block.
-Only the sizes leave `growth_series`, so the last step counts the distinct
-sums of each block and never builds the last sumset.
+The cuts bound the sums in a block over all runs together, by _BLOCK (or
+2 |E| when that is larger), so a step's working set beyond the two sumsets
+does not grow with |E|. Only the sizes leave `growth_series`, so the last
+step counts the distinct sums of each block and never builds the last
+sumset.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,7 +49,8 @@ from .spectral import EntropyEstimate
 TAIL_K = 3
 # A packing horizon set at depth d reaches at most depth 2 d + _LOOKAHEAD.
 _LOOKAHEAD = 32
-# A block of _union holds at most this many keys of each shifted run.
+# A block of _union holds at most this many sums over all its shifted runs
+# (at most 2 m for m runs, when that is larger; see _cuts).
 _BLOCK = 1 << 17
 
 
@@ -111,12 +116,21 @@ class GrowthSeries:
             raise ValueError("sizes must be positive")
         # Submultiplicativity s_{n+m} <= s_n * s_m, checked on all computed
         # index pairs; a violation means the sumset bookkeeping is broken.
+        # When s_k = s_(k-1) and s is nondecreasing up to k - 1, the pairs
+        # summing to k follow from those summing to k - 1 (s_k = s_(k-1) <=
+        # s_i s_(k-1-i) <= s_i s_(k-i), and s_1 >= 1), and so does the first
+        # failing pair, so k is skipped: a constant tail costs O(n), not O(n^2).
         s = self.sizes
+        checked, rising = [], True
+        for k in range(2, len(s) + 1):
+            if not (rising and s[k - 1] == s[k - 2]):
+                checked.append(k)
+            rising = rising and s[k - 2] <= s[k - 1]
         for i in range(1, len(s) + 1):
-            for j in range(1, len(s) + 1 - i):
-                if s[i + j - 1] > s[i - 1] * s[j - 1]:
+            for k in checked[bisect.bisect_right(checked, i):]:
+                if s[k - 1] > s[i - 1] * s[k - i - 1]:
                     raise ValueError(
-                        f"growth series is not submultiplicative at ({i},{j})"
+                        f"growth series is not submultiplicative at ({i},{k - i})"
                     )
 
     def log_over_n(self) -> list[float]:
@@ -150,22 +164,48 @@ def _repack(np, keys, bounds: Sequence[int], weights: Sequence[int], dtype):
     return out
 
 
+def _cuts(np, parts):
+    """The sorted cuts of the key range that split the sums a + x over the m
+    pairs (a, x) in parts, each a sorted array of distinct keys and a packed
+    shift, into blocks [cut_(i-1), cut_i) of at most (2 m - 1) step sums in
+    all, where step = max(1, _BLOCK // (2 m)): so at most _BLOCK sums, or
+    2 m when _BLOCK < 2 m. There are about 2 (sum of |a|) / _BLOCK blocks.
+
+    Every step-th key of every shifted run is a candidate, and every m-th
+    candidate in sorted order is a cut. A run has at most step keys between
+    two of its candidates, before its first or from its last, so a block
+    holding k of its candidates holds at most (k + 1) step of its keys, and
+    k step when one of them is the block's lower cut. A block holds the
+    candidates from its lower cut's position up to the next cut's, at most
+    m, and besides them only candidates equal to its lower cut; those are
+    of distinct runs (a run's keys are distinct), each of which then has no
+    keys below its first candidate in the block. So a block holds at most
+    (m + t - 1) step + (m - t) step sums, t the number of runs with a
+    candidate at the lower cut.
+    """
+    m = len(parts)
+    step = max(1, _BLOCK // (2 * m))
+    candidates = np.concatenate([a[step::step] + x for a, x in parts])
+    candidates.sort()
+    return candidates[m - 1::m]
+
+
 def _union(np, parts: list, limit: int, count: bool = False):
     """The sorted distinct values a + x over the pairs (a, x) in parts, each
     a sorted array of distinct keys and a packed shift, or None when there
     are more than limit of them. With count set, only their number is
     returned (still None past limit), and no output array is allocated.
 
-    The key range is cut at every _BLOCK-th key of every shifted run, so a
-    block holds at most _BLOCK keys of each run, and one searchsorted per
-    run finds its slice of every block. Equal sums lie in one block, so each
-    block is shifted, sorted (a stable sort merges its sorted runs) and
-    stripped of repeats on its own; only one block of sums is held at a
-    time. One code path serves int64 and object (Python-int) keys.
+    The key range is cut by _cuts, so a block holds at most _BLOCK sums over
+    all the runs together (2 m for m > _BLOCK / 2 runs), and one
+    searchsorted per run finds its slice of every block. Equal sums lie in
+    one block, so each block is shifted, sorted (a stable sort merges its
+    sorted runs) and stripped of repeats on its own; only one block of sums
+    is held at a time, whatever the number of runs. One code path serves
+    int64 and object (Python-int) keys.
     """
     dtype = parts[0][0].dtype
-    cuts = np.concatenate([a[_BLOCK::_BLOCK] + x for a, x in parts])
-    cuts.sort()
+    cuts = _cuts(np, parts)
     # bounds[r, i] is the number of keys of run r below the i-th cut.
     bounds = np.empty((len(parts), len(cuts) + 2), dtype=np.intp)
     bounds[:, 0] = 0

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 import subprocess
 import sys
 import textwrap
@@ -93,6 +94,52 @@ class TestGrowthSeries:
     def test_log_over_n(self):
         s = GrowthSeries(sizes=(4, 16), capped=False)
         assert s.log_over_n() == [math.log(4), math.log(16) / 2]
+
+    def test_constant_tail_is_checked_quickly(self):
+        # A finite group's sumsets stop growing; checking every pair of a
+        # 12,000-term series took about 6 s.
+        sizes = (2, 4, 5) + (5,) * 11_997
+        start = time.perf_counter()
+        GrowthSeries(sizes=sizes, capped=False)
+        assert time.perf_counter() - start < 0.5
+
+    def test_violations_match_the_check_of_every_pair(self):
+        rng = random.Random(29)
+        violations = 0
+        for _ in range(400):
+            sizes = plateau_series(rng)
+            assert series_error(sizes) is None
+            k = rng.randrange(len(sizes))
+            sizes[k] = rng.choice([sizes[k] + rng.randrange(1, 40), max(1, sizes[k] // rng.randrange(2, 5))])
+            expected = every_pair_error(sizes)
+            violations += expected is not None
+            assert series_error(sizes) == expected, sizes
+        assert violations > 100
+
+
+def plateau_series(rng):
+    """min(c1, b^n) min(c2, n + 1) for n = 1..N: a product of submultiplicative
+    series, so submultiplicative, and constant from some n on."""
+    b, c1, c2 = rng.randrange(1, 4), rng.randrange(1, 300), rng.randrange(1, 9)
+    return [min(c1, b**n) * min(c2, n + 1) for n in range(1, rng.randrange(2, 60))]
+
+
+def every_pair_error(sizes):
+    """The message for the first pair (i, j), i then j ascending, with
+    s_(i+j) > s_i s_j, or None: the check over all O(n^2) pairs."""
+    for i in range(1, len(sizes) + 1):
+        for j in range(1, len(sizes) + 1 - i):
+            if sizes[i + j - 1] > sizes[i - 1] * sizes[j - 1]:
+                return f"growth series is not submultiplicative at ({i},{j})"
+    return None
+
+
+def series_error(sizes):
+    try:
+        GrowthSeries(sizes=tuple(sizes), capped=False)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestGrowthComputation:
@@ -529,8 +576,92 @@ class TestUnion:
         TestPackingHorizon().test_collision_matrix_matches_plain_sumsets_at_every_depth(z2)
 
 
+def wide_parts(rng):
+    """49 shifted runs, as a 7x7 base gives, of very uneven lengths."""
+    lengths = rng.choice([0, 1, 2, 5, 40, 1500], size=49)
+    return [(random_run(rng, n, -4000, 4000), int(rng.integers(-3000, 3000))) for n in lengths]
+
+
+def torsion_parts(rng):
+    """The parts of one target torsion value: the previous arrays of three
+    torsion values, each shifted by the several layer points that carry it
+    to the target, interleaved."""
+    sources = [random_run(rng, rng.integers(0, 2000), -3000, 3000) for _ in range(3)]
+    return [(sources[rng.integers(3)], int(x)) for x in rng.integers(-500, 500, size=24)]
+
+
+def as_python_ints(parts):
+    """The same parts with keys a 2^61 + (a mod 7) and shifts x 2^61 + (x mod
+    5): runs stay sorted and distinct, and the sums pass 2^63."""
+    def big(k):
+        return int(k) * 2**61 + int(k) % 7
+
+    def shift(x):
+        return x * 2**61 + x % 5
+
+    return [(np.array([big(k) for k in a], dtype=object), shift(x)) for a, x in parts]
+
+
+def block_sizes(parts, cuts):
+    """The number of sums of parts in each block [cut_(i-1), cut_i)."""
+    total = np.zeros(len(cuts) + 1, dtype=np.int64)
+    for a, x in parts:
+        total += np.diff(np.concatenate([[0], np.searchsorted(a, cuts - x), [len(a)]]))
+    return total
+
+
+class TestWideUnion:
+    """_union on many runs, where the cuts must bound the sums of a block over
+    all of them together."""
+
+    @pytest.mark.parametrize("size", [1, 97, 98, 600, growth._BLOCK], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("keys", [lambda p: p, as_python_ints], ids=["int64", "python-int"])
+    @pytest.mark.parametrize("shape", [wide_parts, torsion_parts], ids=["49-uneven-runs", "torsion"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_matches_unique_of_all_sums(self, monkeypatch, size, keys, shape, seed):
+        monkeypatch.setattr(growth, "_BLOCK", size)
+        parts = keys(shape(np.random.default_rng(seed)))
+        expected = plain_union(parts)
+        got = growth._union(np, parts, 10**9)
+        assert got.dtype == expected.dtype
+        assert got.tolist() == expected.tolist()
+        assert growth._union(np, parts, len(expected), count=True) == len(expected)
+        assert growth._union(np, parts, len(expected) - 1) is None
+
+
+class TestCuts:
+    @pytest.mark.parametrize("size", [1, 2, 7, 64, 97, 98, 1000, growth._BLOCK], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_block_exceeds_the_budget(self, monkeypatch, size, seed):
+        # Keys from a narrow range, and one run repeated under shifts from -2
+        # to 2, put equal candidates of several runs at one cut.
+        monkeypatch.setattr(growth, "_BLOCK", size)
+        rng = np.random.default_rng(seed)
+        for m in (1, 2, 5, 49, 60):
+            runs = [random_run(rng, rng.choice([0, 3, 50, 400, 3000]), 0, 4000) for _ in range(m)]
+            shifts = rng.integers(-2, 3, size=m)
+            repeat = rng.integers(m)
+            parts = [(runs[repeat] if r % 2 else a, int(x)) for r, (a, x) in enumerate(zip(runs, shifts))]
+            cuts = growth._cuts(np, parts)
+            assert np.all(cuts[1:] >= cuts[:-1])
+            step = max(1, size // (2 * m))
+            assert block_sizes(parts, cuts).max() <= (2 * m - 1) * step <= max(size, 2 * m)
+            # About 2 (sum of |a|) / _BLOCK blocks, as the docstring says.
+            assert len(cuts) <= sum(len(a) for a, _ in parts) / (m * step)
+
+    def test_a_7x7_base_step_keeps_one_budget(self):
+        # The runs of the last cat-map step on the 7x7 base: 49 shifts of s_8
+        # keys. A budget of _BLOCK keys a run held up to 49 _BLOCK of them.
+        rng = np.random.default_rng(0)
+        run = random_run(rng, 150_000, -10**7, 10**7)
+        parts = [(run, int(x)) for x in rng.integers(-10**6, 10**6, size=49)]
+        sizes = block_sizes(parts, growth._cuts(np, parts))
+        assert sizes.max() <= growth._BLOCK
+        assert len(sizes) <= 2 * 49 * 150_000 / growth._BLOCK + 1
+
+
 MEMORY_PROBE = """
-    import itertools
+    import itertools, sys
     from dualent.groups import AbelianAutomorphism, FgAbelianGroup
     from dualent.growth import FiniteSubset, growth_series
 
@@ -540,27 +671,39 @@ MEMORY_PROBE = """
         with open("/proc/self/status") as status:
             return next(1024 * int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
+    low, high, warm, n = map(int, sys.argv[1:])
     z2 = FgAbelianGroup(2)
     auto = AbelianAutomorphism.from_matrix(z2, ((2, 1), (1, 1)))
-    corners = FiniteSubset.of(z2, itertools.product((0, 1), repeat=2))
-    growth_series(auto, corners, 8)
+    box = FiniteSubset.of(z2, itertools.product(range(low, high + 1), repeat=2))
+    growth_series(auto, box, warm)
     before = peak_bytes()
-    sizes = growth_series(auto, corners, 15).sizes
-    print(sizes[-2], sizes[-1], peak_bytes() - before)
+    sizes = growth_series(auto, box, n).sizes
+    print(*sizes[-3:], peak_bytes() - before)
 """
 
 
 @functools.cache
-def memory_probe():
-    """s_14, s_15 and the bytes by which the cat-map series to n = 15 grows
-    the peak RSS of a fresh process."""
+def memory_probe(low, high, warm, n):
+    """s_(n-2), s_(n-1), s_n and the bytes by which the cat-map series to n on
+    the base [low, high]^2 grows the peak RSS of a fresh process, after a
+    warm-up series to depth warm. numpy's huge-page advice is off in the
+    probe: with it, a partly written array of 4 MiB or more is resident in
+    whole 2 MiB pages, and the peak reads up to a few MiB above the bytes
+    written."""
+    env = child_env()
+    env["NUMPY_MADVISE_HUGEPAGE"] = "0"
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(MEMORY_PROBE)],
-        capture_output=True, text=True, env=child_env(), timeout=120, check=True,
+        [sys.executable, "-c", textwrap.dedent(MEMORY_PROBE), str(low), str(high), str(warm), str(n)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-    s14, s15, grown = map(int, proc.stdout.split())
+    *sizes, grown = map(int, proc.stdout.split())
+    return (*sizes, grown)
+
+
+def corners_probe():
+    s13, s14, s15, grown = memory_probe(0, 1, 8, 15)
     assert (s14, s15) == (fib(31) - 1, fib(33) - 1)
-    return s14, s15, grown
+    return s13, s14, s15, grown
 
 
 linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
@@ -571,18 +714,33 @@ def test_a_step_holds_little_more_than_two_sumsets():
     # A step holds the previous and the next sumset, 8 bytes a key, and one
     # block of sums; materialising all 4 s_14 sums at once, plus the merge
     # buffer of a sort over them, costs about 68 MiB here, above the bound.
-    s14, s15, grown = memory_probe()
+    _, s14, s15, grown = corners_probe()
     assert grown <= 1.5 * 8 * (s14 + s15)
+
+
+# A block holds at most _BLOCK sums over all its runs, 8 bytes each, with 1
+# byte of repeat mask and up to 4 of the stable sort's merge buffer a sum.
+BLOCK_BYTES = growth._BLOCK * (8 + 1 + 4)
 
 
 @linux_only
 def test_the_last_step_never_holds_the_last_sumset():
     # The last step only counts, so it holds s_14 and one block; the step
-    # before it holds s_13 + s_14 < 1.5 s_14 keys and one block. A block of
-    # the 4 runs is 8 bytes a key of sums, 1 of the repeat mask and up to 4
-    # of the stable sort's merge buffer. Building the last sumset adds its
-    # 8 s_15 bytes (43 MiB in all here).
-    s14, s15, grown = memory_probe()
-    block = 4 * growth._BLOCK * (8 + 1 + 4)
-    assert 1.5 * 8 * s14 + block < 8 * s15
-    assert grown <= 1.5 * 8 * s14 + block
+    # before it holds s_13 + s_14 < 1.5 s_14 keys and one block. Building the
+    # last sumset adds its 8 s_15 bytes (43 MiB in all here).
+    s13, s14, s15, grown = corners_probe()
+    assert s13 + s14 < 1.5 * s14
+    assert 1.5 * 8 * s14 + BLOCK_BYTES < 8 * s15
+    assert grown <= 1.5 * 8 * s14 + BLOCK_BYTES
+
+
+@linux_only
+def test_a_wide_base_holds_one_block_of_sums():
+    # The 7x7 base [-3, 3]^2 gives 49 shifted runs a step, and the bound has
+    # no factor |E| = 49: the last step holds s_8 and one block, the step
+    # before it s_7 + s_8 < 1.5 s_8 keys and one block. A block of _BLOCK
+    # keys a run, 49 runs in all, grew the peak by 37 MiB here.
+    s7, s8, s9, grown = memory_probe(-3, 3, 4, 9)
+    assert (s8, s9) == (149_965, 393_445)
+    assert s7 + s8 < 1.5 * s8
+    assert grown <= 1.5 * 8 * s8 + BLOCK_BYTES

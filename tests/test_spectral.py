@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualent import spectral
 from dualent.groups import IntMatrix
+from dualent.laws import random_unimodular
 from dualent.spectral import (
     IntPolynomial,
     char_poly,
@@ -440,6 +441,30 @@ def test_block_sum_entropy_adds():
     cat = IntMatrix(((2, 1), (1, 1)))
     m = IntMatrix.block_diag(cat, cat)
     assert eigen_entropy(m).value == pytest.approx(2 * GOLDEN_ENTROPY, abs=1e-9)
+
+
+def invariant_subgroup_instance(rng: random.Random):
+    """M = S [[A, B], [0, C]] S^-1 with A, C and S random unimodular and B a
+    random integer block: M leaves the sublattice spanned by the first a
+    columns of S invariant, acting there as A, and acts as C on the
+    quotient, which has no invariant complement in general."""
+    a, c = rng.randint(1, 4), rng.randint(1, 4)
+    big_a, big_c, big_s = random_unimodular(rng, a), random_unimodular(rng, c), random_unimodular(rng, a + c)
+    rows = [list(row) + [rng.randint(-3, 3) for _ in range(c)] for row in big_a.entries]
+    rows += [[0] * a + list(row) for row in big_c.entries]
+    m = big_s * IntMatrix(tuple(map(tuple, rows))) * big_s.inverse()
+    return m, big_a, big_c
+
+
+def test_invariant_subgroup_splits_char_poly_and_entropy():
+    # The paper's entropy adds over an invariant subgroup and its quotient.
+    rng = random.Random(16)
+    for _ in range(60):
+        m, a, c = invariant_subgroup_instance(rng)
+        assert char_poly(m).coeffs == (char_poly(a) * char_poly(c)).coeffs
+        assert eigen_entropy(m).value == pytest.approx(
+            eigen_entropy(a).value + eigen_entropy(c).value, abs=1e-9
+        )
 
 
 @settings(max_examples=40, deadline=None)
