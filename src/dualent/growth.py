@@ -20,11 +20,10 @@ needs them.
 A step forms the next array of each torsion value as the union of the
 previous arrays shifted by packed layer points: |E| sorted runs, merged
 block by block over cuts of the key range, with repeats dropped per block.
-The cuts bound the sums in a block over all runs together, by _BLOCK (or
-2 |E| when that is larger), so a step's working set beyond the two sumsets
-does not grow with |E|. Only the sizes leave `growth_series`, so the last
-step counts the distinct sums of each block and never builds the last
-sumset.
+A block holds at most _BLOCK sums over all runs together (see _cuts), so a
+step's working set beyond the two sumsets does not grow with |E|. Only the
+sizes leave `growth_series`, so the last step counts the distinct sums of
+each block and never builds the last sumset.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ TAIL_K = 3
 # A packing horizon set at depth d reaches at most depth 2 d + _LOOKAHEAD.
 _LOOKAHEAD = 32
 # A block of _union holds at most this many sums over all its shifted runs
-# (at most 2 m for m runs, when that is larger; see _cuts).
+# (see _cuts).
 _BLOCK = 1 << 17
 
 
@@ -197,11 +196,11 @@ def _union(np, parts: list, limit: int, count: bool = False):
     returned (still None past limit), and no output array is allocated.
 
     The key range is cut by _cuts, so a block holds at most _BLOCK sums over
-    all the runs together (2 m for m > _BLOCK / 2 runs), and one
-    searchsorted per run finds its slice of every block. Equal sums lie in
-    one block, so each block is shifted, sorted (a stable sort merges its
-    sorted runs) and stripped of repeats on its own; only one block of sums
-    is held at a time, whatever the number of runs. One code path serves
+    all the runs together, and one searchsorted per run finds its slice of
+    every block. Equal sums lie in one block, so each block is shifted,
+    sorted (a stable sort merges its sorted runs) and stripped of repeats on
+    its own; only one block of sums is held at a time, whatever the number
+    of runs. One code path serves
     int64 and object (Python-int) keys.
     """
     dtype = parts[0][0].dtype

@@ -686,15 +686,10 @@ MEMORY_PROBE = """
 def memory_probe(low, high, warm, n):
     """s_(n-2), s_(n-1), s_n and the bytes by which the cat-map series to n on
     the base [low, high]^2 grows the peak RSS of a fresh process, after a
-    warm-up series to depth warm. numpy's huge-page advice is off in the
-    probe: with it, a partly written array of 4 MiB or more is resident in
-    whole 2 MiB pages, and the peak reads up to a few MiB above the bytes
-    written."""
-    env = child_env()
-    env["NUMPY_MADVISE_HUGEPAGE"] = "0"
+    warm-up series to depth warm."""
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(MEMORY_PROBE), str(low), str(high), str(warm), str(n)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, text=True, env=child_env(), timeout=120, check=True,
     )
     *sizes, grown = map(int, proc.stdout.split())
     return (*sizes, grown)
@@ -719,8 +714,9 @@ def test_a_step_holds_little_more_than_two_sumsets():
 
 
 # A block holds at most _BLOCK sums over all its runs, 8 bytes each, with 1
-# byte of repeat mask and up to 4 of the stable sort's merge buffer a sum.
-BLOCK_BYTES = growth._BLOCK * (8 + 1 + 4)
+# byte of repeat mask, 8 of the stable sort's merge buffer and 16 of
+# np.compress (an index array, then the kept sums) a sum.
+BLOCK_BYTES = growth._BLOCK * (8 + 1 + 8 + 16)
 
 
 @linux_only
