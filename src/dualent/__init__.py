@@ -26,7 +26,7 @@ _HOMES = {
         )),
         ("growth", (
             "DEFAULT_CAP", "FiniteSubset", "GrowthSeries", "SumsetCapError",
-            "growth_rate_estimate", "growth_series", "sumset",
+            "growth_rate_estimate", "growth_series",
         )),
         ("folner", (
             "DegenerateBasisError", "Parallelepiped", "RankCertificate",

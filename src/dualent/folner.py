@@ -8,9 +8,11 @@ successor rows, and runs one exact core, `_search_supports`, on indices.
 The core enumerates only the supports that hold a run longer than 2/delta
 along every shift whose action on the searched points has no cycle and
 that have no isolated point other than 0, since no other support can be
-the first to succeed, and solves one exact LP per class of supports whose
-LPs agree up to the order of their variables and rows, whose optimal
-vertex scales to the witness of the support it accepts.
+the first to succeed. It keys each support by its images, the position
+in the support of each shift's image of each of its points, and solves one
+exact LP per class of supports whose LPs agree up to the order of their
+variables and rows, whose optimal vertex scales to the witness of the
+support it accepts.
 """
 
 from __future__ import annotations
@@ -571,31 +573,6 @@ def _shift_graph_form(k: int, images: Sequence[Sequence[int]]) -> tuple:
     return tuple(map(tuple, min(map(component_forms, itertools.product(*map(itertools.permutations, ties))))))
 
 
-def _point_links(n: int, succ: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """For each point, its image and its preimage under each LP shift in
-    turn, -1 outside the points: (succ[0][i], pred[0][i], succ[1][i], ...)."""
-    pred = [_inverse_row(row) for row in succ]
-    return [tuple(j for row, back in zip(succ, pred) for j in (row[i], back[i])) for i in range(n)]
-
-
-def _images_from_steps(k: int, steps: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """The images of a k-point support, as `_shift_structure` takes them,
-    from its key: steps[p] holds the positions, among positions up to p,
-    of the image and the preimage of the point at position p under each
-    shift (its `_point_links` looked up in the support), -1 when absent.
-    Each link inside the support appears once, at its later end (a point
-    that a shift fixes links to itself at its own position), so the steps
-    and the images determine each other."""
-    images = [[-1] * k for _ in range(len(steps[0]) // 2)]
-    for p, step in enumerate(steps):
-        for row, q_image, q_preimage in zip(images, step[::2], step[1::2]):
-            if q_image >= 0:
-                row[p] = q_image
-            if q_preimage >= 0:
-                row[q_preimage] = p
-    return images
-
-
 def _without_isolated_zero(k: int, images: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
     """The images of a k-point support without its point at position 0,
     when k > 1 and no shift links that point to a point of the support,
@@ -636,15 +613,15 @@ def _search_supports(
     the runs and without an isolated point, in the same lex order, and
     solves no LP for the rest.
 
-    The LP depends only on where each shift's images land inside the
-    support. A point placed at position p adds the positions of its images
-    and preimages among the points placed up to it, so the key of a
-    support is built along the enumeration prefix, and equal keys pose the
-    same LP. Relabelling the points of a support, permuting its blocks or
-    reversing a path or cycle inside one block permutes the LP's variables
-    and rows and keeps its optimum, so a support whose `_shift_graph_form`
-    was tested is rejected without an LP, and one exact LP is solved per
-    class of LPs equal up to that order.
+    The LP depends only on the support's images: where each LP row sends
+    each point of the support, as a position in it, or -1 outside it. So
+    supports with equal images pose the same LP, and each images tuple is
+    tested once; tuples of different sizes never compare equal, so the
+    record is kept per size. Relabelling the points of a support, permuting
+    its blocks or reversing a path or cycle inside one block permutes the
+    LP's variables and rows and keeps its optimum, so a support whose
+    `_shift_graph_form` was tested is rejected without an LP, and one exact
+    LP is solved per class of LPs equal up to that order.
 
     That LP is `_max_mass_lp`: the maximum M* of sum T over T >= 0 with
     every row's defect at most 1. Each row's defect is positively
@@ -669,42 +646,32 @@ def _search_supports(
     short = 2 // delta  # a run this long or shorter leaves defect >= 2/run >= delta
     succ, run = _lp_rows(n, rows)
     windows = [_run_windows(n, succ[r], short + 1) for r in run]
-    links = _point_links(n, succ)
-    adjacent = [sum(1 << j for j in set(link) if j >= 0) for link in links]
+    adjacent = [0] * n
+    for row in succ:
+        for i, j in enumerate(row):
+            if j >= 0:
+                adjacent[i] |= 1 << j
+                adjacent[j] |= 1 << i
     # Everything the memos record was rejected: the first support whose LP
     # optimum is below delta ends the search. So the LP that accepts is
     # always the support's own, solved in its own position order.
-    nodes = {}  # (parent prefix node, step) -> prefix node
-    tested_steps = {}  # prefix node -> steps of the last points tested under it
     tested_forms = set()  # the _shift_graph_form of every support rejected
+    # pos[i] is the position of point i in the support, -1 when it is not in
+    # it; pos[-1], read for a link outside the points, stays -1.
+    pos = [-1] * (n + 1)
     for k in range(1, n + 1):
-        # pos[i] is the position of point i in the support, -1 when it is not
-        # placed; pos[-1], read for a link outside the points, stays -1.
-        pos = [-1] * (n + 1)
-        placed, steps, path = [], [], [-1]
+        tested = set()  # the images of every support of size k tested
         for prefix, lasts in _feasible_supports(n, k, windows, adjacent):
-            keep = 0
-            while keep < len(placed) and placed[keep] == prefix[keep]:
-                keep += 1
-            for x in placed[keep:]:
-                pos[x] = -1
-            del placed[keep:], steps[keep:], path[keep + 1:]
-            for p in range(keep, len(prefix)):
-                x = prefix[p]
-                pos[x] = p  # before the lookup: a row may fix x
-                step = tuple(map(pos.__getitem__, links[x]))
-                path.append(nodes.setdefault((path[-1], step), len(nodes)))
-                placed.append(x)
-                steps.append(step)
-            tested = tested_steps.setdefault(path[-1], set())
+            for p, x in enumerate(prefix):
+                pos[x] = p
             for x in lasts:
                 pos[x] = k - 1
-                step = tuple(map(pos.__getitem__, links[x]))
+                support = (*prefix, x)
+                images = tuple([tuple([pos[row[i]] for i in support]) for row in succ])
                 pos[x] = -1
-                if step in tested:
+                if images in tested:
                     continue
-                tested.add(step)
-                images = _images_from_steps(k, [*steps, step])
+                tested.add(images)
                 form = _shift_graph_form(k, images)
                 if form in tested_forms:
                     continue
@@ -723,7 +690,6 @@ def _search_supports(
                         continue
                     optimum = 1 / most
                     weights = [w * optimum for w in vertex]
-                support = (*prefix, x)
                 if any(w <= 0 for w in weights):
                     # The positive part is a smaller support whose translates
                     # through 0 all leave the points. Defect is convex and at
@@ -732,6 +698,8 @@ def _search_supports(
                     eps = (delta - optimum) / 4
                     return k, support, None, tuple((1 - eps) * w + eps / k for w in weights)
                 return k, support, optimum, tuple(weights)
+            for x in prefix:
+                pos[x] = -1
     return None
 
 

@@ -88,20 +88,6 @@ class FiniteSubset:
         return sorted(self.elements, key=lambda e: e.key())
 
 
-def sumset(x: FiniteSubset, y: FiniteSubset, cap: int | None = None) -> FiniteSubset:
-    """Pointwise sums {a + b}. Raises SumsetCapError with a partial count when
-    the result would exceed cap."""
-    if x.group != y.group:
-        raise ShapeError("sumset of subsets of different groups")
-    small, large = (x, y) if len(x) <= len(y) else (y, x)
-    out: set[AbelianElement] = set()
-    for a in small.sorted_elements():
-        out.update(b + a for b in large.elements)
-        if cap is not None and len(out) > cap:
-            raise SumsetCapError(cap, len(out))
-    return FiniteSubset(x.group, frozenset(out))
-
-
 @dataclass(frozen=True)
 class GrowthSeries:
     """Sizes s_n of the partial sumsets, with 0 always adjoined to the base
@@ -256,7 +242,9 @@ def growth_series(
 
     Stops early when the next sumset would exceed cap (soft stop: the capped
     flag is set and only fully computed sizes are reported); raises
-    SumsetCapError when s_1 = |E with 0| alone exceeds cap.
+    SumsetCapError when s_1 = |E with 0| alone exceeds cap. S_(n+1) =
+    E + gamma(S_n) holds S_n, so once a size repeats the sumsets stay that
+    set: the remaining sizes are copied, and no further step is taken.
 
     Each sumset is one sorted array of packed lattice keys per torsion value
     (see the module docstring); a step merges, for each target torsion
@@ -341,6 +329,11 @@ def growth_series(
         del pending, parts
         current = unions
         sizes.append(cap - left)
+        if sizes[-1] == sizes[-2]:
+            # S_(d+1) = E + gamma(S_d) holds S_d, so equal sizes mean equal
+            # sets, and every later sumset is that set too.
+            sizes += sizes[-1:] * (n_max - 1 - depth)
+            break
     return GrowthSeries(sizes=tuple(sizes), capped=capped)
 
 

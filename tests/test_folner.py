@@ -525,9 +525,9 @@ class TestLpMemo:
         search()
         return count
 
-    # The comments give the distinct position keys, one LP each when the
-    # memo was keyed on positions alone, and the LPs of the memo keyed on
-    # relabellings of the directed shift graphs.
+    # The comments give the distinct images of the tested supports, one LP
+    # each when the memo was keyed on images alone, and the LPs of the memo
+    # keyed on relabellings of the directed shift graphs.
     @pytest.mark.parametrize("search, lps", [
         (_document_search("fg_abelian_mixed.json", 2), 17),  # 38, 27
         (_document_search("fg_abelian_mixed.json", 3), 51),  # 233, 85
@@ -548,21 +548,10 @@ class TestLpMemo:
 
 
 def _images(succ, support):
-    """The position key of a support: where each shift's image of each of
-    its points lies inside it, -1 outside."""
+    """The images of a support, the search's first key: where each shift's
+    image of each of its points lies inside it, -1 outside."""
     where = {p: j for j, p in enumerate(support)}
     return tuple(tuple(where.get(row[i], -1) for i in support) for row in succ)
-
-
-def _prefix_steps(links, support):
-    """A support's prefix-built key: for each point in turn, the positions of
-    its links among the points placed up to it."""
-    pos = {}
-    steps = []
-    for p, x in enumerate(support):
-        pos[x] = p
-        steps.append(tuple(pos.get(y, -1) for y in links[x]))
-    return tuple(steps)
 
 
 def _relabelled(images, perm):
@@ -611,7 +600,7 @@ def _z6_points():
 
 
 def _ball_keys(problem, radius, max_k):
-    """Every position key of every run-feasible support up to max_k points
+    """The images of every run-feasible support up to max_k points
     in the ball of min_rank_bruteforce."""
     group, omega, delta = problem()
     n, succ, run = _lp_points(group, omega, radius)
@@ -620,7 +609,7 @@ def _ball_keys(problem, radius, max_k):
 
 
 def _table_keys(points):
-    """Every position key of every support of a finite group's table; its
+    """The images of every support of a finite group's table; its
     shifts act in cycles, so no run bound applies."""
     n, rows = points()
     succ, run = folner._lp_rows(n, rows)
@@ -638,7 +627,7 @@ def _all_images(n, succ, windows, max_k):
 
 @functools.cache
 def _min_defect_lp(k, images):
-    """The reference LP of the k-point support whose position key is images
+    """The reference LP of the k-point support with the given images
     (see `_images`), solved by the Fraction reference simplex: minimize the max
     translation defect t over its k weights, one slot u per overlap pair per
     shift with T_i - T_j - u <= 0 and T_j - T_i - u <= 0, sum T = 1, and
@@ -763,26 +752,6 @@ class TestShiftGraphForm:
             optima.setdefault(folner._shift_graph_form(k, images), set()).add(optimum)
         assert all(len(found) == 1 for found in optima.values())
         assert len(optima) < len(keys)
-
-    @pytest.mark.parametrize(
-        "group, radius, shifts, max_k",
-        [case[1:] for case in RUN_GENERATOR_CASES],
-        ids=[case[0] for case in RUN_GENERATOR_CASES],
-    )
-    def test_prefix_keys_partition_supports_like_images(self, group, radius, shifts, max_k):
-        n, succ = _numbered_ball(group, radius, shifts)
-        links = folner._point_links(n, succ)
-        windows = [_run_windows(n, row, 2) for row in succ]
-        for k in range(1, max_k + 1):
-            by_steps, by_images = {}, {}
-            for prefix, lasts in _feasible_supports(n, k, windows, _adjacent(n, succ)):
-                for last in lasts:
-                    support = (*prefix, last)
-                    steps, images = _prefix_steps(links, support), _images(succ, support)
-                    assert tuple(map(tuple, folner._images_from_steps(k, steps))) == images
-                    by_steps.setdefault(steps, set()).add(support)
-                    by_images.setdefault(images, set()).add(support)
-            assert sorted(map(sorted, by_steps.values())) == sorted(map(sorted, by_images.values()))
 
 
 class TestIsolatedZero:

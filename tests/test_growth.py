@@ -20,7 +20,6 @@ from dualent.growth import (
     SumsetCapError,
     growth_series,
     growth_rate_estimate,
-    sumset,
 )
 from tests.conftest import child_env
 from tests.test_groups import unimodular_strategy
@@ -58,28 +57,6 @@ class TestFiniteSubset:
     def test_deduplicates(self, z2):
         s = FiniteSubset.of(z2, [(0, 0), (0, 0), (1, 1)])
         assert len(s) == 2
-
-
-class TestSumset:
-    def test_interval_sum(self, z1):
-        a = FiniteSubset.of(z1, [(0,), (1,)])
-        b = FiniteSubset.of(z1, [(0,), (2,)])
-        out = sumset(a, b)
-        assert {e.lattice[0] for e in out.elements} == {0, 1, 2, 3}
-
-    def test_cap_carries_partial_count(self, z1):
-        a = FiniteSubset.of(z1, [(i,) for i in range(0, 40, 2)])
-        b = FiniteSubset.of(z1, [(i,) for i in range(5)])
-        with pytest.raises(SumsetCapError) as exc:
-            sumset(a, b, cap=10)
-        assert exc.value.cap == 10
-        assert exc.value.partial > 10
-
-    def test_torsion_wraps(self):
-        g = FgAbelianGroup(0, (3,))
-        a = FiniteSubset.of(g, [(1,), (2,)])
-        out = sumset(a, a)
-        assert {e.torsion[0] for e in out.elements} == {2, 0, 1}
 
 
 class TestGrowthSeries:
@@ -307,6 +284,75 @@ class TestCapBoundary:
         assert not capped
         assert {auto.apply(e).torsion for e in corners(group).elements} == {(0,), (1,)}
         self.check(auto, corners(group), n, deeper, sizes)
+
+
+def _times(group, units, lattice=None, mixing=None):
+    """The automorphism multiplying torsion coordinate i by units[i], with
+    the given lattice part and mixing."""
+    torsion_map = {
+        t: tuple(u * x % d for u, x, d in zip(units, t, group.torsion)) for t in group.torsion_tuples()
+    }
+    return AbelianAutomorphism.build(group, lattice, torsion_map, mixing)
+
+
+# (id, automorphism, base): series whose sumsets stop growing after a few depths
+FIXED_POINT_CASES = [
+    ("z2-zero-base", AbelianAutomorphism.build(FgAbelianGroup(2), CAT), [(0, 0)]),  # 1, 1, ...
+    ("c5-times-2", _times(FgAbelianGroup(0, (5,)), (2,)), [(1,)]),  # 2, 4, 5, 5, ...
+    ("c2xc9", _times(FgAbelianGroup(0, (2, 9)), (1, 2)), [(1, 0), (0, 1)]),  # 3, 7, 15, 18, 18, ...
+    ("zxc7-torsion-base", _times(FgAbelianGroup(1, (7,)), (3,), ((-1,),), ((2,),)), [(0, 1)]),  # 2, 4, 7, 7, ...
+]
+
+
+class TestFixedPoint:
+    """S_(d+1) = E + gamma(S_d) holds S_d, so once a size repeats every
+    later sumset is that set: growth_series copies the size and takes no
+    further step, whatever n_max is."""
+
+    @staticmethod
+    def run(monkeypatch, auto, base, n_max, cap=DEFAULT_CAP):
+        """The series, and the number of `_union` calls that made it."""
+        real = growth._union
+        calls = 0
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(growth, "_union", counting)
+        return growth_series(auto, base, n_max, cap), calls
+
+    @pytest.mark.parametrize("auto, points", [c[1:] for c in FIXED_POINT_CASES], ids=[c[0] for c in FIXED_POINT_CASES])
+    def test_no_union_after_the_first_repeat(self, monkeypatch, auto, points):
+        base = FiniteSubset.of(auto.group, points)
+        sizes, _ = naive_series(auto, base, 40, DEFAULT_CAP)
+        d = next(i for i in range(1, 40) if sizes[i] == sizes[i - 1])  # depth of the first repeat
+        assert set(sizes[d:]) == {sizes[d]}
+        _, before = self.run(monkeypatch, auto, base, d)
+        series, unions = self.run(monkeypatch, auto, base, d + 1)
+        assert before < unions
+        if auto.group.rank > 0 and not auto.group.torsion:
+            assert unions == d  # one target torsion value: one union a depth
+        for n_max in (d + 2, 40, 100_000):
+            longer, calls = self.run(monkeypatch, auto, base, n_max)
+            assert calls == unions
+            assert (longer.sizes, longer.capped) == (series.sizes + series.sizes[-1:] * (n_max - d - 1), False)
+
+    @pytest.mark.parametrize("auto, points", [c[1:] for c in FIXED_POINT_CASES], ids=[c[0] for c in FIXED_POINT_CASES])
+    @pytest.mark.parametrize("n_max", [2, 3, 5, 12])
+    def test_matches_plain_sumsets_at_the_fixed_size_cap(self, auto, points, n_max):
+        base = FiniteSubset.of(auto.group, points)
+        final = naive_series(auto, base, 40, DEFAULT_CAP)[0][-1]
+        for cap in {final - 1, final, final + 1} - {0}:
+            try:
+                expected = naive_series(auto, base, n_max, cap)
+            except SumsetCapError:
+                with pytest.raises(SumsetCapError):
+                    growth_series(auto, base, n_max, cap)
+                continue
+            series = growth_series(auto, base, n_max, cap)
+            assert (series.sizes, series.capped) == expected
 
 
 GROUPS = {

@@ -18,6 +18,7 @@ from dualent.groups import FgAbelianGroup
 from dualent.specdoc import parse_spec
 
 from tests.conftest import EXAMPLE_DIR, child_env
+from tests import test_folner
 
 F = Fraction
 
@@ -114,6 +115,26 @@ def test_bruteforce_certificate_pinned(search, rank, support, weights, defect_ex
     assert all(type(w) is Fraction for w in cert.witness.weights)
     assert cert.defect_exact == defect_exact
     # the search checks its witness on the pool's rows; the group defect is the reference
+    assert cert.defect_exact == defect(cert.witness, cert.omega)
+
+
+def test_z2_axes_radius3_certificate_and_lps_pinned(monkeypatch):
+    # ROADMAP item 15's delta = 3/4 radius-3 row: the 49-point ball of Z^2
+    # under the two axis shifts, about 6 s, with the decision LPs of the
+    # same run. The delta = 2/3 radius-2 row of the same table takes about
+    # twice as long and is left out to keep the suite fast.
+    certs = []
+    lps = test_folner.TestLpMemo._lps_solved(monkeypatch, lambda: certs.append(
+        min_rank_bruteforce(Z2, [Z2.element((1, 0)), Z2.element((0, 1))], F(3, 4), 3)
+    ))
+    assert lps == 1193
+    [cert] = certs
+    assert cert.rank == 9
+    assert tuple(_key(e) for e in cert.witness.support) == tuple(
+        (a, b) for a in (-2, -1, 0) for b in (-2, -1, 0)
+    )
+    assert cert.witness.weights == _weights(*["1/9"] * 9)
+    assert cert.defect_exact == F(2, 3)
     assert cert.defect_exact == defect(cert.witness, cert.omega)
 
 
