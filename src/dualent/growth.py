@@ -20,17 +20,22 @@ needs them.
 A step forms the next array of each torsion value as the union of the
 previous arrays shifted by packed layer points: |E| sorted runs, merged
 block by block over cuts of the key range, with repeats dropped per block.
-A block holds at most _BLOCK sums over all runs together (see _cuts), so a
-step's working set beyond the two sumsets does not grow with |E|. Only the
-sizes leave `growth_series`, so the last step counts the distinct sums of
-each block and never builds the last sumset.
+A large union of int64 keys runs its blocks in two streams, this thread and
+one worker thread, since numpy adds, sorts, compares and copies int64
+arrays without holding the interpreter lock. The blocks in flight hold at
+most _BLOCK sums together (see _union), so a step's working set beyond the
+two sumsets does not grow with |E|. Only the sizes leave `growth_series`,
+so the last step counts the distinct sums of each block and never builds
+the last sumset.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -48,9 +53,12 @@ from .spectral import EntropyEstimate
 TAIL_K = 3
 # A packing horizon set at depth d reaches at most depth 2 d + _LOOKAHEAD.
 _LOOKAHEAD = 32
-# A block of _union holds at most this many sums over all its shifted runs
-# (see _cuts).
+# The blocks of _union in flight hold at most this many sums over all their
+# shifted runs together (see _union).
 _BLOCK = 1 << 17
+# (pid, the call queue of the thread running _union's second stream or None),
+# set on first use; a forked child starts its own thread.
+_worker = None
 
 
 @dataclass(frozen=True)
@@ -105,6 +113,13 @@ class GrowthSeries:
         # summing to k follow from those summing to k - 1 (s_k = s_(k-1) <=
         # s_i s_(k-1-i) <= s_i s_(k-i), and s_1 >= 1), and so does the first
         # failing pair, so k is skipped: a constant tail costs O(n), not O(n^2).
+        # In a nondecreasing series every s_k is at most the last size s_n,
+        # so a pair with s_i s_(k-i) >= s_n cannot fail: for each i only the
+        # k - i with s_(k-i) <= (s_n - 1) // s_i are left, a prefix found by
+        # one bisect. The pairs left are visited in the order of the full
+        # check, so the first failing pair is the same. Sizes from
+        # growth_series rise strictly before a constant tail, so s_j >= j
+        # there and about s_n log n pairs are left at most.
         s = self.sizes
         checked, rising = [], True
         for k in range(2, len(s) + 1):
@@ -112,7 +127,8 @@ class GrowthSeries:
                 checked.append(k)
             rising = rising and s[k - 2] <= s[k - 1]
         for i in range(1, len(s) + 1):
-            for k in checked[bisect.bisect_right(checked, i):]:
+            last = i + bisect.bisect_right(s, (s[-1] - 1) // s[i - 1]) if rising else len(s)
+            for k in checked[bisect.bisect_right(checked, i):bisect.bisect_right(checked, last)]:
                 if s[k - 1] > s[i - 1] * s[k - i - 1]:
                     raise ValueError(
                         f"growth series is not submultiplicative at ({i},{k - i})"
@@ -149,12 +165,12 @@ def _repack(np, keys, bounds: Sequence[int], weights: Sequence[int], dtype):
     return out
 
 
-def _cuts(np, parts):
+def _cuts(np, parts, budget):
     """The sorted cuts of the key range that split the sums a + x over the m
     pairs (a, x) in parts, each a sorted array of distinct keys and a packed
     shift, into blocks [cut_(i-1), cut_i) of at most (2 m - 1) step sums in
-    all, where step = max(1, _BLOCK // (2 m)): so at most _BLOCK sums, or
-    2 m when _BLOCK < 2 m. There are about 2 (sum of |a|) / _BLOCK blocks.
+    all, where step = max(1, budget // (2 m)): so at most budget sums, or
+    2 m when budget < 2 m. There are about 2 (sum of |a|) / budget blocks.
 
     Every step-th key of every shifted run is a candidate, and every m-th
     candidate in sorted order is a cut. A run has at most step keys between
@@ -169,7 +185,7 @@ def _cuts(np, parts):
     candidate at the lower cut.
     """
     m = len(parts)
-    step = max(1, _BLOCK // (2 * m))
+    step = max(1, budget // (2 * m))
     candidates = np.concatenate([a[step::step] + x for a, x in parts])
     candidates.sort()
     return candidates[m - 1::m]
@@ -181,54 +197,153 @@ def _union(np, parts: list, limit: int, count: bool = False):
     are more than limit of them. With count set, only their number is
     returned (still None past limit), and no output array is allocated.
 
-    The key range is cut by _cuts, so a block holds at most _BLOCK sums over
-    all the runs together, and one searchsorted per run finds its slice of
-    every block. Equal sums lie in one block, so each block is shifted,
-    sorted (a stable sort merges its sorted runs) and stripped of repeats on
-    its own; only one block of sums is held at a time, whatever the number
-    of runs. One code path serves
-    int64 and object (Python-int) keys.
+    The key range is cut by _cuts, and one searchsorted per run finds its
+    slice of every block. Equal sums lie in one block, so each block is
+    shifted, sorted (a stable sort merges its sorted runs) and stripped of
+    repeats on its own (_stream). A union of int64 keys with at least
+    _BLOCK sums (about four blocks or more) runs in two streams
+    (_two_streams), each with one block in flight of at most _BLOCK // 2
+    sums; any other union runs its blocks one at a time in this thread,
+    each of at most _BLOCK sums, with no thread or queue involved. Either
+    way the blocks in flight hold at most _BLOCK sums together, whatever
+    the number of runs. Object (Python-int) keys take the one-stream path,
+    since numpy holds the interpreter lock on object arrays, and so does a
+    process that may use only one CPU.
     """
     dtype = parts[0][0].dtype
-    cuts = _cuts(np, parts)
+    total = sum(len(a) for a, _ in parts)
+    calls = _second_stream() if dtype != object and total >= _BLOCK else None
+    cuts = _cuts(np, parts, _BLOCK if calls is None else _BLOCK // 2)
     # bounds[r, i] is the number of keys of run r below the i-th cut.
     bounds = np.empty((len(parts), len(cuts) + 2), dtype=np.intp)
     bounds[:, 0] = 0
     for r, (a, x) in enumerate(parts):
         bounds[r, 1:-1] = np.searchsorted(a, cuts - x)
         bounds[r, -1] = len(a)
-    block = np.empty(int(np.diff(bounds, axis=1).sum(axis=0).max(initial=0)), dtype=dtype)
-    keep = np.empty(len(block), dtype=bool)
+    width = int(np.diff(bounds, axis=1).sum(axis=0).max(initial=0))
     # The output is allocated once at its largest possible size and shrunk
     # at the end: pages that are never written never become resident.
-    if not count:
-        out = np.empty(min(sum(len(a) for a, _ in parts), limit), dtype=dtype)
+    out = None if count else np.empty(min(total, limit), dtype=dtype)
+    rows, blocks = bounds.tolist(), range(len(cuts) + 1)
+    if calls is None:
+        size = _stream(np, parts, rows, width, out, limit, blocks)
+    else:
+        size = _two_streams(np, calls, parts, rows, width, out, limit, blocks)
+    if size is None or count:
+        return size
+    # No view of out exists any more, so shrinking it in place is safe; the
+    # dropped tail holds only unwritten slots.
+    out.resize(size, refcheck=False)
+    return out
+
+
+def _stream(np, parts, rows, width, out, limit, blocks, take=None, give=None):
+    """Merges the given blocks of _union in order, rows[r][i] being the
+    number of keys of run r below block i, and returns the number of
+    distinct sums (None once it passes limit). With out set, each block's
+    distinct sums are copied into out at the size reached before it. With
+    take and give set, a block takes that size from take just before its
+    copy and puts the size after it on give; None on take, or limit passed,
+    stops the stream and puts None on give. Two streams that alternate
+    blocks and pass sizes to each other so write out in key order."""
+    block = np.empty(width, dtype=parts[0][0].dtype)
+    keep = np.empty(width, dtype=bool)
     size = 0
-    rows = bounds.tolist()
-    for i in range(len(cuts) + 1):
+    for i in blocks:
         n = 0
         for (a, x), row in zip(parts, rows):
             lo, hi = row[i], row[i + 1]
             np.add(a[lo:hi], x, out=block[n:n + hi - lo])
             n += hi - lo
-        if n == 0:
-            continue
         sums = block[:n]
-        sums.sort(kind="stable")
-        keep[0] = True
-        np.not_equal(sums[1:], sums[:-1], out=keep[1:n])
+        if n:
+            sums.sort(kind="stable")
+            keep[0] = True
+            np.not_equal(sums[1:], sums[:-1], out=keep[1:n])
         fresh = int(np.count_nonzero(keep[:n]))
-        if size + fresh > limit:
+        if take is not None:
+            size = take.get()
+        if size is None or size + fresh > limit:
+            if give is not None:
+                give.put(None)
             return None
-        if not count:
+        if out is not None:
             np.compress(keep[:n], sums, out=out[size:size + fresh])
         size += fresh
-    if count:
-        return size
-    # No view of out exists yet, so shrinking it in place is safe; the
-    # dropped tail holds only unwritten slots.
-    out.resize(size, refcheck=False)
-    return out
+        if give is not None:
+            give.put(size)
+    return size
+
+
+def _two_streams(np, calls, parts, rows, width, out, limit, blocks):
+    """_stream over blocks, split between this thread and the worker behind
+    calls. A count gives each stream one contiguous half of the blocks and
+    adds the two counts; a build alternates blocks between the streams,
+    each copying its distinct sums into out at the size its predecessor
+    passes on. The worker's outcome is always awaited, so no block is in
+    flight once this returns or raises, and an exception raised in the
+    worker is raised here."""
+    import queue
+
+    done, to_me, to_worker = queue.SimpleQueue(), None, None
+    if out is None:
+        half = len(blocks) // 2
+        mine, theirs = blocks[:half], blocks[half:]
+    else:
+        to_me, to_worker = queue.SimpleQueue(), queue.SimpleQueue()
+        to_me.put(0)
+        mine, theirs = blocks[0::2], blocks[1::2]
+    call = functools.partial(_stream, np, parts, rows, width, out, limit, theirs, to_worker, to_me)
+    calls.put((call, to_me, done))
+    try:
+        size = _stream(np, parts, rows, width, out, limit, mine, to_me, to_worker)
+    finally:
+        if to_worker is not None:
+            to_worker.put(None)  # lets the worker stop if it still waits for a size
+        other, error = done.get()
+    if error is not None:
+        raise error
+    if size is None or other is None:
+        return None
+    if out is not None:
+        return max(size, other)
+    return size + other if size + other <= limit else None
+
+
+def _second_stream():
+    """The call queue of the thread that runs the second stream of _union,
+    started on first use and reused; None when this process may use only
+    one CPU. The thread is a daemon that holds nothing between calls, so a
+    process never waits for it to exit."""
+    global _worker
+    if _worker is None or _worker[0] != os.getpid():
+        cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+        calls = None
+        if len(cpus) > 1:
+            import queue
+            import threading
+
+            calls = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(calls,), name="dualent-union", daemon=True).start()
+        _worker = (os.getpid(), calls)
+    return _worker[1]
+
+
+def _serve(calls):
+    """Runs each (call, give, done) taken from calls, until a None: puts
+    (result, None) or (None, exception) on done, and on an exception also
+    None on give (when set), so a stream waiting for a size stops."""
+    for call, give, done in iter(calls.get, None):
+        try:
+            outcome = call(), None
+        except BaseException as exc:  # raised again by the caller, in its thread
+            outcome = None, exc
+            if give is not None:
+                give.put(None)
+        # Drop the union's arrays before waiting for the next call.
+        del call
+        done.put(outcome)
+        del outcome
 
 
 def growth_series(
@@ -249,10 +364,11 @@ def growth_series(
     Each sumset is one sorted array of packed lattice keys per torsion value
     (see the module docstring); a step merges, for each target torsion
     value, the previous arrays shifted by the packed layer points, block by
-    block, dropping repeats as it goes (`_union`), so it holds the previous
-    and the next sumset plus one block of sums, never all |E| s_n sums. The
-    last step only counts the distinct sums, so it holds the previous
-    sumset and one block.
+    block, dropping repeats as it goes (`_union`, in two streams when the
+    union is large), so it holds the previous and the next sumset plus the
+    blocks in flight, at most _BLOCK sums together, never all |E| s_n sums.
+    The last step only counts the distinct sums, so it holds the previous
+    sumset and the blocks in flight.
     """
     import numpy as np  # deferred so that importing the CLI stays cheap
 

@@ -1,10 +1,14 @@
+import bisect
 import functools
 import itertools
 import math
+import os
+import queue
 import random
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -80,6 +84,15 @@ class TestGrowthSeries:
         GrowthSeries(sizes=sizes, capped=False)
         assert time.perf_counter() - start < 0.5
 
+    def test_rising_series_is_checked_quickly(self):
+        # The 10,000 sizes 2, 4, ..., 20,000 of `dualent peters` on
+        # fg_abelian_mixed.json with --n 200000 --cap 20000: checking every
+        # pair took about 3.4 s.
+        sizes = tuple(range(2, 20_001, 2))
+        start = time.perf_counter()
+        GrowthSeries(sizes=sizes, capped=True)
+        assert time.perf_counter() - start < 0.5
+
     def test_violations_match_the_check_of_every_pair(self):
         rng = random.Random(29)
         violations = 0
@@ -93,12 +106,38 @@ class TestGrowthSeries:
             assert series_error(sizes) == expected, sizes
         assert violations > 100
 
+    def test_rising_violations_match_the_check_of_every_pair(self):
+        rng = random.Random(31)
+        found = {True: 0, False: 0}  # violations, by whether the sizes still never fall
+        for _ in range(400):
+            sizes = rising_series(rng)
+            assert series_error(sizes) is None
+            k = rng.randrange(len(sizes))
+            sizes[k] = rng.choice([sizes[k] + rng.randrange(1, 40), max(1, sizes[k] // rng.randrange(2, 5))])
+            expected = every_pair_error(sizes)
+            if expected is not None:
+                found[sizes == sorted(sizes)] += 1
+            assert series_error(sizes) == expected, sizes
+        # Both checks find violations: the pairs bounded by the last size on
+        # a nondecreasing series, and every pair on any other.
+        assert min(found.values()) > 25
+
 
 def plateau_series(rng):
     """min(c1, b^n) min(c2, n + 1) for n = 1..N: a product of submultiplicative
     series, so submultiplicative, and constant from some n on."""
     b, c1, c2 = rng.randrange(1, 4), rng.randrange(1, 300), rng.randrange(1, 9)
     return [min(c1, b**n) * min(c2, n + 1) for n in range(1, rng.randrange(2, 60))]
+
+
+def rising_series(rng):
+    """c b^n (n + 1)^p for n = 1..N with c b (n + 1)^p rising: c b^n is
+    submultiplicative for c >= 1 and so is n + 1, so their product is too,
+    and it rises strictly."""
+    b, c, p = rng.randrange(1, 4), rng.randrange(1, 5), rng.randrange(0, 3)
+    if b == 1 and p == 0:
+        p = 1
+    return [c * b**n * (n + 1) ** p for n in range(1, rng.randrange(2, 60))]
 
 
 def every_pair_error(sizes):
@@ -675,35 +714,234 @@ class TestWideUnion:
         assert growth._union(np, parts, len(expected) - 1) is None
 
 
+# --- blocks in two streams ------------------------------------------------
+
+
+class Worker:
+    """A thread of the test's own that runs growth._serve, counting the
+    calls handed to it."""
+
+    def __init__(self):
+        self.queue = queue.SimpleQueue()
+        self.handed = 0
+        self.thread = threading.Thread(target=growth._serve, args=(self.queue,), daemon=True)
+        self.thread.start()
+
+    def put(self, item):
+        self.handed += 1
+        self.queue.put(item)
+
+    def stop(self):
+        self.queue.put(None)
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """Gives _union's second stream to a Worker, whatever the CPU count."""
+    second = Worker()
+    monkeypatch.setattr(growth, "_second_stream", lambda: second)
+    yield second
+    second.stop()
+
+
+def within(seconds, call):
+    """Runs call() on a thread of its own and returns {"result": ...} or
+    {"error": ...}; fails when call has not returned after seconds."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["result"] = call()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no answer within {seconds} s"
+    return outcome
+
+
+class Boom(Exception):
+    pass
+
+
+class FailingNumpy:
+    """numpy, but count_nonzero (once per block) raises Boom on its call
+    number `at` among those made where `here()` holds."""
+
+    def __init__(self, here, at):
+        self.here, self.at, self.calls = here, at, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def count_nonzero(self, a):
+        if self.here():
+            self.calls += 1
+            if self.calls == self.at:
+                raise Boom
+        return np.count_nonzero(a)
+
+
+def shared_key_parts(rng):
+    """Five shifts of one run by less than its key spacing: most sums repeat
+    across runs."""
+    run = random_run(rng, 3000, 0, 6000)
+    return [(run, int(x)) for x in rng.integers(-40, 40, size=5)]
+
+
+STREAM_SHAPES = {
+    "int64": int64_parts,
+    "repeats-across-runs": shared_key_parts,
+    "49-uneven-runs": wide_parts,
+    "torsion": torsion_parts,
+}
+
+
+class TestTwoStreams:
+    """_union splits its blocks between this thread and a worker: contiguous
+    halves when it counts, alternate blocks when it builds its output."""
+
+    @pytest.mark.parametrize("size", [64, 1000], ids=lambda b: f"block{b}")
+    @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_and_two_streams_agree(self, monkeypatch, worker, size, shape, seed):
+        monkeypatch.setattr(growth, "_BLOCK", size)
+        parts = STREAM_SHAPES[shape](np.random.default_rng(seed))
+        expected = plain_union(parts)
+        two = growth._union(np, parts, 10**9), growth._union(np, parts, 10**9, count=True)
+        assert worker.handed == (2 if sum(len(a) for a, _ in parts) >= size else 0)
+        monkeypatch.setattr(growth, "_second_stream", lambda: None)
+        one = growth._union(np, parts, 10**9), growth._union(np, parts, 10**9, count=True)
+        assert np.array_equal(one[0], expected) and np.array_equal(two[0], expected)
+        assert one[1] == two[1] == len(expected)
+
+    @pytest.mark.parametrize("count", [False, True], ids=["build", "count"])
+    def test_limit_passed_in_either_stream_or_met(self, monkeypatch, worker, count):
+        monkeypatch.setattr(growth, "_BLOCK", 600)
+        parts = wide_parts(np.random.default_rng(5))
+        union = plain_union(parts)
+        # ends[i]: the distinct sums up to the end of block i.
+        ends = np.searchsorted(union, growth._cuts(np, parts, growth._BLOCK // 2)).tolist() + [len(union)]
+        limits = sorted({0, len(union)} | {e - 1 for e in ends if e})
+
+        def stream(limit):
+            """0 for this thread, 1 for the worker: whose block passes limit."""
+            block = bisect.bisect_right(ends, limit)
+            return int(block >= len(ends) // 2) if count else block % 2
+
+        assert {stream(limit) for limit in limits if limit < len(union)} == {0, 1}
+        for limit in limits:
+            got = growth._union(np, parts, limit, count=count)
+            if limit < len(union):
+                assert got is None
+            elif count:
+                assert got == len(union)
+            else:
+                assert np.array_equal(got, union)
+        assert worker.handed == len(limits)
+
+    def test_object_keys_take_one_stream(self, monkeypatch):
+        monkeypatch.setattr(growth, "_BLOCK", 1)
+        asked = []
+        monkeypatch.setattr(growth, "_second_stream", lambda: asked.append(True))
+        for seed in range(3):
+            parts = as_python_ints(wide_parts(np.random.default_rng(seed)))
+            expected = plain_union(parts).tolist()
+            assert growth._union(np, parts, 10**9).tolist() == expected
+            assert growth._union(np, parts, 10**9, count=True) == len(expected)
+            assert growth._union(np, parts, len(expected) - 1) is None
+        assert asked == []
+
+    def test_one_cpu_starts_no_worker(self, monkeypatch):
+        monkeypatch.setattr(growth, "_worker", None)
+        monkeypatch.setattr(growth.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        threads = threading.active_count()
+        assert growth._second_stream() is None
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("count", [False, True], ids=["build", "count"])
+    @pytest.mark.parametrize("at", [1, 4])
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_an_exception_in_a_block_is_raised_and_the_worker_freed(self, monkeypatch, worker, count, at, where):
+        monkeypatch.setattr(growth, "_BLOCK", 600)
+        parts = wide_parts(np.random.default_rng(1))
+
+        def here():
+            return (threading.current_thread() is worker.thread) == (where == "worker")
+
+        outcome = within(30, lambda: growth._union(FailingNumpy(here, at), parts, 10**9, count=count))
+        assert isinstance(outcome.get("error"), Boom)
+        # The worker takes the next union, so nothing of the failed one is left waiting.
+        again = within(30, lambda: growth._union(np, parts, 10**9))["result"]
+        assert np.array_equal(again, plain_union(parts))
+        assert worker.handed == 2
+
+    def test_callers_sharing_one_worker_under_fast_switching(self, monkeypatch, worker):
+        # More callers than CPUs hand alternate blocks to one worker while
+        # the interpreter switches threads every 10 us: a size passed out of
+        # turn, or lost, would misplace or drop sums.
+        monkeypatch.setattr(growth, "_BLOCK", 256)
+        shapes = sorted(STREAM_SHAPES)
+        callers = max(4, (os.cpu_count() or 1) + 1)
+        cases = [STREAM_SHAPES[shapes[c % 4]](np.random.default_rng(7 + c)) for c in range(callers)]
+        expected = [plain_union(parts) for parts in cases]
+
+        def call(parts, union):
+            return all(np.array_equal(growth._union(np, parts, 10**9), union) for _ in range(5))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            outcomes = []
+            threads = [
+                threading.Thread(target=lambda p=p, u=u: outcomes.append(call(p, u)), daemon=True)
+                for p, u in zip(cases, expected)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert outcomes == [True] * len(cases)
+        assert worker.handed == 5 * len(cases)
+
+
 class TestCuts:
     @pytest.mark.parametrize("size", [1, 2, 7, 64, 97, 98, 1000, growth._BLOCK], ids=lambda b: f"block{b}")
     @pytest.mark.parametrize("seed", range(3))
-    def test_no_block_exceeds_the_budget(self, monkeypatch, size, seed):
+    def test_no_block_exceeds_the_budget(self, size, seed):
         # Keys from a narrow range, and one run repeated under shifts from -2
         # to 2, put equal candidates of several runs at one cut.
-        monkeypatch.setattr(growth, "_BLOCK", size)
         rng = np.random.default_rng(seed)
         for m in (1, 2, 5, 49, 60):
             runs = [random_run(rng, rng.choice([0, 3, 50, 400, 3000]), 0, 4000) for _ in range(m)]
             shifts = rng.integers(-2, 3, size=m)
             repeat = rng.integers(m)
             parts = [(runs[repeat] if r % 2 else a, int(x)) for r, (a, x) in enumerate(zip(runs, shifts))]
-            cuts = growth._cuts(np, parts)
+            cuts = growth._cuts(np, parts, size)
             assert np.all(cuts[1:] >= cuts[:-1])
             step = max(1, size // (2 * m))
             assert block_sizes(parts, cuts).max() <= (2 * m - 1) * step <= max(size, 2 * m)
-            # About 2 (sum of |a|) / _BLOCK blocks, as the docstring says.
+            # About 2 (sum of |a|) / budget blocks, as the docstring says.
             assert len(cuts) <= sum(len(a) for a, _ in parts) / (m * step)
 
     def test_a_7x7_base_step_keeps_one_budget(self):
         # The runs of the last cat-map step on the 7x7 base: 49 shifts of s_8
         # keys. A budget of _BLOCK keys a run held up to 49 _BLOCK of them.
+        # One stream cuts for _BLOCK sums a block, each of two for half that.
         rng = np.random.default_rng(0)
         run = random_run(rng, 150_000, -10**7, 10**7)
         parts = [(run, int(x)) for x in rng.integers(-10**6, 10**6, size=49)]
-        sizes = block_sizes(parts, growth._cuts(np, parts))
-        assert sizes.max() <= growth._BLOCK
-        assert len(sizes) <= 2 * 49 * 150_000 / growth._BLOCK + 1
+        for budget in (growth._BLOCK, growth._BLOCK // 2):
+            sizes = block_sizes(parts, growth._cuts(np, parts, budget))
+            assert sizes.max() <= budget
+            assert len(sizes) <= 2 * 49 * 150_000 / budget + 1
 
 
 MEMORY_PROBE = """
@@ -752,24 +990,26 @@ linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="re
 
 @linux_only
 def test_a_step_holds_little_more_than_two_sumsets():
-    # A step holds the previous and the next sumset, 8 bytes a key, and one
-    # block of sums; materialising all 4 s_14 sums at once, plus the merge
+    # A step holds the previous and the next sumset, 8 bytes a key, and the
+    # blocks in flight; materialising all 4 s_14 sums at once, plus the merge
     # buffer of a sort over them, costs about 68 MiB here, above the bound.
     _, s14, s15, grown = corners_probe()
     assert grown <= 1.5 * 8 * (s14 + s15)
 
 
-# A block holds at most _BLOCK sums over all its runs, 8 bytes each, with 1
-# byte of repeat mask, 8 of the stable sort's merge buffer and 16 of
-# np.compress (an index array, then the kept sums) a sum.
+# In one stream or two, the blocks in flight hold at most _BLOCK sums
+# together over all their runs (one block of up to _BLOCK, or one of up to
+# _BLOCK // 2 in each stream), 8 bytes each, with 1 byte of repeat mask, 8
+# of the stable sort's merge buffer and 16 of np.compress (an index array,
+# then the kept sums) a sum.
 BLOCK_BYTES = growth._BLOCK * (8 + 1 + 8 + 16)
 
 
 @linux_only
 def test_the_last_step_never_holds_the_last_sumset():
-    # The last step only counts, so it holds s_14 and one block; the step
-    # before it holds s_13 + s_14 < 1.5 s_14 keys and one block. Building the
-    # last sumset adds its 8 s_15 bytes (43 MiB in all here).
+    # The last step only counts, so it holds s_14 and the blocks in flight;
+    # the step before it holds s_13 + s_14 < 1.5 s_14 keys and those blocks.
+    # Building the last sumset adds its 8 s_15 bytes (43 MiB in all here).
     s13, s14, s15, grown = corners_probe()
     assert s13 + s14 < 1.5 * s14
     assert 1.5 * 8 * s14 + BLOCK_BYTES < 8 * s15
@@ -779,10 +1019,42 @@ def test_the_last_step_never_holds_the_last_sumset():
 @linux_only
 def test_a_wide_base_holds_one_block_of_sums():
     # The 7x7 base [-3, 3]^2 gives 49 shifted runs a step, and the bound has
-    # no factor |E| = 49: the last step holds s_8 and one block, the step
-    # before it s_7 + s_8 < 1.5 s_8 keys and one block. A block of _BLOCK
-    # keys a run, 49 runs in all, grew the peak by 37 MiB here.
+    # no factor |E| = 49: the last step holds s_8 and the blocks in flight,
+    # the step before it s_7 + s_8 < 1.5 s_8 keys and those blocks. A block
+    # of _BLOCK keys a run, 49 runs in all, grew the peak by 37 MiB here.
     s7, s8, s9, grown = memory_probe(-3, 3, 4, 9)
     assert (s8, s9) == (149_965, 393_445)
     assert s7 + s8 < 1.5 * s8
     assert grown <= 1.5 * 8 * s8 + BLOCK_BYTES
+
+
+STREAM_PROBE = """
+    import os, sys
+    from dualent import growth
+    from dualent.groups import AbelianAutomorphism, FgAbelianGroup
+    from dualent.growth import FiniteSubset, growth_series
+
+    z2 = FgAbelianGroup(2)
+    auto = AbelianAutomorphism.from_matrix(z2, ((2, 1), (1, 1)))
+    corners = FiniteSubset.of(z2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    sizes = growth_series(auto, corners, 13).sizes
+    # Unions of 300,096 and 785,668 sums: past _BLOCK, so two streams run
+    # on a host that lets this process use two CPUs.
+    assert (growth._worker[1] is not None) == (len(os.sched_getaffinity(0)) > 1)
+    pid = os.fork()
+    if pid == 0:
+        # A forked child has no worker thread, so it starts its own.
+        os._exit(0 if growth_series(auto, corners, 13).sizes == sizes else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+    print(*sizes[-2:])
+"""
+
+
+@linux_only
+def test_a_process_with_a_worker_forks_and_exits_promptly():
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore::DeprecationWarning", "-c", textwrap.dedent(STREAM_PROBE)],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(fib(27) - 1), str(fib(29) - 1)]
