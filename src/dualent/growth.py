@@ -20,11 +20,12 @@ needs them.
 A step forms the next array of each torsion value as the union of the
 previous arrays shifted by packed layer points: |E| sorted runs, merged
 block by block over cuts of the key range, with repeats dropped per block.
-A large union of int64 keys runs its blocks in two streams, this thread and
-one worker thread, since numpy adds, sorts, compares and copies int64
-arrays without holding the interpreter lock. The blocks in flight hold at
-most _BLOCK sums together (see _union), so a step's working set beyond the
-two sumsets does not grow with |E|. Only the sizes leave `growth_series`,
+The blocks hold at most _BLOCK // 2 sums each. A large union of int64 keys
+alternates them between this thread and one worker, since numpy adds,
+sorts, compares and copies int64 arrays without holding the interpreter
+lock; a build passes sizes between the two. So at most two blocks, _BLOCK
+sums, are in flight (see _union), and a step's working set beyond the two
+sumsets does not grow with |E|. Only the sizes leave `growth_series`,
 so the last step counts the distinct sums of each block and never builds
 the last sumset.
 """
@@ -53,8 +54,9 @@ from .spectral import EntropyEstimate
 TAIL_K = 3
 # A packing horizon set at depth d reaches at most depth 2 d + _LOOKAHEAD.
 _LOOKAHEAD = 32
-# The blocks of _union in flight hold at most this many sums over all their
-# shifted runs together (see _union).
+# A block of _union holds at most _BLOCK // 2 sums over all its shifted runs.
+# Blocks alternate between this thread and one worker, and a build passes
+# sizes between them, so at most _BLOCK sums are in flight (see _union).
 _BLOCK = 1 << 17
 # (pid, the call queue of the thread running _union's second stream or None),
 # set on first use; a forked child starts its own thread.
@@ -197,23 +199,25 @@ def _union(np, parts: list, limit: int, count: bool = False):
     are more than limit of them. With count set, only their number is
     returned (still None past limit), and no output array is allocated.
 
-    The key range is cut by _cuts, and one searchsorted per run finds its
-    slice of every block. Equal sums lie in one block, so each block is
-    shifted, sorted (a stable sort merges its sorted runs) and stripped of
-    repeats on its own (_stream). A union of int64 keys with at least
-    _BLOCK sums (about four blocks or more) runs in two streams
-    (_two_streams), each with one block in flight of at most _BLOCK // 2
-    sums; any other union runs its blocks one at a time in this thread,
-    each of at most _BLOCK sums, with no thread or queue involved. Either
-    way the blocks in flight hold at most _BLOCK sums together, whatever
-    the number of runs. Object (Python-int) keys take the one-stream path,
-    since numpy holds the interpreter lock on object arrays, and so does a
-    process that may use only one CPU.
+    The key range is cut by _cuts into blocks of at most _BLOCK // 2 sums,
+    and one searchsorted per run finds its slice of every block. Equal sums
+    lie in one block, so each block is shifted, sorted (a stable sort merges
+    its sorted runs) and stripped of repeats on its own (_stream). A union
+    of int64 keys with at least _BLOCK sums alternates its blocks between
+    this thread (the even ones) and one worker (the odd ones). A build
+    passes sizes between the two, so each copies a block's distinct sums
+    into out at the size reached before it; a count adds the two counts.
+    The worker's outcome is always awaited, so no block is in flight once
+    this returns or raises, and an exception raised in the worker is
+    raised here. Any other union runs its blocks in this thread. Either way
+    at most two blocks, _BLOCK sums, are in flight, whatever the number of
+    runs. Object (Python-int) keys stay in one stream, since numpy holds
+    the interpreter lock on object arrays, and so does a process that may
+    use only one CPU.
     """
     dtype = parts[0][0].dtype
     total = sum(len(a) for a, _ in parts)
-    calls = _second_stream() if dtype != object and total >= _BLOCK else None
-    cuts = _cuts(np, parts, _BLOCK if calls is None else _BLOCK // 2)
+    cuts = _cuts(np, parts, _BLOCK // 2)
     # bounds[r, i] is the number of keys of run r below the i-th cut.
     bounds = np.empty((len(parts), len(cuts) + 2), dtype=np.intp)
     bounds[:, 0] = 0
@@ -225,11 +229,31 @@ def _union(np, parts: list, limit: int, count: bool = False):
     # at the end: pages that are never written never become resident.
     out = None if count else np.empty(min(total, limit), dtype=dtype)
     rows, blocks = bounds.tolist(), range(len(cuts) + 1)
+    calls = _second_stream() if dtype != object and total >= _BLOCK else None
     if calls is None:
         size = _stream(np, parts, rows, width, out, limit, blocks)
     else:
-        size = _two_streams(np, calls, parts, rows, width, out, limit, blocks)
-    if size is None or count:
+        import queue
+
+        done, to_me, to_worker = queue.SimpleQueue(), None, None
+        if not count:
+            to_me, to_worker = queue.SimpleQueue(), queue.SimpleQueue()
+            to_me.put(0)
+        call = functools.partial(_stream, np, parts, rows, width, out, limit, blocks[1::2], to_worker, to_me)
+        calls.put((call, done))
+        try:
+            size = _stream(np, parts, rows, width, out, limit, blocks[0::2], to_me, to_worker)
+        finally:
+            other, error = done.get()
+        if error is not None:
+            raise error
+        if size is None or other is None:
+            return None
+        size = size + other if count else max(size, other)
+    # Two counts within limit each can pass it together.
+    if size is None or size > limit:
+        return None
+    if count:
         return size
     # No view of out exists any more, so shrinking it in place is safe; the
     # dropped tail holds only unwritten slots.
@@ -243,71 +267,41 @@ def _stream(np, parts, rows, width, out, limit, blocks, take=None, give=None):
     distinct sums (None once it passes limit). With out set, each block's
     distinct sums are copied into out at the size reached before it. With
     take and give set, a block takes that size from take just before its
-    copy and puts the size after it on give; None on take, or limit passed,
-    stops the stream and puts None on give. Two streams that alternate
-    blocks and pass sizes to each other so write out in key order."""
-    block = np.empty(width, dtype=parts[0][0].dtype)
-    keep = np.empty(width, dtype=bool)
-    size = 0
-    for i in blocks:
-        n = 0
-        for (a, x), row in zip(parts, rows):
-            lo, hi = row[i], row[i + 1]
-            np.add(a[lo:hi], x, out=block[n:n + hi - lo])
-            n += hi - lo
-        sums = block[:n]
-        if n:
-            sums.sort(kind="stable")
-            keep[0] = True
-            np.not_equal(sums[1:], sums[:-1], out=keep[1:n])
-        fresh = int(np.count_nonzero(keep[:n]))
-        if take is not None:
-            size = take.get()
-        if size is None or size + fresh > limit:
-            if give is not None:
-                give.put(None)
-            return None
-        if out is not None:
-            np.compress(keep[:n], sums, out=out[size:size + fresh])
-        size += fresh
-        if give is not None:
-            give.put(size)
-    return size
-
-
-def _two_streams(np, calls, parts, rows, width, out, limit, blocks):
-    """_stream over blocks, split between this thread and the worker behind
-    calls. A count gives each stream one contiguous half of the blocks and
-    adds the two counts; a build alternates blocks between the streams,
-    each copying its distinct sums into out at the size its predecessor
-    passes on. The worker's outcome is always awaited, so no block is in
-    flight once this returns or raises, and an exception raised in the
-    worker is raised here."""
-    import queue
-
-    done, to_me, to_worker = queue.SimpleQueue(), None, None
-    if out is None:
-        half = len(blocks) // 2
-        mine, theirs = blocks[:half], blocks[half:]
-    else:
-        to_me, to_worker = queue.SimpleQueue(), queue.SimpleQueue()
-        to_me.put(0)
-        mine, theirs = blocks[0::2], blocks[1::2]
-    call = functools.partial(_stream, np, parts, rows, width, out, limit, theirs, to_worker, to_me)
-    calls.put((call, to_me, done))
+    copy and puts the size after it on give, so two streams that alternate
+    blocks write out in key order. A stream that ends early (None taken,
+    limit passed, or an exception raised) puts None on give, once, and
+    nothing after it, so the other stream never waits for a size that
+    cannot come."""
+    size, finished = 0, False
     try:
-        size = _stream(np, parts, rows, width, out, limit, mine, to_me, to_worker)
+        block = np.empty(width, dtype=parts[0][0].dtype)
+        keep = np.empty(width, dtype=bool)
+        for i in blocks:
+            n = 0
+            for (a, x), row in zip(parts, rows):
+                lo, hi = row[i], row[i + 1]
+                np.add(a[lo:hi], x, out=block[n:n + hi - lo])
+                n += hi - lo
+            sums = block[:n]
+            if n:
+                sums.sort(kind="stable")
+                keep[0] = True
+                np.not_equal(sums[1:], sums[:-1], out=keep[1:n])
+            fresh = int(np.count_nonzero(keep[:n]))
+            if take is not None:
+                size = take.get()
+            if size is None or size + fresh > limit:
+                return None
+            if out is not None:
+                np.compress(keep[:n], sums, out=out[size:size + fresh])
+            size += fresh
+            if give is not None:
+                give.put(size)
+        finished = True
+        return size
     finally:
-        if to_worker is not None:
-            to_worker.put(None)  # lets the worker stop if it still waits for a size
-        other, error = done.get()
-    if error is not None:
-        raise error
-    if size is None or other is None:
-        return None
-    if out is not None:
-        return max(size, other)
-    return size + other if size + other <= limit else None
+        if give is not None and not finished:
+            give.put(None)
 
 
 def _second_stream():
@@ -330,16 +324,14 @@ def _second_stream():
 
 
 def _serve(calls):
-    """Runs each (call, give, done) taken from calls, until a None: puts
-    (result, None) or (None, exception) on done, and on an exception also
-    None on give (when set), so a stream waiting for a size stops."""
-    for call, give, done in iter(calls.get, None):
+    """Runs each (call, done) taken from calls, until a None, and puts
+    (result, None) or (None, exception) on done. A call is one stream of
+    _union, which signals its partner itself when it ends early."""
+    for call, done in iter(calls.get, None):
         try:
             outcome = call(), None
         except BaseException as exc:  # raised again by the caller, in its thread
             outcome = None, exc
-            if give is not None:
-                give.put(None)
         # Drop the union's arrays before waiting for the next call.
         del call
         done.put(outcome)
@@ -364,9 +356,11 @@ def growth_series(
     Each sumset is one sorted array of packed lattice keys per torsion value
     (see the module docstring); a step merges, for each target torsion
     value, the previous arrays shifted by the packed layer points, block by
-    block, dropping repeats as it goes (`_union`, in two streams when the
-    union is large), so it holds the previous and the next sumset plus the
-    blocks in flight, at most _BLOCK sums together, never all |E| s_n sums.
+    block, dropping repeats as it goes (`_union`: blocks of at most
+    _BLOCK // 2 sums, alternated between this thread and one worker when
+    the union is large). So it holds the previous and the next sumset plus
+    the blocks in flight, at most _BLOCK sums together, never all |E| s_n
+    sums.
     The last step only counts the distinct sums, so it holds the previous
     sumset and the blocks in flight.
     """

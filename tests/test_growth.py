@@ -801,9 +801,103 @@ STREAM_SHAPES = {
 }
 
 
+class AddSpy:
+    """numpy, but recording the sums each thread's np.add writes."""
+
+    def __init__(self):
+        self.sums = {}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def add(self, a, x, out):
+        np.add(a, x, out=out)
+        self.sums.setdefault(threading.current_thread(), []).append(out.copy())
+
+
+ONE_CPU_PROBE = """
+    import os, threading
+    from dualent import growth
+    from dualent.groups import AbelianAutomorphism, FgAbelianGroup
+    from dualent.growth import FiniteSubset, growth_series
+
+    # One CPU of those this process may use, so the probe runs in any CPU set.
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    z2 = FgAbelianGroup(2)
+    auto = AbelianAutomorphism.from_matrix(z2, ((2, 1), (1, 1)))
+    corners = FiniteSubset.of(z2, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    sizes = growth_series(auto, corners, 13).sizes
+    # Unions of 300,096 and 785,668 sums, all in this thread.
+    print(*sizes[-2:], growth._worker[1], threading.active_count())
+"""
+
+
+class TestStopSignal:
+    """_stream run alone in this thread, with a take queue holding the size
+    before each of its blocks as a partner stream would pass it."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(growth, "_BLOCK", 600)
+
+    def run(self, numpy, taken, passed=None):
+        """Runs every block with the sizes before the first `taken` blocks,
+        then None, on take, and the limit one below the end of block
+        `passed`, or met by the last block."""
+        parts = wide_parts(np.random.default_rng(4))
+        union = plain_union(parts)
+        # The cuts, rows and width that _union hands to _stream.
+        cuts = growth._cuts(np, parts, growth._BLOCK // 2)
+        rows = [[0, *np.searchsorted(a, cuts - x).tolist(), len(a)] for a, x in parts]
+        width = int(block_sizes(parts, cuts).max())
+        # ends[i]: the distinct sums up to the end of block i.
+        ends = np.searchsorted(union, cuts).tolist() + [len(union)]
+        assert len(ends) > 4
+        take, give = queue.SimpleQueue(), queue.SimpleQueue()
+        for size in ([0] + ends[:-1])[:taken] + [None]:
+            take.put(size)
+        out = np.empty(len(union), dtype=np.int64)
+        try:
+            limit = ends[-1] if passed is None else ends[passed] - 1
+            result = growth._stream(numpy, parts, rows, width, out, limit, range(len(ends)), take, give)
+        except Boom:
+            result = Boom
+        given = []
+        while not give.empty():
+            given.append(give.get())
+        return result, given, ends, out, union
+
+    def test_a_normal_finish_gives_every_size_and_last_the_final_one(self):
+        result, given, ends, out, union = self.run(np, taken=10**9)
+        assert result == given[-1] == len(union)
+        assert given == ends
+        assert np.array_equal(out, union)
+
+    @pytest.mark.parametrize("case", ["limit-passed", "none-taken", "block-raises"])
+    def test_an_early_end_gives_one_none_and_nothing_after(self, case):
+        # Each case ends the stream in its third block, after two sizes given.
+        numpy = FailingNumpy(lambda: True, 3) if case == "block-raises" else np
+        taken = 2 if case == "none-taken" else 10**9
+        passed = 2 if case == "limit-passed" else None
+        result, given, ends, _, _ = self.run(numpy, taken, passed)
+        assert result is (Boom if case == "block-raises" else None)
+        assert given == ends[:2] + [None]
+
+    def test_a_failed_allocation_gives_one_none(self):
+        class NoMemory:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def empty(self, *args, **kwargs):
+                raise Boom
+
+        result, given, _, _, _ = self.run(NoMemory(), taken=10**9)
+        assert result is Boom and given == [None]
+
+
 class TestTwoStreams:
-    """_union splits its blocks between this thread and a worker: contiguous
-    halves when it counts, alternate blocks when it builds its output."""
+    """_union alternates its blocks between this thread (the even ones) and a
+    worker (the odd ones), whether it counts or builds its output."""
 
     @pytest.mark.parametrize("size", [64, 1000], ids=lambda b: f"block{b}")
     @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
@@ -819,6 +913,24 @@ class TestTwoStreams:
         assert np.array_equal(one[0], expected) and np.array_equal(two[0], expected)
         assert one[1] == two[1] == len(expected)
 
+    def test_count_and_build_hand_the_worker_the_odd_blocks(self, monkeypatch, worker):
+        monkeypatch.setattr(growth, "_BLOCK", 600)
+        parts = wide_parts(np.random.default_rng(2))
+        sums = np.concatenate([a + x for a, x in parts])
+        cuts = growth._cuts(np, parts, growth._BLOCK // 2)
+        assert len(cuts) > 4
+        # Block i holds the sums in [cut_(i-1), cut_i).
+        odd = np.searchsorted(cuts, sums, side="right") % 2 == 1
+        expected = {worker.thread: np.sort(sums[odd]), threading.current_thread(): np.sort(sums[~odd])}
+        for count in (False, True):
+            spy = AddSpy()
+            union = growth._union(spy, parts, 10**9, count=count)
+            assert (union if count else len(union)) == len(plain_union(parts))
+            assert spy.sums.keys() == expected.keys()
+            for thread, written in spy.sums.items():
+                assert np.array_equal(np.sort(np.concatenate(written)), expected[thread])
+        assert worker.handed == 2
+
     @pytest.mark.parametrize("count", [False, True], ids=["build", "count"])
     def test_limit_passed_in_either_stream_or_met(self, monkeypatch, worker, count):
         monkeypatch.setattr(growth, "_BLOCK", 600)
@@ -830,8 +942,7 @@ class TestTwoStreams:
 
         def stream(limit):
             """0 for this thread, 1 for the worker: whose block passes limit."""
-            block = bisect.bisect_right(ends, limit)
-            return int(block >= len(ends) // 2) if count else block % 2
+            return bisect.bisect_right(ends, limit) % 2
 
         assert {stream(limit) for limit in limits if limit < len(union)} == {0, 1}
         for limit in limits:
@@ -862,6 +973,15 @@ class TestTwoStreams:
         threads = threading.active_count()
         assert growth._second_stream() is None
         assert threading.active_count() == threads
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_a_process_pinned_to_one_cpu_runs_one_stream(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(ONE_CPU_PROBE)],
+            capture_output=True, text=True, env=child_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(fib(27) - 1), str(fib(29) - 1), "None", "1"]
 
     @pytest.mark.parametrize("count", [False, True], ids=["build", "count"])
     @pytest.mark.parametrize("at", [1, 4])
@@ -934,7 +1054,8 @@ class TestCuts:
     def test_a_7x7_base_step_keeps_one_budget(self):
         # The runs of the last cat-map step on the 7x7 base: 49 shifts of s_8
         # keys. A budget of _BLOCK keys a run held up to 49 _BLOCK of them.
-        # One stream cuts for _BLOCK sums a block, each of two for half that.
+        # Every union cuts for _BLOCK // 2 sums a block, at most two of which
+        # are in flight; the budget _BLOCK is checked as well.
         rng = np.random.default_rng(0)
         run = random_run(rng, 150_000, -10**7, 10**7)
         parts = [(run, int(x)) for x in rng.integers(-10**6, 10**6, size=49)]
@@ -998,10 +1119,10 @@ def test_a_step_holds_little_more_than_two_sumsets():
 
 
 # In one stream or two, the blocks in flight hold at most _BLOCK sums
-# together over all their runs (one block of up to _BLOCK, or one of up to
-# _BLOCK // 2 in each stream), 8 bytes each, with 1 byte of repeat mask, 8
-# of the stable sort's merge buffer and 16 of np.compress (an index array,
-# then the kept sums) a sum.
+# together over all their runs (a block of up to _BLOCK // 2 sums in each
+# stream), 8 bytes each, with 1 byte of repeat mask, 8 of the stable sort's
+# merge buffer and 16 of np.compress (an index array, then the kept sums) a
+# sum.
 BLOCK_BYTES = growth._BLOCK * (8 + 1 + 8 + 16)
 
 
