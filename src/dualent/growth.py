@@ -28,6 +28,21 @@ sums, are in flight (see _union), and a step's working set beyond the two
 sumsets does not grow with |E|. Only the sizes leave `growth_series`,
 so the last step counts the distinct sums of each block and never builds
 the last sumset.
+
+The step before it may count as well (the pair route). With A the sumset
+S_(n-2) and P the distinct sums of gamma^(n-2)(E) + gamma^(n-1)(E),
+S_(n-1) = A + gamma^(n-2)(E) and S_n = A + P, since S_n = S_(n-1) +
+gamma^(n-1)(E). So both sizes are counts over the runs of A, and S_(n-1),
+the largest sumset the other (build) route builds, is never built.
+P = gamma^(n-2)(E + gamma(E)) and gamma is a bijection, so |P| = s_2. The
+pair route counts |P| s_(n-2) sums where the build route builds
+|E| s_(n-2) sums and counts |E| s_(n-1); _pair_pays weighs the two from
+sizes already known, so a series takes the pair route only from n = 4 on,
+where s_2 and s_(n-3) are known, and only when its keys are already packed
+for depth n - 1. Where the int64 horizon stops at n - 2 it keeps the build
+route: re-packing a step early would move the count of s_(n-1) to
+Python-int keys too, which run in one stream, while the build route
+re-packs for its last count only.
 """
 
 from __future__ import annotations
@@ -338,6 +353,31 @@ def _serve(calls):
         del outcome
 
 
+def _pair_pays(e: int, p: int, older: int, old: int) -> bool:
+    """Whether the pair route (see the module docstring) is expected to
+    cost less than the build route for the last two sizes, from e = |E|,
+    p = |P| = s_2, older = s_(n-3) and old = s_(n-2).
+
+    A union of k sums over m runs is priced k (1 + m/64) as a count and
+    k (2 + m/64) as a build. A build also writes each distinct sum into
+    freshly faulted pages: the 2,056,912 sums of the cat-corner step to
+    s_14 took 3.5-3.9 ms to count and 11.9-12.8 ms to build (2 CPUs). A
+    block of up to _BLOCK // 2 sums makes one numpy call per run and
+    merges m sorted runs, so each run adds to the cost of every sum. The
+    pair route counts e and p runs of old keys; the build route builds e
+    runs of old keys and counts e runs of s_(n-1) keys, s_(n-1) estimated
+    as old^2 / older. Without the count of e old sums that both make, the
+    pair route pays when p (1 + p/64) old <= e old + e (1 + e/64) old^2 /
+    older, which times 64 older / old is the test below. It chose the
+    faster route on 13 of 14 series timed both ways in-process (the
+    perfbench growth jobs, and cat-map, squared cat-map and 3-D bases of
+    4 to 121 points to n = 4 to 12); on the 14th, the corners to n = 5,
+    the routes differed by 0.1 ms. A build weight of 3 would have taken
+    the pair route on the Z^2 x Z/2 job, where it was 7-9% slower.
+    """
+    return p * (64 + p) * older <= e * (64 * older + (64 + e) * old)
+
+
 def growth_series(
     auto: AbelianAutomorphism,
     base: FiniteSubset,
@@ -362,7 +402,12 @@ def growth_series(
     the blocks in flight, at most _BLOCK sums together, never all |E| s_n
     sums.
     The last step only counts the distinct sums, so it holds the previous
-    sumset and the blocks in flight.
+    sumset and the blocks in flight. From n_max = 4 on, when _pair_pays
+    prices it lower, the step before it counts too, and the last step
+    counts the sums of S_(n-2) and P = gamma^(n-2)(E) + gamma^(n-1)(E)
+    (the pair route): then no sumset past S_(n-2) is built. Both routes
+    give the same sizes, caps and fixed points, since the pair route
+    counts exactly the sets the build route builds and counts.
     """
     import numpy as np  # deferred so that importing the CLI stays cheap
 
@@ -405,7 +450,7 @@ def growth_series(
     sizes = [len(layers[0])]
     if sizes[0] > cap:
         raise SumsetCapError(cap, sizes[0])
-    capped = False
+    capped, pairs = False, None
     for depth in range(1, n_max):
         if depth > reach:
             old_bounds = bounds_at(reach)
@@ -415,21 +460,29 @@ def growth_series(
                 t: _repack(np, keys, old_bounds, weights, dtype)
                 for t, keys in current.items()
             }
-        shifts = [(_pack(e.lattice, weights), e.torsion) for e in layers[depth]]
+        shifts = pairs or [(_pack(e.lattice, weights), e.torsion) for e in layers[depth]]
+        count = depth == n_max - 1
+        # The pair route: S_(n-1) is only counted, and the last depth adds
+        # P to S_(n-2). P = gamma^depth(E + gamma(E)) has s_2 points, and
+        # its sums with S_(n-2) lie in the box of depth n_max - 1, for
+        # which the keys must already be packed.
+        if depth == n_max - 2 >= 2 and reach > depth and _pair_pays(*sizes[:2], *sizes[-2:]):
+            following = [(_pack(e.lattice, weights), e.torsion) for e in layers[depth + 1]]
+            pairs = sorted({(x + y, _torsion_add(u, v, orders)) for x, u in shifts for y, v in following})
+            count = True
         pending: dict[tuple[int, ...], list] = {}
         for (t, keys), (x, u) in itertools.product(current.items(), shifts):
             pending.setdefault(_torsion_add(t, u, orders), []).append((keys, x))
         # Each target torsion value's union reads the previous sumset, which
         # is released once they are all built; the cap still left bounds
         # each union, so capped is set exactly when the sumset exceeds cap.
-        last = depth == n_max - 1
         unions, left = {}, cap
         for s, parts in pending.items():
-            union = _union(np, parts, left, count=last)
+            union = _union(np, parts, left, count=count)
             if union is None:
                 capped = True
                 break
-            if last:
+            if count:
                 left -= union
             else:
                 unions[s] = union
@@ -437,7 +490,8 @@ def growth_series(
         if capped:
             break
         del pending, parts
-        current = unions
+        if not count:
+            current = unions
         sizes.append(cap - left)
         if sizes[-1] == sizes[-2]:
             # S_(d+1) = E + gamma(S_d) holds S_d, so equal sizes mean equal

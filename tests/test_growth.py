@@ -394,6 +394,167 @@ class TestFixedPoint:
             assert (series.sizes, series.capped) == expected
 
 
+def outcome(auto, base, n_max, cap, series_of=growth_series):
+    """The sizes and capped flag of series_of (growth_series or
+    naive_series), or the SumsetCapError."""
+    try:
+        series = series_of(auto, base, n_max, cap)
+    except SumsetCapError as exc:
+        return "SumsetCapError", exc.cap, exc.partial
+    return series if series_of is naive_series else (series.sizes, series.capped)
+
+
+def route(monkeypatch, pair):
+    """Forces the route of growth_series's last two sizes, and returns the
+    list that records each time the route is asked for."""
+    asked = []
+    monkeypatch.setattr(growth, "_pair_pays", lambda *sizes: asked.append(sizes) or pair)
+    return asked
+
+
+def recorded_unions(monkeypatch):
+    """Records (count, runs, size) for every _union call, size being the
+    count or the length of the built array."""
+    calls = []
+    real = growth._union
+
+    def recording(np, parts, limit, count=False):
+        union = real(np, parts, limit, count)
+        if union is not None:
+            calls.append((count, len(parts), union if count else len(union)))
+        return union
+
+    monkeypatch.setattr(growth, "_union", recording)
+    return calls
+
+
+def random_automorphism(rng, group):
+    """A seeded automorphism: a product of three elementary row operations
+    on the lattice part, a random unit on each torsion coordinate and a
+    random mixing into the torsion."""
+    p = group.rank
+    lattice = [[int(i == j) for j in range(p)] for i in range(p)]
+    for _ in range(3):
+        i, j = rng.sample(range(p), 2)
+        c = rng.choice((-1, 1))
+        lattice[i] = [a + c * b for a, b in zip(lattice[i], lattice[j])]
+    units = [rng.choice([u for u in range(1, d) if math.gcd(u, d) == 1]) for d in group.torsion]
+    mixing = [tuple(rng.randrange(d) for d in group.torsion) for _ in range(p)]
+    return _times(group, units, lattice, mixing)
+
+
+def random_base(rng, group):
+    return FiniteSubset.of(group, [
+        tuple(rng.randint(-2, 2) for _ in range(group.rank)) + tuple(rng.randrange(d) for d in group.torsion)
+        for _ in range(rng.randint(1, 5))
+    ])
+
+
+class TestPairRoute:
+    """From n_max = 4 on, growth_series may count s_(n-1) from S_(n-2) and
+    then s_n as the size of S_(n-2) + P, P = gamma^(n-2)(E) + gamma^(n-1)(E),
+    instead of building S_(n-1) (the pair route). Both routes give the same
+    series, the same cap stops and the same fixed points."""
+
+    @staticmethod
+    def both_routes(monkeypatch, auto, base, n_max, cap):
+        route(monkeypatch, True)
+        pair = outcome(auto, base, n_max, cap)
+        route(monkeypatch, False)
+        return pair, outcome(auto, base, n_max, cap)
+
+    @pytest.mark.parametrize("group", [FgAbelianGroup(2), FgAbelianGroup(3), FgAbelianGroup(2, (2,))], ids=["Z2", "Z3", "Z2xC2"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_the_routes_agree_on_random_automorphisms(self, monkeypatch, group, seed):
+        rng = random.Random(seed)
+        taken = 0
+        for n_max in range(2, 13):
+            auto, base = random_automorphism(rng, group), random_base(rng, group)
+            route(monkeypatch, False)
+            sizes, capped = outcome(auto, base, n_max, 30_000)
+            caps = {30_000}
+            if not capped:
+                caps |= {sizes[-2] - 1, sizes[-2], sizes[-1] - 1, sizes[-1]}
+            for cap in sorted(caps - {0}):
+                pair, build = self.both_routes(monkeypatch, auto, base, n_max, cap)
+                assert pair == build, (n_max, cap)
+            asked = route(monkeypatch, True)
+            outcome(auto, base, n_max, 30_000)
+            taken += len(asked)
+        # Most of the 9 series to n_max >= 4 reach the pair route before the cap.
+        assert taken >= 5
+
+    @pytest.mark.parametrize("n_max", range(2, 13))
+    def test_a_fixed_point_on_the_counted_size(self, monkeypatch, n_max):
+        # gamma = times 2 on C5 from {0, 1}: sizes 2, 4, 5, 5, ... At n_max = 5
+        # the count of s_4 = s_3 ends the series on the pair route, before P
+        # is ever added.
+        auto, points = FIXED_POINT_CASES[1][1:]
+        base = FiniteSubset.of(auto.group, points)
+        sizes, _ = naive_series(auto, base, n_max, DEFAULT_CAP)
+        for cap in {sizes[-2] - 1, sizes[-2], sizes[-1] - 1, sizes[-1], DEFAULT_CAP} - {0}:
+            pair, build = self.both_routes(monkeypatch, auto, base, n_max, cap)
+            assert pair == build == outcome(auto, base, n_max, cap, naive_series), cap
+        if n_max == 5:
+            route(monkeypatch, True)
+            calls = recorded_unions(monkeypatch)
+            assert growth_series(auto, base, n_max).sizes == (2, 4, 5, 5, 5)
+            # S_3 is all of C5, so the step to s_4 counts one key for each of
+            # its 5 torsion values, and no union follows.
+            assert [count for count, _, _ in calls] == [False] * (len(calls) - 5) + [True] * 5
+
+    def test_the_finite_c5_document_is_constant(self, monkeypatch):
+        # The CLI's finite C5 document has base {0}: s_2 = s_1 = 1, so the
+        # series is fixed before the route is ever asked for.
+        group = FgAbelianGroup(0, (5,))
+        auto = _times(group, (2,))
+        asked = route(monkeypatch, True)
+        assert growth_series(auto, FiniteSubset.of(group, [(0,)]), 12).sizes == (1,) * 12
+        assert asked == []
+
+    def test_cat_corners_build_nothing_past_s13(self, monkeypatch, cat_auto, z2):
+        # s_14 and s_15 are both counts over the 514,228 keys of S_13: s_14
+        # over its 4 shifts, s_15 over the 12 points of P.
+        calls = recorded_unions(monkeypatch)
+        series = growth_series(cat_auto, corners(z2), 15)
+        assert series.sizes == tuple(fib(2 * n + 3) - 1 for n in range(1, 16))
+        assert max(size for count, _, size in calls if not count) == fib(29) - 1 == 514_228
+        assert calls[-2:] == [(True, 4, fib(31) - 1), (True, 12, fib(33) - 1)]
+        assert sum(count for count, _, _ in calls) == 2
+
+    @pytest.mark.parametrize("case", ["hyperbolic-3d-corners-n14", "cat-ball7-n9"])
+    def test_wider_bases_build_the_sumset_before_last(self, monkeypatch, case):
+        # |P| = s_2 is 32 and 277 here against |E| = 8 and 49: merging that
+        # many runs of S_(n-2) costs more than building S_(n-1).
+        if case.startswith("hyperbolic"):
+            z3 = FgAbelianGroup(3)
+            auto = AbelianAutomorphism.from_matrix(z3, ((0, 0, 1), (1, 0, 1), (0, 1, 1)))
+            base, n, e = corners(z3), 14, 8
+        else:
+            z2 = FgAbelianGroup(2)
+            auto = AbelianAutomorphism.from_matrix(z2, CAT)
+            base, n, e = FiniteSubset.of(z2, itertools.product(range(-3, 4), repeat=2)), 9, 49
+        calls = recorded_unions(monkeypatch)
+        sizes = growth_series(auto, base, n).sizes
+        assert calls[-2:] == [(False, e, sizes[-2]), (True, e, sizes[-1])]
+
+    def test_keys_not_packed_for_the_last_depth_keep_the_build_route(self, monkeypatch, z2, repacks):
+        # The radices of this map fit int64 up to depth 4 only. At n_max = 5
+        # the keys are packed for depth 4 = n_max - 1 and the route is asked
+        # for; at n_max = 6 the horizon stops at n_max - 2, so the build
+        # route runs, and the keys move to Python ints for the last count.
+        auto = AbelianAutomorphism.from_matrix(z2, ((2**8 + 1, 2**8), (1, 1)))
+        base = FiniteSubset.of(z2, COLLISION_BASE)
+        asked, calls = route(monkeypatch, True), recorded_unions(monkeypatch)
+        for n_max, asks in ((5, 1), (6, 0)):
+            for record in (asked, calls, repacks):
+                record.clear()
+            assert outcome(auto, base, n_max, DEFAULT_CAP) == outcome(auto, base, n_max, DEFAULT_CAP, naive_series)
+            assert len(asked) == asks
+            assert calls[-1][:2] == ((True, 27) if asks else (True, 6))
+            assert len(repacks) == 1 - asks
+
+
 GROUPS = {
     "Z": FgAbelianGroup(1),
     "Z2": FgAbelianGroup(2),
@@ -1147,6 +1308,19 @@ def test_a_wide_base_holds_one_block_of_sums():
     assert (s8, s9) == (149_965, 393_445)
     assert s7 + s8 < 1.5 * s8
     assert grown <= 1.5 * 8 * s8 + BLOCK_BYTES
+
+
+@linux_only
+def test_the_corner_series_counts_s14_and_s15_from_s13():
+    # On the pair route s_14 and s_15 are both counts over the runs of S_13,
+    # so the largest step builds S_13 from S_12: s_12 + s_13 < 1.5 s_13 keys
+    # and the blocks in flight. Building S_14 as well, as the build route
+    # does, grew the peak by 18.8-19.1 MB here; its 8 s_14 bytes alone exceed
+    # the bound.
+    s13, s14, _, grown = corners_probe()
+    assert s13 == fib(29) - 1
+    assert 1.5 * 8 * s13 + BLOCK_BYTES < 8 * s14
+    assert grown <= 1.5 * 8 * s13 + BLOCK_BYTES
 
 
 STREAM_PROBE = """
