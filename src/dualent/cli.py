@@ -17,6 +17,7 @@ and `reports`. On top of these `entropy` loads `crystal` and `spectral`;
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
-    from .folner import RankCertificate, WeightedFunction
+    from .folner import RankCertificate
     from .specdoc import SpecDocument
 
 EXIT_OK = 0
@@ -208,18 +209,12 @@ def _box_defect(halfwidth: int, omega) -> Fraction:
     )
 
 
-def _axis_box(group, halfwidth: int) -> WeightedFunction:
-    """Uniform weights on the lattice points of [-halfwidth, halfwidth]^p."""
-    from .folner import WeightedFunction
-
-    points = itertools.product(range(-halfwidth, halfwidth + 1), repeat=group.rank)
-    return WeightedFunction.uniform(group, [group.element(x) for x in points])
-
-
 def _rank_box(doc: SpecDocument, omega, delta_frac, method: str) -> RankCertificate:
     """The first uniform axis box [-h, h]^p, h from 0 (interval) or 1
-    (parallelepiped), whose defect is below delta."""
-    from .folner import RankSearchExhausted
+    (parallelepiped), whose defect is below delta: `interval_folner(h)`, or
+    `parallelepiped_folner` on the unit cube at half-width h."""
+    from .folner import Parallelepiped, RankSearchExhausted, interval_folner, parallelepiped_folner
+    from .groups import IntMatrix
 
     group = doc.group
     if method == "interval":
@@ -227,14 +222,16 @@ def _rank_box(doc: SpecDocument, omega, delta_frac, method: str) -> RankCertific
             group.rank == 1 and not group.torsion,
             "group", "--method interval needs the rank-1 torsion-free group",
         )
-        first, limit, box = 0, 200000, "interval"
+        first, limit, name, build = 0, 200000, "interval", interval_folner
     else:
         _require(
             group.rank >= 1 and not group.torsion,
             "group", "--method parallelepiped needs a torsion-free lattice group",
         )
-        first, limit, box = 1, 2000 if group.rank == 1 else 60, "axis box"
-    exhausted = f"no {box} of halfwidth <= {limit} reaches the tolerance"
+        first, limit, name = 1, 2000 if group.rank == 1 else 60, "axis box"
+        unit = Parallelepiped(IntMatrix.identity(group.rank).entries)
+        build = functools.partial(parallelepiped_folner, unit)
+    exhausted = f"no {name} of halfwidth <= {limit} reaches the tolerance"
 
     def fits(h: int) -> bool:
         return _box_defect(h, omega) < delta_frac
@@ -253,7 +250,7 @@ def _rank_box(doc: SpecDocument, omega, delta_frac, method: str) -> RankCertific
             high = mid
         else:
             low = mid
-    return _first_upper_bound([(high, _axis_box(group, high))], delta_frac, omega, exhausted)
+    return _first_upper_bound([(high, build(high))], delta_frac, omega, exhausted)
 
 
 def _rank_tower(doc: SpecDocument, omega, delta_frac, cap) -> RankCertificate:

@@ -125,23 +125,17 @@ class WeightedFunction:
 
 def defect(t: WeightedFunction, omega: Sequence[AbelianElement]) -> Fraction:
     """max over s in omega of the l1 distance between T and its s-translate,
-    sum_g |T(g - s) - T(g)|, as an exact rational. The translate is built
-    once per shift: the sum runs over the support, and the translated
-    weights that land outside it each add their own weight."""
+    sum_g |T(g - s) - T(g)|, as an exact rational: `_rows_defect` on the
+    support's successor rows, one per shift, which number each translated
+    point by its place in the support, or -1 where it leaves it."""
     if not omega:
         raise ValueError("omega must be nonempty")
     for s in omega:
         if s.group != t.group:
             raise ShapeError("shift outside the function's group")
-    zero = Fraction(0)
-    worst = zero
-    for s in omega:
-        moved = {e + s: w for e, w in zip(t.support, t.weights)}
-        total = sum((abs(moved.pop(g, zero) - w) for g, w in zip(t.support, t.weights)), zero)
-        total += sum(moved.values(), zero)
-        if total > worst:
-            worst = total
-    return worst
+    index = {e: i for i, e in enumerate(t.support)}
+    rows = ([index.get(e + s, -1) for e in t.support] for s in omega)
+    return _rows_defect(rows, range(len(t.support)), t.weights)
 
 
 def convolution(f: WeightedFunction, g: WeightedFunction, cap: Optional[int] = None) -> WeightedFunction:
@@ -199,17 +193,15 @@ def convolution_tower(
     result = next(itertools.islice(_tower_depths(f, gamma, cap), n - 1, None))
     if omega is not None:
         base = defect(f, omega)
-        spread = list(omega)
         layer = list(omega)
-        for _ in range(1, n):
+        for _ in range(n):
+            for s in layer:
+                d = defect(result, [s])
+                if d > base:
+                    raise InternalInvariantError(
+                        f"tower defect {d} exceeds base defect {base} at shift {s}"
+                    )
             layer = [gamma.apply(s) for s in layer]
-            spread.extend(layer)
-        for s in spread:
-            d = defect(result, [s])
-            if d > base:
-                raise InternalInvariantError(
-                    f"tower defect {d} exceeds base defect {base} at shift {s}"
-                )
     return result
 
 
@@ -704,23 +696,23 @@ def _search_supports(
 
 
 def _rows_defect(
-    rows: Sequence[Sequence[int]], support: Sequence[int], weights: Sequence[Fraction]
+    rows: Iterable[Sequence[int]], support: Sequence[int], weights: Sequence[Fraction]
 ) -> Fraction:
     """The defect of the weights on support under each successor row (as
     `_search_supports` takes them), maximized over the rows: the l1
-    distance between the weights and their push along the row, where a
-    point pushed to -1 leaves the points."""
-    worst = Fraction(0)
+    distance between the weights and their push along the row. A point
+    pushed to -1 leaves the points: its weight lands on -1, which no support
+    holds, and counts once. The sums run over integer numerators over the
+    lcm of the weights' denominators."""
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    worst = 0
     for row in rows:
-        gap = dict(zip(support, weights))
-        left = Fraction(0)
-        for i, w in zip(support, weights):
-            if row[i] < 0:
-                left += w
-            else:
-                gap[row[i]] = gap.get(row[i], 0) - w
-        worst = max(worst, left + sum(map(abs, gap.values())))
-    return worst
+        gap = dict(zip(support, nums))
+        for i, w in zip(support, nums):
+            gap[row[i]] = gap.get(row[i], 0) - w
+        worst = max(worst, sum(map(abs, gap.values())))
+    return Fraction(worst, den)
 
 
 def _pool_search(
@@ -844,7 +836,9 @@ def choose_folner_constant(p: int, delta) -> int:
 @dataclass(frozen=True)
 class Parallelepiped:
     """Region {sum s_i v_i : |s_i| <= t} spanned by rational basis vectors,
-    with exact membership tests for integer points."""
+    with exact membership tests for integer points. The inverse basis
+    matrix is kept as integer numerators over one common denominator, so
+    membership is decided with integer dot products."""
 
     basis: tuple[tuple[Fraction, ...], ...]
     t: Fraction = Fraction(1)
@@ -859,45 +853,51 @@ class Parallelepiped:
             raise ValueError("half-width must be positive")
         object.__setattr__(self, "basis", vs)
         object.__setattr__(self, "t", t)
-        columns = [[vs[i][j] for i in range(p)] for j in range(p)]
         try:
-            inverse = _fraction_inverse(columns)
+            inverse = _fraction_inverse([list(column) for column in zip(*vs)])
         except NotInvertibleError:
             raise DegenerateBasisError("basis vectors are linearly dependent") from None
-        object.__setattr__(self, "_inverse", tuple(tuple(row) for row in inverse))
+        den = math.lcm(*(c.denominator for row in inverse for c in row))
+        object.__setattr__(self, "_denominator", den)
+        object.__setattr__(self, "_numerators", tuple(tuple(int(c * den) for c in row) for row in inverse))
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def coordinates(self, x: Sequence) -> tuple[Fraction, ...]:
-        p = self.dimension
-        if len(x) != p:
+    def _scaled_coordinates(self, x: Sequence) -> tuple[list[int], int]:
+        """The coordinates of x as integers over one common denominator."""
+        if len(x) != self.dimension:
             raise ShapeError("point has the wrong dimension")
         xs = [Fraction(v) for v in x]
-        return tuple(
-            sum(self._inverse[i][j] * xs[j] for j in range(p)) for i in range(p)
-        )
+        q = math.lcm(*(v.denominator for v in xs))
+        y = [v.numerator * (q // v.denominator) for v in xs]
+        return [sum(map(operator.mul, row, y)) for row in self._numerators], q * self._denominator
+
+    def coordinates(self, x: Sequence) -> tuple[Fraction, ...]:
+        dots, den = self._scaled_coordinates(x)
+        return tuple(Fraction(d, den) for d in dots)
 
     def contains(self, x: Sequence, scale: Fraction = Fraction(1)) -> bool:
-        bound = self.t * scale
-        return all(abs(c) <= bound for c in self.coordinates(x))
+        dots, den = self._scaled_coordinates(x)
+        return max(map(abs, dots)) <= math.floor(self.t * Fraction(scale) * den)
 
     def includes_unit_cube(self) -> bool:
         """Whether the sup-norm unit cube sits inside the t = 1 region, i.e.
         every row of the inverse basis matrix has absolute sum <= 1."""
-        return all(sum(abs(c) for c in row) <= 1 for row in self._inverse)
+        return all(sum(map(abs, row)) <= self._denominator for row in self._numerators)
 
     def lattice_points(self, scale: Fraction = Fraction(1)) -> list[tuple[int, ...]]:
         """All integer points of the region scaled to half-width t * scale,
         via an exact bounding box and membership filter."""
-        p = self.dimension
-        bound = self.t * scale
+        bound = self.t * Fraction(scale)
         box = []
-        for j in range(p):
-            reach = bound * sum(abs(v[j]) for v in self.basis)
-            box.append(range(-math.floor(reach), math.floor(reach) + 1))
-        return [x for x in itertools.product(*box) if self.contains(x, scale)]
+        for j in range(self.dimension):
+            reach = math.floor(bound * sum(abs(v[j]) for v in self.basis))
+            box.append(range(-reach, reach + 1))
+        limit = math.floor(bound * self._denominator)
+        return [x for x in itertools.product(*box)
+                if all(abs(sum(map(operator.mul, row, x))) <= limit for row in self._numerators)]
 
 
 def interval_folner(halfwidth: int) -> WeightedFunction:

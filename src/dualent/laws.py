@@ -95,83 +95,65 @@ def random_unimodular(rng: random.Random, dim: int) -> IntMatrix:
 # --- spectral-level laws -----------------------------------------------------
 
 
-def check_power_law(trials: int = 100, seed: int = 0) -> LawReport:
-    """Entropy of the k-th power is |k| times the entropy, k in -3..3."""
+def _seeded_law(law: str, trials: int, seed: int, tolerance: float, draw) -> LawReport:
+    """The one loop of the randomized spectral laws: draw(rng) makes one
+    instance from the seeded generator and returns its deviation and its
+    inputs. An instance fails when its deviation exceeds the tolerance, and
+    its record ends with the seed."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
-    tolerance = 1e-9
     failures = []
     worst = 0.0
     for t in range(trials):
-        dim = rng.randint(1, 3)
-        m = random_unimodular(rng, dim)
-        k = rng.randint(-3, 3)
-        base = eigen_entropy(m).value
-        powered = eigen_entropy(m.power(k)).value
-        dev = abs(powered - abs(k) * base)
+        dev, inputs = draw(rng)
         worst = max(worst, dev)
         if dev > tolerance:
-            failures.append(LawInstance(
-                t, (("matrix", m.entries), ("k", k), ("seed", seed)), dev
-            ))
-    return LawReport("power", trials, tolerance, worst, tuple(failures), seed=seed)
+            failures.append(LawInstance(t, (*inputs, ("seed", seed)), dev))
+    return LawReport(law, trials, tolerance, worst, tuple(failures), seed=seed)
+
+
+def check_power_law(trials: int = 100, seed: int = 0) -> LawReport:
+    """Entropy of the k-th power is |k| times the entropy, k in -3..3."""
+
+    def draw(rng):
+        m = random_unimodular(rng, rng.randint(1, 3))
+        k = rng.randint(-3, 3)
+        dev = abs(abs(k) * eigen_entropy(m).value - eigen_entropy(m.power(k)).value)  # base first
+        return dev, (("matrix", m.entries), ("k", k))
+
+    return _seeded_law("power", trials, seed, 1e-9, draw)
 
 
 def check_conjugacy(trials: int = 100, seed: int = 1) -> LawReport:
     """Conjugation preserves the characteristic polynomial exactly, hence the
     entropy exactly."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = random.Random(seed)
-    failures = []
-    worst = 0.0
-    for t in range(trials):
+
+    def draw(rng):
         dim = rng.randint(1, 3)
         m = random_unimodular(rng, dim)
         s = random_unimodular(rng, dim)
-        conjugated = s * m * s.inverse()
-        p1 = char_poly(m)
-        p2 = char_poly(conjugated)
-        if p1 != p2:
-            dev = float(max(
-                abs(a - b)
-                for a, b in itertools.zip_longest(
-                    p1.coeffs, p2.coeffs, fillvalue=0
-                )
-            ))
-            worst = max(worst, dev)
-            failures.append(LawInstance(
-                t,
-                (("matrix", m.entries), ("conjugator", s.entries), ("seed", seed)),
-                dev,
-            ))
-    return LawReport("conjugacy", trials, 0.0, worst, tuple(failures), seed=seed)
+        p1, p2 = char_poly(m), char_poly(s * m * s.inverse())
+        dev = float(max(abs(a - b) for a, b in itertools.zip_longest(p1.coeffs, p2.coeffs, fillvalue=0)))
+        return dev, (("matrix", m.entries), ("conjugator", s.entries))
+
+    return _seeded_law("conjugacy", trials, seed, 0.0, draw)
 
 
 def check_product_bounds(trials: int = 100, seed: int = 2) -> LawReport:
     """Product automorphisms: the entropy of a block sum is sandwiched between
     the max and the sum of the factors, and in the spectral setting equals the
     sum (the spectra unite)."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = random.Random(seed)
-    tolerance = 1e-9
-    failures = []
-    worst = 0.0
-    for t in range(trials):
+
+    def draw(rng):
         m1 = random_unimodular(rng, rng.randint(1, 2))
         m2 = random_unimodular(rng, rng.randint(1, 2))
         h1 = eigen_entropy(m1).value
         h2 = eigen_entropy(m2).value
         h12 = eigen_entropy(IntMatrix.block_diag(m1, m2)).value
-        dev = max(abs(h12 - (h1 + h2)), max(h1, h2) - h12)
-        worst = max(worst, dev)
-        if dev > tolerance:
-            failures.append(LawInstance(
-                t, (("m1", m1.entries), ("m2", m2.entries), ("seed", seed)), dev
-            ))
-    return LawReport("product", trials, tolerance, worst, tuple(failures), seed=seed)
+        return max(abs(h12 - (h1 + h2)), max(h1, h2) - h12), (("m1", m1.entries), ("m2", m2.entries))
+
+    return _seeded_law("product", trials, seed, 1e-9, draw)
 
 
 # --- rank monotonicity -------------------------------------------------------

@@ -10,7 +10,9 @@ import pytest
 
 from dualent import cli
 from dualent.cli import main, EXIT_OK, EXIT_COMPUTATION, EXIT_SPEC, EXIT_VERIFY_FAILED
-from dualent.folner import Parallelepiped, defect, interval_folner, parallelepiped_folner
+from dualent.folner import (
+    Parallelepiped, WeightedFunction, defect, interval_folner, parallelepiped_folner,
+)
 from dualent.groups import FgAbelianGroup
 from dualent.specdoc import parse_spec
 
@@ -174,6 +176,15 @@ class TestRankCommand:
         assert proc.stderr == "computation error: delta must be positive\n"
 
 
+def _unit_box(p, h):
+    """Uniform weights on [-h, h]^p: for h >= 1 the witness of --method
+    parallelepiped, for h = 0 the point mass at 0."""
+    if h == 0:
+        return WeightedFunction.point_mass(FgAbelianGroup(p).zero())
+    unit = tuple(tuple(int(i == j) for j in range(p)) for i in range(p))
+    return parallelepiped_folner(Parallelepiped(unit), h)
+
+
 class TestBoxMethods:
     """--method interval and --method parallelepiped gallop and bisect on the
     closed-form defect of the uniform axis box [-h, h]^p; both must agree
@@ -188,21 +199,13 @@ class TestBoxMethods:
         shifts = [(0,) * p, (10,) + (0,) * (p - 1), (-1,) * (p - 1) + (-11,)]
         shifts += [tuple(rng.randint(-6, 6) for _ in range(p)) for _ in range(12)]
         for h in range(5):
-            box = cli._axis_box(group, h)
+            box = _unit_box(p, h)
+            if p == 1:
+                assert box == interval_folner(h)
             assert len(box.support) == (2 * h + 1) ** p
             for s in shifts:
                 omega = [group.element(s)]
                 assert cli._box_defect(h, omega) == defect(box, omega), (h, s)
-
-    def test_box_is_the_interval_and_the_parallelepiped(self):
-        assert cli._axis_box(FgAbelianGroup(1), 0) == interval_folner(0)
-        for p in (1, 2, 3):
-            unit = tuple(tuple(int(i == j) for j in range(p)) for i in range(p))
-            for h in (1, 2, 3):
-                box = cli._axis_box(FgAbelianGroup(p), h)
-                assert box == parallelepiped_folner(Parallelepiped(unit), h)
-                if p == 1:
-                    assert box == interval_folner(h)
 
     @pytest.mark.parametrize("method", ["interval", "parallelepiped"])
     @pytest.mark.parametrize("shifts", [(1, -1), (2,), (0, 3, -1), (0,), (7, -5)])
@@ -219,15 +222,19 @@ class TestBoxMethods:
     def check_scan(path, method, shifts, scanned):
         doc = parse_spec(str(path))
         omega = [doc.group.element(s) for s in shifts]
-        first = 0 if method == "interval" else 1
-        exact = {h: defect(cli._axis_box(doc.group, h), omega) for h in range(first, scanned)}
+        p = doc.group.rank
+        if method == "interval":
+            first, box = 0, interval_folner
+        else:
+            first, box = 1, lambda h: _unit_box(p, h)
+        exact = {h: defect(box(h), omega) for h in range(first, scanned)}
         deltas = {d + eps for d in exact.values() for eps in (0, Fraction(1, 10**6))}
         deltas.add(Fraction(5, 2))
         for delta in sorted(d for d in deltas if d > exact[scanned - 1]):
             cert = cli._rank_box(doc, omega, delta, method)
             h = next(h for h, d in exact.items() if d < delta)
             assert cert.search_radius == h
-            assert cert.witness == cli._axis_box(doc.group, h)
+            assert cert.witness == box(h)
             assert cert.defect_exact == exact[h] < delta
 
     @staticmethod

@@ -174,6 +174,47 @@ class TestDefect:
         assert type(got) is Fraction
         assert got == reference(f, omega)
 
+    @staticmethod
+    def _dict_defect(t, omega):
+        """The dict-based defect that `defect` replaced: per shift, the
+        translate as a dict of Fractions, popped against the support."""
+        zero = F(0)
+        worst = zero
+        for s in omega:
+            moved = {e + s: w for e, w in zip(t.support, t.weights)}
+            total = sum((abs(moved.pop(g, zero) - w) for g, w in zip(t.support, t.weights)), zero)
+            total += sum(moved.values(), zero)
+            worst = max(worst, total)
+        return worst
+
+    @pytest.mark.parametrize("rank, torsion", [(1, ()), (2, ()), (1, (3,)), (2, (2, 4)), (0, (5, 6))])
+    def test_matches_the_dict_defect(self, rank, torsion):
+        g = FgAbelianGroup(rank, torsion)
+        rng = random.Random(rank * 10 + len(torsion))
+
+        def element(lattice_reach):
+            return g.element(
+                [rng.randint(-lattice_reach, lattice_reach) for _ in range(rank)],
+                [rng.randrange(d) for d in torsion],
+            )
+
+        zero = g.zero()
+        torsion_shifts = [g.element((0,) * rank, [int(i == j) for j in range(len(torsion))])
+                          for i in range(len(torsion))]
+        far = [g.element((40,) + (0,) * (rank - 1), (0,) * len(torsion))] if rank else []
+        for _ in range(40):
+            support = list({element(3) for _ in range(rng.randint(1, 12))})
+            # weights with mixed denominators
+            raw = [F(rng.randint(1, 9), rng.randint(1, 7)) for _ in support]
+            total = sum(raw)
+            f = WeightedFunction(g, tuple(support), tuple(w / total for w in raw))
+            omega = [zero, *torsion_shifts, *far] + [element(4) for _ in range(rng.randint(1, 4))]
+            for s in omega:
+                assert defect(f, [s]) == self._dict_defect(f, [s]), s
+            got = defect(f, omega)
+            assert type(got) is Fraction
+            assert got == self._dict_defect(f, omega)
+
 
 class TestConvolution:
     def test_point_mass_is_identity(self, z1):
@@ -1209,6 +1250,81 @@ class TestFolnerConstructions:
         pts = [(i,) for i in range(10)]
         assert symmetric_difference_ratio(pts, (1,)) == F(2, 10)
         assert symmetric_difference_ratio(pts, (0,)) == 0
+
+
+class _FractionParallelepiped:
+    """The Fraction Parallelepiped that the integer one replaced, kept as a
+    reference: the inverse basis matrix in Fractions, membership by
+    comparing each coordinate with t * scale."""
+
+    def __init__(self, basis, t):
+        p = len(basis)
+        self.basis = [[F(x) for x in v] for v in basis]
+        self.t = F(t)
+        self.inverse = folner._fraction_inverse([[self.basis[i][j] for i in range(p)] for j in range(p)])
+
+    def coordinates(self, x):
+        xs = [F(v) for v in x]
+        return tuple(sum(row[j] * xs[j] for j in range(len(xs))) for row in self.inverse)
+
+    def contains(self, x, scale=F(1)):
+        return all(abs(c) <= self.t * scale for c in self.coordinates(x))
+
+    def includes_unit_cube(self):
+        return all(sum(abs(c) for c in row) <= 1 for row in self.inverse)
+
+    def lattice_points(self, scale=F(1)):
+        bound = self.t * scale
+        box = []
+        for j in range(len(self.basis)):
+            reach = math.floor(bound * sum(abs(v[j]) for v in self.basis))
+            box.append(range(-reach, reach + 1))
+        return [x for x in itertools.product(*box) if self.contains(x, scale)]
+
+
+class TestIntegerParallelepiped:
+    """The integer Parallelepiped against the Fraction reference on seeded
+    rational bases in dimensions 1 to 3, t != 1 and rational scales."""
+
+    @staticmethod
+    def _cases(p, count):
+        rng = random.Random(p)
+        cases = []
+        while len(cases) < count:
+            basis = tuple(tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(p)) for _ in range(p))
+            t = F(rng.choice((1, 2, 4, 5, 7, 8)), rng.choice((3, 6)))  # never 1
+            scale = F(rng.randint(1, 5), rng.randint(1, 4))
+            reach = [math.floor(t * scale * sum(abs(v[j]) for v in basis)) for j in range(p)]
+            if math.prod(2 * r + 1 for r in reach) <= 2000:  # keeps the box listing small
+                cases.append((basis, t, scale))
+        return cases
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_matches_the_fraction_parallelepiped(self, p):
+        rng = random.Random(100 + p)
+        degenerate = 0
+        for basis, t, scale in self._cases(p, 60):
+            try:
+                ref = _FractionParallelepiped(basis, t)
+            except folner.NotInvertibleError:
+                degenerate += 1
+                with pytest.raises(DegenerateBasisError):
+                    Parallelepiped(basis, t)
+                continue
+            chi = Parallelepiped(basis, t)
+            assert chi.t == t != 1
+            assert chi.includes_unit_cube() == ref.includes_unit_cube()
+            assert chi.lattice_points(scale) == ref.lattice_points(scale), (basis, t, scale)
+            assert chi.lattice_points() == ref.lattice_points()
+            for _ in range(30):
+                x = tuple(rng.randint(-6, 6) for _ in range(p))
+                y = tuple(F(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(p))
+                for z in (x, y):
+                    assert chi.coordinates(z) == ref.coordinates(z)
+                    assert all(type(c) is Fraction for c in chi.coordinates(z))
+                    assert chi.contains(z, scale) == ref.contains(z, scale)
+                    assert chi.contains(z) == ref.contains(z)
+        assert 0 < degenerate or p == 1
 
 
 class TestFolnerSetsMeetDelta:
