@@ -21,6 +21,7 @@ from .groups import (
     IntMatrix,
     InternalInvariantError,
     ShapeError,
+    _power,
     smith_normal_form,
 )
 from .spectral import EntropyEstimate, eigen_entropy
@@ -422,11 +423,8 @@ class CrystalAutomorphism:
         return CrystalAutomorphism(self.group, tuple(qinv), sigma_inv, tuple(trans))
 
     def power(self, k: int) -> "CrystalAutomorphism":
-        base = self if k >= 0 else self.inverse()
-        out = CrystalAutomorphism.identity(self.group)
-        for _ in range(abs(k)):
-            out = base.compose(out)
-        return out
+        one = CrystalAutomorphism.identity(self.group)
+        return _power(self, k, one, CrystalAutomorphism.compose, CrystalAutomorphism.inverse)
 
 
 # --- center of the lattice stabilizer ---------------------------------------
@@ -495,17 +493,10 @@ class CenterPresentation:
             sum(y[j] * self._v_inverse[j][i] for j in range(m)) for i in range(m)
         ]
         out = self.group.lattice_element(word[: self.group.rank])
+        one = self.group.identity_element()
         for coeff, gen in zip(word[self.group.rank:], self.generators[self.group.rank:]):
-            out = out * _element_power(gen, coeff)
+            out = out * _power(gen, coeff, one, operator.mul, CrystalElement.inverse)
         return out
-
-
-def _element_power(x: CrystalElement, k: int) -> CrystalElement:
-    out = x.group.identity_element()
-    base = x if k >= 0 else x.inverse()
-    for _ in range(abs(k)):
-        out = out * base
-    return out
 
 
 def stabilizer_center(group: CrystalGroup) -> CenterPresentation:

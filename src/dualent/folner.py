@@ -3,8 +3,8 @@ weight functions, brute-force minimum-support rank search backed by exact
 linear programming, and the constructive Folner-set upper bounds (intervals,
 lattice parallelepipeds, convolution towers). Both rank searches, over a
 lattice ball and over a finite table or crystal box, are one pool search,
-`_pool_search`: it numbers the points, checks the witness on their
-successor rows, and runs one exact core, `_search_supports`, on indices.
+`_pool_search`: one exact core, `_search_supports`, on the numbered
+points' successor rows, and the witness checked on its own support.
 The core enumerates only the supports that hold a run longer than 2/delta
 along every shift whose action on the searched points has no cycle and
 that have no isolated point other than 0, since no other support can be
@@ -17,6 +17,7 @@ support it accepts.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -120,22 +121,47 @@ class WeightedFunction:
         )
 
     def __call__(self, g: AbelianElement) -> Fraction:
-        return self.value_map().get(g, Fraction(0))
+        i = bisect.bisect_left(self.support, g.key(), key=AbelianElement.key)
+        if i < len(self.support) and self.support[i] == g:
+            return self.weights[i]
+        return Fraction(0)
+
+
+def _successor_rows(points: Sequence, multiply: Callable, shifts: Iterable) -> Iterator[list[int]]:
+    """One successor row per shift, built when it is asked for: row[i] is the
+    position in points of multiply(s, points[i]), or -1 where it leaves them."""
+    index = {e: i for i, e in enumerate(points)}
+    for s in shifts:
+        yield [index.get(multiply(s, g), -1) for g in points]
+
+
+def _rows_defect(rows: Iterable[Sequence[int]], weights: Sequence[Fraction]) -> Fraction:
+    """The defect of the weights on points 0..n-1 under each successor row,
+    maximized over the rows: the l1 distance between the weights and their
+    push along the row. A point pushed to -1 leaves the points: its weight
+    lands in one extra slot and counts once. The sums run over integer
+    numerators over the lcm of the weights' denominators."""
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    worst = 0
+    for row in rows:
+        gap = nums + [0]
+        for j, w in zip(row, nums):
+            gap[j] -= w
+        worst = max(worst, sum(map(abs, gap)))
+    return Fraction(worst, den)
 
 
 def defect(t: WeightedFunction, omega: Sequence[AbelianElement]) -> Fraction:
     """max over s in omega of the l1 distance between T and its s-translate,
     sum_g |T(g - s) - T(g)|, as an exact rational: `_rows_defect` on the
-    support's successor rows, one per shift, which number each translated
-    point by its place in the support, or -1 where it leaves it."""
+    support's successor rows."""
     if not omega:
         raise ValueError("omega must be nonempty")
     for s in omega:
         if s.group != t.group:
             raise ShapeError("shift outside the function's group")
-    index = {e: i for i, e in enumerate(t.support)}
-    rows = ([index.get(e + s, -1) for e in t.support] for s in omega)
-    return _rows_defect(rows, range(len(t.support)), t.weights)
+    return _rows_defect(_successor_rows(t.support, operator.add, omega), t.weights)
 
 
 def convolution(f: WeightedFunction, g: WeightedFunction, cap: Optional[int] = None) -> WeightedFunction:
@@ -193,32 +219,32 @@ def convolution_tower(
     result = next(itertools.islice(_tower_depths(f, gamma, cap), n - 1, None))
     if omega is not None:
         base = defect(f, omega)
-        layer = list(omega)
-        for _ in range(n):
-            for s in layer:
-                d = defect(result, [s])
-                if d > base:
-                    raise InternalInvariantError(
-                        f"tower defect {d} exceeds base defect {base} at shift {s}"
-                    )
-            layer = [gamma.apply(s) for s in layer]
+        shifts = list(omega)
+        for _ in range(n - 1):
+            shifts += [gamma.apply(s) for s in shifts[-len(omega):]]
+        for s, row in zip(shifts, _successor_rows(result.support, operator.add, shifts)):
+            d = _rows_defect([row], result.weights)
+            if d > base:
+                raise InternalInvariantError(
+                    f"tower defect {d} exceeds base defect {base} at shift {s}"
+                )
     return result
 
 
 def sqrt_overlap_check(t: WeightedFunction, h: AbelianElement) -> tuple[float, float, bool]:
     """Squared deviation of the square-root overlap sum from 1 is bounded by
     the translation defect: |1 - sum_g sqrt(T(g) T(g-h))|^2 <= defect(T, {h}).
-    Returns (lhs, rhs, holds) with a 1e-12 float cushion."""
+    Returns (lhs, rhs, holds) with a 1e-12 float cushion; the successor row
+    of -h gives both the pairs (g, g - h) and the defect, which h shares."""
     if h.group != t.group:
         raise ShapeError("shift outside the function's group")
-    val = t.value_map()
+    row = next(_successor_rows(t.support, operator.add, [-h]))
     overlap = 0.0
-    for g, w in zip(t.support, t.weights):
-        other = val.get(g - h)
-        if other is not None:
-            overlap += math.sqrt(float(w) * float(other))
+    for w, j in zip(t.weights, row):
+        if j >= 0:
+            overlap += math.sqrt(float(w) * float(t.weights[j]))
     lhs = (1.0 - overlap) ** 2
-    rhs = float(defect(t, [h]))
+    rhs = float(_rows_defect([row], t.weights))
     return lhs, rhs, lhs <= rhs + 1e-12
 
 
@@ -695,26 +721,6 @@ def _search_supports(
     return None
 
 
-def _rows_defect(
-    rows: Iterable[Sequence[int]], support: Sequence[int], weights: Sequence[Fraction]
-) -> Fraction:
-    """The defect of the weights on support under each successor row (as
-    `_search_supports` takes them), maximized over the rows: the l1
-    distance between the weights and their push along the row. A point
-    pushed to -1 leaves the points: its weight lands on -1, which no support
-    holds, and counts once. The sums run over integer numerators over the
-    lcm of the weights' denominators."""
-    den = math.lcm(*(w.denominator for w in weights))
-    nums = [w.numerator * (den // w.denominator) for w in weights]
-    worst = 0
-    for row in rows:
-        gap = dict(zip(support, nums))
-        for i, w in zip(support, nums):
-            gap[row[i]] = gap.get(row[i], 0) - w
-        worst = max(worst, sum(map(abs, gap.values())))
-    return Fraction(worst, den)
-
-
 def _pool_search(
     pool: Iterable, multiply: Callable, identity, omega: Sequence, delta: Fraction, order: Callable,
     where: str,
@@ -724,22 +730,21 @@ def _pool_search(
     to multiply(s, g), which leaves the points outside the pool. Runs
     `_search_supports` on one successor row per shift; on exhaustion raises
     "no support of size <= n " + where. The accepted weights' defect is
-    derived again from the rows (the support lies in the pool, so it is the
-    group defect too) and must be the search's optimum, or below delta when
-    a zero weight was blended away. Returns (rank, support, weights, defect)."""
+    derived again on the successor rows of the witness's own support, and
+    must be the search's optimum, or below delta when a zero weight was
+    blended away. Returns (rank, support, weights, defect)."""
     points = [identity, *sorted((e for e in set(pool) if e != identity), key=order)]
-    index = {e: i for i, e in enumerate(points)}
-    rows = [[index.get(multiply(s, g), -1) for g in points] for s in omega]
-    found = _search_supports(len(points), rows, delta)
+    found = _search_supports(len(points), list(_successor_rows(points, multiply, omega)), delta)
     if found is None:
         raise RankSearchExhausted(f"no support of size <= {len(points)} {where}")
     k, support, optimum, weights = found
-    achieved = _rows_defect(rows, support, weights)
+    witness = tuple(points[i] for i in support)
+    achieved = _rows_defect(_successor_rows(witness, multiply, omega), weights)
     if optimum is None and not achieved < delta:
         raise InternalInvariantError(f"blended witness defect {achieved} is not below delta {delta}")
     if optimum is not None and achieved != optimum:
         raise InternalInvariantError(f"witness defect {achieved} disagrees with LP optimum {optimum}")
-    return k, tuple(points[i] for i in support), weights, achieved
+    return k, witness, weights, achieved
 
 
 def min_rank_bruteforce(

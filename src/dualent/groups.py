@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class ShapeError(ValueError):
@@ -44,6 +44,16 @@ def _as_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise TypeError(f"expected an exact integer, got {x!r}")
     return x
+
+
+def _power(x, k: int, one, times: Callable, inverse: Callable):
+    """x^k: one times |k| factors of x, or of inverse(x) when k < 0. All
+    factors are powers of one base, so their order does not matter."""
+    base = x if k >= 0 else inverse(x)
+    out = one
+    for _ in range(abs(k)):
+        out = times(out, base)
+    return out
 
 
 @dataclass(frozen=True)
@@ -115,11 +125,7 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(int(x) for x in row) for row in inv))
 
     def power(self, k: int) -> "IntMatrix":
-        base = self if k >= 0 else self.inverse()
-        result = IntMatrix.identity(self.dim)
-        for _ in range(abs(k)):
-            result = result * base
-        return result
+        return _power(self, k, IntMatrix.identity(self.dim), IntMatrix.__mul__, IntMatrix.inverse)
 
     @staticmethod
     def block_diag(*blocks: "IntMatrix") -> "IntMatrix":
@@ -378,11 +384,8 @@ class AbelianAutomorphism:
         return AbelianAutomorphism.build(g, lat_inv, tmap_inv, tuple(mixing))
 
     def power(self, k: int) -> "AbelianAutomorphism":
-        base = self if k >= 0 else self.inverse()
-        out = AbelianAutomorphism.identity(self.group)
-        for _ in range(abs(k)):
-            out = out.compose(base)
-        return out
+        one = AbelianAutomorphism.identity(self.group)
+        return _power(self, k, one, AbelianAutomorphism.compose, AbelianAutomorphism.inverse)
 
 
 # ---------------------------------------------------------------------------

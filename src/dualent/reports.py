@@ -42,7 +42,7 @@ def jsonable(obj):
         return [jsonable(x) for x in items]
     if isinstance(obj, IntMatrix):
         return [list(row) for row in obj.entries]
-    if isinstance(obj, AbelianElement):
+    if isinstance(obj, AbelianElement):  # docs/format.md "Sets", as specdoc emits it
         return list(obj.lattice) + list(obj.torsion)
     if _is(obj, "crystal", "CrystalElement"):
         return [obj.label(), *obj.lattice]

@@ -8,15 +8,11 @@ integers, and every diagnostic names the offending field by path.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
-from .groups import (
-    AbelianAutomorphism,
-    AbelianElement,
-    FgAbelianGroup,
-    IntMatrix,
-)
+from .groups import AbelianAutomorphism, FgAbelianGroup, IntMatrix
+from .reports import jsonable
 
 if TYPE_CHECKING:  # crystal is imported only to parse a crystal document
     from .crystal import CrystalAutomorphism, CrystalGroup, PointGroup
@@ -50,7 +46,6 @@ class SpecDocument:
     omega: Optional[tuple]
     base: Optional[tuple]
     params: ComputationParams
-    source: Optional[str] = field(default=None, compare=False)
 
 
 # --- low-level checked readers ----------------------------------------------
@@ -350,7 +345,7 @@ def _parse_params(obj: dict) -> ComputationParams:
 # --- entry points ---------------------------------------------------------------
 
 
-def parse_spec_data(data, source: Optional[str] = None) -> SpecDocument:
+def parse_spec_data(data) -> SpecDocument:
     """Validates an already-decoded document. See parse_spec for the schema."""
     top = _expect_object(data, "")
     _check_keys(top, "", ("group",), ("auto", "omega", "base", "params"))
@@ -398,7 +393,6 @@ def parse_spec_data(data, source: Optional[str] = None) -> SpecDocument:
         omega=omega,
         base=base,
         params=params,
-        source=source,
     )
 
 
@@ -415,16 +409,10 @@ def parse_spec(path: str) -> SpecDocument:
         raise SpecFormatError(
             "", f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return parse_spec_data(data, source=path)
+    return parse_spec_data(data)
 
 
 # --- canonical emission ----------------------------------------------------------
-
-
-def _element_data(e) -> list:
-    if isinstance(e, AbelianElement):
-        return list(e.lattice) + list(e.torsion)
-    return [e.label()] + list(e.lattice)
 
 
 def canonical_data(doc: SpecDocument) -> dict:
@@ -502,9 +490,9 @@ def canonical_data(doc: SpecDocument) -> dict:
             out["auto"] = aobj
 
     if doc.omega is not None:
-        out["omega"] = [_element_data(e) for e in doc.omega]
+        out["omega"] = [jsonable(e) for e in doc.omega]
     if doc.base is not None:
-        out["base"] = [_element_data(e) for e in doc.base]
+        out["base"] = [jsonable(e) for e in doc.base]
 
     params = {
         key: getattr(doc.params, key)

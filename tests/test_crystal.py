@@ -1,6 +1,7 @@
 import ast
 import functools
 import itertools
+import operator
 import random
 import re
 from dataclasses import replace
@@ -8,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from dualent.groups import FgAbelianGroup, IntMatrix, AbelianAutomorphism, ShapeError
+from dualent.groups import FgAbelianGroup, IntMatrix, AbelianAutomorphism, ShapeError, _power
 from dualent.crystal import (
+    CrystalElement,
     GroupValidationError,
     PointGroup,
     CrystalGroup,
@@ -192,6 +194,33 @@ class TestCrystalAutomorphism:
         assert auto.power(2).apply(x) == auto.apply(auto.apply(x))
         assert auto.power(-1).apply(auto.apply(x)) == x
         assert auto.power(0).apply(x) == x
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    @pytest.mark.parametrize("name", ["crystal_dinfty", "crystal_glide", "crystal_p2_catmap",
+                                      "crystal_z2xc2_catmap"])
+    def test_power_loop_matches_explicit_products(self, name, k):
+        # `_power` behind CrystalAutomorphism.power and the element powers of
+        # CenterPresentation.embed, against products taken the other way
+        # round: base * (base * ...)
+        doc = parse_spec(str(EXAMPLE_DIR / f"{name}.json"))
+        g, auto = doc.group, doc.automorphism
+        elements = [g.element(label, v) for label in g.point_group.elements
+                    for v in ((0,) * g.rank, (1,) + (-2,) * (g.rank - 1))]
+        for x, one, times, inverse in [
+            (auto, CrystalAutomorphism.identity(g), CrystalAutomorphism.compose, CrystalAutomorphism.inverse),
+            *((e, g.identity_element(), operator.mul, CrystalElement.inverse) for e in elements),
+        ]:
+            base = x if k >= 0 else inverse(x)
+            explicit = one
+            for _ in range(abs(k)):
+                explicit = times(base, explicit)
+            assert _power(x, k, one, times, inverse) == explicit
+        stepper = auto if k >= 0 else auto.inverse()
+        for e in elements:
+            stepped = e
+            for _ in range(abs(k)):
+                stepped = stepper.apply(stepped)
+            assert auto.power(k).apply(e) == stepped
 
 
 def _group(point_group, action, cocycle=None):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualent import folner
-from dualent.groups import FgAbelianGroup, AbelianAutomorphism, ShapeError
+from dualent.groups import FgAbelianGroup, AbelianAutomorphism, InternalInvariantError, ShapeError
 from dualent.specdoc import parse_spec
 from dualent.folner import (
     WeightedFunction,
@@ -40,6 +41,37 @@ def uniform_run(group, length):
     return WeightedFunction.uniform(
         group, [group.element((i,)) for i in range(length)]
     )
+
+
+SEEDED_GROUPS = [(1, ()), (2, ()), (1, (3,)), (2, (2, 4)), (0, (5, 6))]
+
+
+def _seeded_weightings(rank, torsion, count=40):
+    """count seeded (weighting, shifts) pairs on Z^rank + torsion: weights
+    with mixed denominators; shifts with the zero shift, each torsion
+    generator, one shift that moves the support off itself (rank > 0) and
+    one to four random shifts."""
+    g = FgAbelianGroup(rank, torsion)
+    rng = random.Random(rank * 10 + len(torsion))
+
+    def element(lattice_reach):
+        return g.element(
+            [rng.randint(-lattice_reach, lattice_reach) for _ in range(rank)],
+            [rng.randrange(d) for d in torsion],
+        )
+
+    torsion_shifts = [g.element((0,) * rank, [int(i == j) for j in range(len(torsion))])
+                      for i in range(len(torsion))]
+    far = [g.element((40,) + (0,) * (rank - 1), (0,) * len(torsion))] if rank else []
+    cases = []
+    for _ in range(count):
+        support = list({element(3) for _ in range(rng.randint(1, 12))})
+        raw = [F(rng.randint(1, 9), rng.randint(1, 7)) for _ in support]
+        total = sum(raw)
+        f = WeightedFunction(g, tuple(support), tuple(w / total for w in raw))
+        omega = [g.zero(), *torsion_shifts, *far] + [element(4) for _ in range(rng.randint(1, 4))]
+        cases.append((f, omega))
+    return cases
 
 
 class TestExactDelta:
@@ -93,6 +125,16 @@ class TestWeightedFunction:
     def test_call_returns_zero_off_support(self, z1):
         f = uniform_run(z1, 2)
         assert f(z1.element((9,))) == 0
+
+    @pytest.mark.parametrize("rank, torsion", SEEDED_GROUPS)
+    def test_call_matches_the_value_map(self, rank, torsion):
+        # lookups on the support and off it, torsion included
+        for f, _ in _seeded_weightings(rank, torsion, count=10):
+            val = f.value_map()
+            for g in f.group.ball(4):
+                got = f(g)
+                assert type(got) is Fraction
+                assert got == val.get(g, 0), g
 
 
 class TestDefect:
@@ -187,33 +229,14 @@ class TestDefect:
             worst = max(worst, total)
         return worst
 
-    @pytest.mark.parametrize("rank, torsion", [(1, ()), (2, ()), (1, (3,)), (2, (2, 4)), (0, (5, 6))])
+    @pytest.mark.parametrize("rank, torsion", SEEDED_GROUPS)
     def test_matches_the_dict_defect(self, rank, torsion):
-        g = FgAbelianGroup(rank, torsion)
-        rng = random.Random(rank * 10 + len(torsion))
-
-        def element(lattice_reach):
-            return g.element(
-                [rng.randint(-lattice_reach, lattice_reach) for _ in range(rank)],
-                [rng.randrange(d) for d in torsion],
-            )
-
-        zero = g.zero()
-        torsion_shifts = [g.element((0,) * rank, [int(i == j) for j in range(len(torsion))])
-                          for i in range(len(torsion))]
-        far = [g.element((40,) + (0,) * (rank - 1), (0,) * len(torsion))] if rank else []
-        for _ in range(40):
-            support = list({element(3) for _ in range(rng.randint(1, 12))})
-            # weights with mixed denominators
-            raw = [F(rng.randint(1, 9), rng.randint(1, 7)) for _ in support]
-            total = sum(raw)
-            f = WeightedFunction(g, tuple(support), tuple(w / total for w in raw))
-            omega = [zero, *torsion_shifts, *far] + [element(4) for _ in range(rng.randint(1, 4))]
+        for f, omega in _seeded_weightings(rank, torsion):
             for s in omega:
-                assert defect(f, [s]) == self._dict_defect(f, [s]), s
+                assert defect(f, [s]) == self._dict_defect(f, [s]) == _indexed_defect(f, [s]), s
             got = defect(f, omega)
             assert type(got) is Fraction
-            assert got == self._dict_defect(f, omega)
+            assert got == self._dict_defect(f, omega) == _indexed_defect(f, omega)
 
 
 class TestConvolution:
@@ -1036,17 +1059,167 @@ class TestRowRule:
 )
 def test_rows_defect_matches_the_defect(group, radius, shifts):
     # the witness check of the pool search (`_pool_search`, behind both
-    # min_rank_bruteforce and min_rank_table) against `defect` on random
-    # weightings, zero, repeated and torsion shifts included
+    # min_rank_bruteforce and min_rank_table), on the witness's own support
+    # in drawn order, against `defect` on random weightings, zero, repeated
+    # and torsion shifts included
     rng = random.Random(5)
     omega = [group.element(*s) for s in shifts]
-    points, rows = _numbered_pool(group.ball(radius), omega)
+    points, _ = _numbered_pool(group.ball(radius), omega)
     for _ in range(50):
         support = rng.sample(range(len(points)), rng.randint(1, len(points)))
         raw = [rng.randint(1, 9) for _ in support]
         weights = [F(w, sum(raw)) for w in raw]
         witness = WeightedFunction(group, tuple(points[i] for i in support), tuple(weights))
-        assert folner._rows_defect(rows, support, weights) == defect(witness, omega)
+        rows = folner._successor_rows([points[i] for i in support], operator.add, omega)
+        assert folner._rows_defect(rows, weights) == defect(witness, omega)
+
+
+# The code that `_successor_rows` and the position-indexed `_rows_defect`
+# replaced, kept as references.
+
+
+def _dict_rows_defect(rows, support, weights):
+    """`_rows_defect` over a support of pool indices, its gaps in a dict
+    keyed by index, -1 for weight leaving the pool."""
+    den = math.lcm(*(w.denominator for w in weights))
+    nums = [w.numerator * (den // w.denominator) for w in weights]
+    worst = 0
+    for row in rows:
+        gap = dict(zip(support, nums))
+        for i, w in zip(support, nums):
+            gap[row[i]] = gap.get(row[i], 0) - w
+        worst = max(worst, sum(map(abs, gap.values())))
+    return Fraction(worst, den)
+
+
+def _indexed_defect(t, omega):
+    """`defect` numbering the support in a dict of its own."""
+    index = {e: i for i, e in enumerate(t.support)}
+    rows = ([index.get(e + s, -1) for e in t.support] for s in omega)
+    return _dict_rows_defect(rows, range(len(t.support)), t.weights)
+
+
+def _value_map_overlap_check(t, h):
+    """`sqrt_overlap_check` looking each g - h up in the value map."""
+    val = t.value_map()
+    overlap = 0.0
+    for g, w in zip(t.support, t.weights):
+        other = val.get(g - h)
+        if other is not None:
+            overlap += math.sqrt(float(w) * float(other))
+    lhs = (1.0 - overlap) ** 2
+    rhs = float(_indexed_defect(t, [h]))
+    return lhs, rhs, lhs <= rhs + 1e-12
+
+
+def _per_shift_tower_check(result, gamma, n, omega, base):
+    """`convolution_tower`'s invariant with one defect, and one numbering of
+    the result, per shift of omega, gamma(omega), ..., gamma^(n-1)(omega)."""
+    layer = list(omega)
+    for _ in range(n):
+        for s in layer:
+            d = _indexed_defect(result, [s])
+            if d > base:
+                raise InternalInvariantError(f"tower defect {d} exceeds base defect {base} at shift {s}")
+        layer = [gamma.apply(s) for s in layer]
+
+
+def _error(call):
+    """The message of the InternalInvariantError that call raises, or None."""
+    try:
+        call()
+    except InternalInvariantError as exc:
+        return str(exc)
+    return None
+
+
+CROSS_ARMS = [((1, 0),), ((0, 1),)]
+
+
+class TestOneNumbering:
+    """Every computation on `_successor_rows` and `_rows_defect` against the
+    code it replaced: exact defects equal, floats bit-identical, the same
+    invariant failures with the same messages."""
+
+    @pytest.mark.parametrize("rank, torsion", SEEDED_GROUPS)
+    def test_overlap_matches_the_value_map_overlap(self, rank, torsion):
+        for f, omega in _seeded_weightings(rank, torsion):
+            for h in omega:
+                assert sqrt_overlap_check(f, h) == _value_map_overlap_check(f, h), h
+
+    @staticmethod
+    def _tower_checks(monkeypatch, name, arms, shifts, depth, scale):
+        """The messages of both checks on the uniform cross 0, +-arms under
+        the example's automorphism, the base defect scaled by scale: scaled
+        below 1, it plants failures."""
+        doc = parse_spec(str(EXAMPLE_DIR / f"{name}.json"))
+        g, gamma = doc.group, doc.automorphism
+        arms = [g.element(*a) for a in arms]
+        f = WeightedFunction.uniform(g, [g.zero(), *arms, *(-a for a in arms)])
+        omega = [g.element(*s) for s in shifts]
+        result = convolution_tower(f, gamma, depth)
+        expected = _error(lambda: _per_shift_tower_check(
+            result, gamma, depth, omega, _indexed_defect(f, omega) * scale))
+        real_defect = folner.defect
+        monkeypatch.setattr(folner, "defect", lambda t, omega: real_defect(t, omega) * scale)
+        return _error(lambda: convolution_tower(f, gamma, depth, omega=omega)), expected
+
+    @pytest.mark.parametrize("scale", [F(1), F(9, 10), F(2, 3), F(1, 3)])
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name, arms, shifts", [
+        ("catmap_z2", CROSS_ARMS, [((1, 0),), ((0, 1),), ((-1, 0),), ((0, -1),)]),
+        ("catmap_z2", CROSS_ARMS, [((1, 0),), ((-1, 0),)]),
+        ("fg_abelian_mixed", [((0,), (1,)), ((1,), (0,))], [((0,), (1,)), ((1,), (0,))]),
+    ], ids=["cat-cross", "cat-axis", "torsion"])
+    def test_tower_check_matches_the_per_shift_check(self, monkeypatch, name, arms, shifts, depth, scale):
+        got, expected = self._tower_checks(monkeypatch, name, arms, shifts, depth, scale)
+        assert got == expected
+        if scale == 1:
+            assert expected is None
+
+    def test_planted_failure_in_the_last_layer(self, monkeypatch):
+        # at depth 3 the cat map's axis shifts have tower defects 78/125,
+        # 66/125 and 22/25 by layer, so a base of 2/3 * 6/5 = 4/5 first
+        # fails at gamma^2 (1, 0) = (5, 3)
+        got, expected = self._tower_checks(
+            monkeypatch, "catmap_z2", CROSS_ARMS, [((1, 0),), ((-1, 0),)], 3, F(2, 3))
+        assert got == expected
+        assert got.startswith("tower defect 22/25 exceeds base defect 4/5 at shift ")
+        assert "lattice=(5, 3)" in got
+
+    @pytest.mark.parametrize(
+        "group, radius, shifts",
+        [case[1:] for case in ROW_RULE_CASES],
+        ids=[case[0] for case in ROW_RULE_CASES],
+    )
+    def test_witness_check_matches_the_pool_rows(self, group, radius, shifts):
+        # the witness's own rows against the pool's rows, on random sorted
+        # supports of pool indices as `_search_supports` returns them
+        rng = random.Random(13)
+        omega = [group.element(*s) for s in shifts]
+        points, rows = _numbered_pool(group.ball(radius), omega)
+        for _ in range(50):
+            support = sorted(rng.sample(range(len(points)), rng.randint(1, len(points))))
+            weights = [F(rng.randint(1, 9), rng.randint(1, 7)) for _ in support]
+            weights = [w / sum(weights) for w in weights]
+            own = folner._successor_rows([points[i] for i in support], operator.add, omega)
+            assert folner._rows_defect(own, weights) == _dict_rows_defect(rows, support, weights)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_witness_check_matches_the_table_rows(self, seed):
+        # S3, whole or cut to a partial table, by left multiplication
+        rng = random.Random(400 + seed)
+        elements = list(itertools.permutations(range(3)))
+        points = [elements[0], *rng.sample(elements[1:], rng.randint(1, 5))]
+        omega = rng.sample(elements, rng.randint(1, 3))
+        rows = [[points.index(_s3_multiply(s, g)) if _s3_multiply(s, g) in points else -1 for g in points]
+                for s in omega]
+        for _ in range(20):
+            support = sorted(rng.sample(range(len(points)), rng.randint(1, len(points))))
+            weights = [F(rng.randint(1, 9), rng.randint(1, 7)) for _ in support]
+            weights = [w / sum(weights) for w in weights]
+            own = folner._successor_rows([points[i] for i in support], _s3_multiply, omega)
+            assert folner._rows_defect(own, weights) == _dict_rows_defect(rows, support, weights)
 
 
 def _reference_search(n, rows, delta):

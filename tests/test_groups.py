@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from dualent.groups import (
     AbelianAutomorphism,
     ShapeError,
     NotInvertibleError,
+    _power,
     smith_normal_form,
 )
 
@@ -225,6 +227,32 @@ class TestAbelianAutomorphism:
             cat_auto.apply(cat_auto.apply(e))
         )
         assert cat_auto.power(0).apply(e) == e
+
+    @pytest.mark.parametrize("k", range(-3, 4))
+    def test_power_loop_matches_explicit_products(self, k):
+        # `_power` behind IntMatrix.power and AbelianAutomorphism.power,
+        # against products taken the other way round: base * (base * ...)
+        m = IntMatrix(((2, 1, 0), (1, 1, 0), (0, 0, -1)))
+        g = FgAbelianGroup(2, (2, 4))
+        auto = AbelianAutomorphism.build(
+            g, IntMatrix(((2, 1), (1, 1))), {t: (t[0], (t[1] * 3) % 4) for t in g.torsion_tuples()},
+            ((1, 2), (0, 3)),
+        )
+        for x, one, times, inverse in (
+            (m, IntMatrix.identity(3), operator.mul, IntMatrix.inverse),
+            (auto, AbelianAutomorphism.identity(g), AbelianAutomorphism.compose, AbelianAutomorphism.inverse),
+        ):
+            base = x if k >= 0 else inverse(x)
+            explicit = one
+            for _ in range(abs(k)):
+                explicit = times(base, explicit)
+            assert _power(x, k, one, times, inverse) == explicit
+            assert x.power(k) == explicit
+        for e in (g.element((1, -2), (1, 3)), g.element((0, 0), (0, 1))):
+            stepped = e
+            for _ in range(abs(k)):
+                stepped = (auto if k >= 0 else auto.inverse()).apply(stepped)
+            assert auto.power(k).apply(e) == stepped
 
     def test_rank_zero_group_has_no_lattice_part(self):
         g = FgAbelianGroup(0, (2,))

@@ -57,6 +57,16 @@ class TestModulesLoaded:
         assert modules == {"dualent", "cli"}
         assert not numpy
 
+    def test_importing_specdoc_loads_the_element_encoding_of_reports(self):
+        probe = ("import json, sys, dualent.specdoc; "
+                 "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'dualent')))")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=120, cwd=REPO_ROOT, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["dualent", "dualent.groups", "dualent.reports", "dualent.specdoc"]
+
     @pytest.mark.parametrize("argv, absent, numpy_loaded", [
         (("rank", example("fg_abelian_mixed.json")),
          {"crystal", "spectral", "growth", "laws"}, False),
