@@ -9,10 +9,10 @@ The core enumerates only the supports that hold a run longer than 2/delta
 along every shift whose action on the searched points has no cycle and
 that have no isolated point other than 0, since no other support can be
 the first to succeed. It keys each support by its images, the position
-in the support of each shift's image of each of its points, and solves one
-exact LP per class of supports whose LPs agree up to the order of their
-variables and rows, whose optimal vertex scales to the witness of the
-support it accepts.
+in the support of each shift's image of each of its points, and decides
+each class of supports whose LPs agree up to the order of their variables
+and rows with one exact LP; the class it accepts solves that LP once more,
+in the form whose optimal vertex scales to the witness.
 """
 
 from __future__ import annotations
@@ -285,17 +285,30 @@ def _shift_structure(images: Sequence[int]) -> tuple[list, list]:
 
 
 def _max_mass_lp(
-    k: int, structures: Sequence[tuple[list, list]], zero_defect: bool = False
+    k: int, structures: Sequence[tuple[list, list]], zero_defect: bool = False, one_row: bool = False
 ) -> Optional[tuple[Fraction, tuple[Fraction, ...]]]:
-    """The rank search's one LP: maximize sum T over weights T >= 0 on a
-    k-point support whose defect under every shift is at most 1, or, when
-    zero_defect, at most 0 with sum T at most 1. Each block gets one slot u
-    per unordered pair {i, j}, with T_i - T_j - u <= 0 and T_j - T_i - u <=
-    0, weighted in the block row by how often the block counts the pair (2
-    for a shift that swaps i and j); the block row adds the solo indices.
-    Every right-hand side is 0 or 1, so the solve starts from the all-slack
-    basis and has no phase 1. Returns the maximum and the optimal weights,
-    or None when the maximum is unbounded (some nonzero T has defect 0)."""
+    """The rank search's LP: maximize sum T over weights T >= 0 on a k-point
+    support whose defect under every shift is at most 1, or, when
+    zero_defect, at most 0 with sum T at most 1. Each block gets one slot
+    per unordered pair {i, j}, weighted in the block row by c, how often
+    the block counts the pair (2 for a shift that swaps i and j); the block
+    row adds the solo indices. Every right-hand side is 0 or 1, so the
+    solve starts from the all-slack basis and has no phase 1. Returns the
+    maximum and the optimal weights, or None when the maximum is unbounded
+    (some nonzero T has defect 0).
+
+    By default the slot is u with the two rows T_i - T_j - u <= 0 and
+    T_j - T_i - u <= 0, and the block row carries c u. With one_row the
+    slot is w with the one row T_i - T_j - w <= 0, and the block row
+    carries c (2w - T_i + T_j). Both pose the same maximum, and are
+    unbounded together: |x| = min{2w - x : w >= 0, w >= x}, reached at
+    w = max(x, 0), just as |x| = min{u : u >= x, u >= -x}. So with c >= 0
+    a T extends to a feasible point of one form exactly when it extends
+    to one of the other, and the objective reads T alone. Over B blocks
+    with P pairs in all, the one-row form has P + B rows instead of
+    2P + B, and k + 2P + B tableau columns instead of k + 3P + B. Its
+    optimal vertex may be another optimal T, so the search decides with
+    the one-row form and takes its witness from the default one."""
     blocks = []
     for pairs, solo in structures:
         weight = {}
@@ -311,11 +324,18 @@ def _max_mass_lp(
         for (i, j), c in weight.items():
             up = [0] * nvars
             up[i], up[j], up[slot] = 1, -1, -1
-            down = [0] * nvars
-            down[i], down[j], down[slot] = -1, 1, -1
-            rows += (up, down)
-            rhs += (0, 0)
-            row[slot] = c
+            rows.append(up)
+            rhs.append(0)
+            if one_row:
+                row[i] -= c
+                row[j] += c
+                row[slot] = 2 * c
+            else:
+                down = [0] * nvars
+                down[i], down[j], down[slot] = -1, 1, -1
+                rows.append(down)
+                rhs.append(0)
+                row[slot] = c
             slot += 1
         for i in solo:
             row[i] += 1
@@ -646,9 +666,14 @@ def _search_supports(
     homogeneous, so the optimum is t* = 1/M*, reached by T*/M* for the
     optimal vertex T*, and 0 exactly when M* is unbounded; t* < delta
     exactly when M* is unbounded or M* delta > 1. The LP is exact, so no
-    tolerance enters. An unbounded class takes its weights from the same
-    LP posed with every row's defect at most 0 and sum T at most 1, whose
-    vertex has sum T = 1 and defect 0.
+    tolerance enters. Each class is decided from M* of the LP's one-row
+    form, which has about half the rows of the two-row form and the same
+    M*. Only the class accepted solves the two-row form, whose vertex
+    gives the weights, and its maximum must be the decision's; an
+    unbounded class takes its weights instead from the two-row LP posed
+    with every row's defect at most 0 and sum T at most 1, whose vertex
+    has sum T = 1 and defect 0. So the witness and the number of decision
+    LPs do not depend on the form that decides.
 
     Point 0 of S may be isolated too. The bound above then makes the
     optimum of S at least that of the LP posed on S without 0, and every
@@ -671,8 +696,9 @@ def _search_supports(
                 adjacent[i] |= 1 << j
                 adjacent[j] |= 1 << i
     # Everything the memos record was rejected: the first support whose LP
-    # optimum is below delta ends the search. So the LP that accepts is
-    # always the support's own, solved in its own position order.
+    # optimum is below delta ends the search. So the LP that accepts, and
+    # the witness LP after it, are always the support's own, solved in its
+    # own position order.
     tested_forms = set()  # the _shift_graph_form of every support rejected
     # pos[i] is the position of point i in the support, -1 when it is not in
     # it; pos[-1], read for a link outside the points, stays -1.
@@ -698,14 +724,17 @@ def _search_supports(
                 if rest is not None and _shift_graph_form(k - 1, rest) in tested_forms:
                     continue
                 structures = [_shift_structure(m) for m in images]
-                found = _max_mass_lp(k, structures)
-                if found is None:
+                decided = _max_mass_lp(k, structures, one_row=True)
+                if decided is None:
                     optimum = Fraction(0)
                     weights = _max_mass_lp(k, structures, zero_defect=True)[1]
                 else:
-                    most, vertex = found
-                    if most * delta <= 1:
+                    if decided[0] * delta <= 1:
                         continue
+                    found = _max_mass_lp(k, structures)
+                    if found is None or found[0] != decided[0]:
+                        raise InternalInvariantError(f"witness LP disagrees with decision LP maximum {decided[0]}")
+                    most, vertex = found
                     optimum = 1 / most
                     weights = [w * optimum for w in vertex]
                 if any(w <= 0 for w in weights):

@@ -168,7 +168,13 @@ def _parse_point_group(obj: dict) -> PointGroup:
         raise SpecFormatError("group.point_group", str(exc)) from exc
 
 
-def _parse_crystal_group(obj: dict) -> CrystalGroup:
+def _parse_crystal_group(obj: dict, top: dict) -> CrystalGroup:
+    """The group block of a crystal document. Every lattice block of the
+    document is checked against the rank before the group is built:
+    building the default action and cocycle and validating the group take
+    time polynomial in the rank, which the document may declare far larger
+    than its blocks. So a block of the wrong shape is reported at once,
+    with the error its own parse would raise."""
     from .crystal import CrystalGroup, GroupValidationError
 
     _check_keys(obj, "group", ("kind", "rank", "point_group"), ("action", "cocycle"))
@@ -178,29 +184,39 @@ def _parse_crystal_group(obj: dict) -> CrystalGroup:
     pg = _parse_point_group(_expect_object(obj["point_group"], "group.point_group"))
     n = pg.order
 
-    action = [IntMatrix.identity(rank) for _ in range(n)]
+    action = {}
     for label, raw in _expect_object(obj.get("action", {}), "group.action").items():
         path = f"group.action.{label}"
         if label not in pg.elements:
             raise SpecFormatError(path, "unknown point-group element")
         action[pg.index_of(label)] = _unimodular(raw, path, rank)
 
-    zero = (0,) * rank
-    cocycle = [[zero for _ in range(n)] for _ in range(n)]
+    cocycle = {}
     for key, raw in _expect_object(obj.get("cocycle", {}), "group.cocycle").items():
         path = f"group.cocycle.{key}"
         parts = key.split(",")
         if len(parts) != 2 or any(p not in pg.elements for p in parts):
             raise SpecFormatError(path, "key must be 'h,k' with known element labels")
-        cocycle[pg.index_of(parts[0])][pg.index_of(parts[1])] = _int_vector(
-            raw, path, rank
-        )
+        cocycle[pg.index_of(parts[0]), pg.index_of(parts[1])] = _int_vector(raw, path, rank)
+
+    auto = top.get("auto")
+    if isinstance(auto, dict):
+        if "lattice" in auto:
+            _int_matrix(auto["lattice"], "auto.lattice", rank)
+        _crystal_translations(auto, pg.elements, rank)
+    for key in ("omega", "base"):
+        if key in top:
+            for i, raw in enumerate(_expect_list(top[key], key)):
+                _crystal_entry(raw, f"{key}[{i}]", rank)
+
+    identity = IntMatrix.identity(rank)
+    zero = (0,) * rank
     try:
         return CrystalGroup(
             point_group=pg,
             rank=rank,
-            action=tuple(action),
-            cocycle=tuple(tuple(row) for row in cocycle),
+            action=tuple(action.get(h, identity) for h in range(n)),
+            cocycle=tuple(tuple(cocycle.get((h, k), zero) for k in range(n)) for h in range(n)),
         )
     except GroupValidationError as exc:
         raise SpecFormatError("group", str(exc)) from exc
@@ -274,22 +290,25 @@ def _parse_crystal_auto(obj: dict, group: CrystalGroup) -> CrystalAutomorphism:
         quotient = tuple(
             group.point_group.index_of(images.get(lab, lab)) for lab in labels
         )
-    translations = {}
-    if "translation" in obj:
-        for label, raw in _expect_object(obj["translation"], "auto.translation").items():
-            path = f"auto.translation.{label}"
-            if label not in labels:
-                raise SpecFormatError(path, "unknown point-group element")
-            translations[label] = _int_vector(raw, path, group.rank)
     try:
         return CrystalAutomorphism.build(
             group,
             lattice_part=lattice,
             quotient_map=quotient,
-            translations=translations,
+            translations=_crystal_translations(obj, labels, group.rank),
         )
     except GroupValidationError as exc:
         raise SpecFormatError("auto", str(exc)) from exc
+
+
+def _crystal_translations(obj: dict, labels: tuple, rank: int) -> dict:
+    translations = {}
+    for label, raw in _expect_object(obj.get("translation", {}), "auto.translation").items():
+        path = f"auto.translation.{label}"
+        if label not in labels:
+            raise SpecFormatError(path, "unknown point-group element")
+        translations[label] = _int_vector(raw, path, rank)
+    return translations
 
 
 # --- set blocks ----------------------------------------------------------------
@@ -305,15 +324,17 @@ def _parse_abelian_elements(items: list, path: str, group: FgAbelianGroup) -> tu
     return tuple(out)
 
 
+def _crystal_entry(raw, path: str, rank: int) -> list:
+    entry = _expect_list(raw, path)
+    if len(entry) != 1 + rank:
+        raise SpecFormatError(path, f"expected [label, {rank} lattice coordinates]")
+    return entry
+
+
 def _parse_crystal_elements(items: list, path: str, group: CrystalGroup) -> tuple:
     out = []
     for i, raw in enumerate(items):
-        entry = _expect_list(raw, f"{path}[{i}]")
-        if len(entry) != 1 + group.rank:
-            raise SpecFormatError(
-                f"{path}[{i}]",
-                f"expected [label, {group.rank} lattice coordinates]",
-            )
+        entry = _crystal_entry(raw, f"{path}[{i}]", group.rank)
         label = _expect_str(entry[0], f"{path}[{i}][0]")
         if label not in group.point_group.elements:
             raise SpecFormatError(f"{path}[{i}][0]", f"unknown element label {label!r}")
@@ -359,7 +380,7 @@ def parse_spec_data(data) -> SpecDocument:
         )
 
     if kind == "crystal":
-        group = _parse_crystal_group(gobj)
+        group = _parse_crystal_group(gobj, top)
         parse_auto = _parse_crystal_auto
         parse_elements = _parse_crystal_elements
     else:

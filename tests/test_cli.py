@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -340,6 +341,32 @@ class TestErrorPaths:
         assert code == EXIT_SPEC
         assert out == ""
         assert err == message
+
+    @pytest.mark.parametrize("block, message", [
+        ({"auto": {"lattice": [[2, 1], [1, 1]]}}, "auto.lattice: expected 10**30 rows, got 2"),
+        ({"auto": {"translation": {"g": [1, 0]}}}, "auto.translation.g: expected 10**30 entries, got 2"),
+        ({"omega": [["g", 1, 0]]}, "omega[0]: expected [label, 10**30 lattice coordinates]"),
+        ({"base": [["e", 0, 0]]}, "base[0]: expected [label, 10**30 lattice coordinates]"),
+    ], ids=["auto.lattice", "auto.translation", "omega", "base"])
+    def test_crystal_rank_is_checked_before_the_group_is_built(self, tmp_path, block, message):
+        # The identity action and zero cocycle of a rank-10^30 group cannot
+        # be built; the child's address space is capped so that an attempt
+        # fails fast instead of taking the machine's memory.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        doc = {"group": {"kind": "crystal", "rank": 10**30,
+                         "point_group": {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]}}}
+        doc.update(block)
+        p = tmp_path / "crystal.json"
+        p.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dualent.cli", "entropy", str(p)],
+            capture_output=True, text=True, timeout=10, env=child_env(), preexec_fn=cap_memory,
+        )
+        assert proc.returncode == EXIT_SPEC, proc.stderr[-500:]
+        assert proc.stdout == ""
+        assert proc.stderr == f"spec error: {message.replace('10**30', str(10**30))}\n"
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "1e400"])
     @pytest.mark.parametrize("command, key", [("rank", "delta"), ("entropy", "tol")])

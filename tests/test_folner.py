@@ -573,17 +573,24 @@ class TestLpMemo:
     one call only."""
 
     @staticmethod
-    def _lps_solved(monkeypatch, search):
-        """The decision LPs a search solves, one per class it tests; an
-        unbounded class accepted solves one more LP, with zero_defect set,
-        that is not counted."""
+    def _lps_solved(monkeypatch, search, compare=True):
+        """The decision LPs a search solves, the one-row form of
+        `_max_mass_lp`, one per class it tests; the class accepted solves
+        one more LP for its witness, in the two-row form, that is not
+        counted. With compare, each decision LP is solved in the two-row
+        form too, and the two must have the same maximum, or both none."""
         real = folner._max_mass_lp
         count = 0
 
-        def counting(k, structures, zero_defect=False):
+        def counting(k, structures, zero_defect=False, one_row=False):
             nonlocal count
-            count += not zero_defect
-            return real(k, structures, zero_defect)
+            found = real(k, structures, zero_defect, one_row)
+            if one_row:
+                count += 1
+                if compare:
+                    other = real(k, structures, zero_defect)
+                    assert (found and found[0]) == (other and other[0])
+            return found
 
         monkeypatch.setattr(folner, "_max_mass_lp", counting)
         search()
@@ -858,11 +865,12 @@ class TestIsolatedZero:
 
 
 class TestDecisionLp:
-    """The search rejects a class when its LP's maximum M has M * delta <=
-    1, and takes the witness of the class it accepts from the same LP. Both
-    it and the reference min-defect LP are positively homogeneous, so the
-    reference optimum is 1 / M, reached by the LP's vertex over M, and 0
-    exactly when the LP is unbounded."""
+    """The search rejects a class when the maximum M of its one-row LP has
+    M * delta <= 1, and takes the witness of the class it accepts from the
+    two-row form of the same LP, whose maximum is M too. Both forms and the
+    reference min-defect LP are positively homogeneous, so the reference
+    optimum is 1 / M, reached by the LP's vertex over M, and 0 exactly when
+    the LP is unbounded."""
 
     GRID = 2520  # the deltas beside each optimum are multiples of 1 / GRID
 
@@ -878,7 +886,9 @@ class TestDecisionLp:
             k = len(images[0])
             structures = [folner._shift_structure(m) for m in images]
             optimum, _ = _min_defect_lp(k, images)
+            decided = folner._max_mass_lp(k, structures, one_row=True)
             found = folner._max_mass_lp(k, structures)
+            assert (decided is None) == (found is None)
             if found is None:
                 seen += 1
                 mass, weights = folner._max_mass_lp(k, structures, zero_defect=True)
@@ -886,24 +896,72 @@ class TestDecisionLp:
                 assert optimum == 0 == _structure_defect(structures, weights)
             else:
                 most, vertex = found
+                assert decided[0] == most
                 assert optimum == 1 / most == _structure_defect(structures, [w / most for w in vertex])
+                # the one-row vertex is an optimal weighting too, if maybe another one
+                assert optimum == _structure_defect(structures, [w / most for w in decided[1]])
             below = F(math.ceil(optimum * self.GRID) - 1, self.GRID)
             above = F(math.floor(optimum * self.GRID) + 1, self.GRID)
             for delta in (optimum, below, above):
                 if delta > 0:
-                    assert (found is None or found[0] * delta > 1) == (optimum < delta)
+                    assert (decided is None or decided[0] * delta > 1) == (optimum < delta)
         assert seen == unbounded
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forms_agree_on_seeded_images(self, seed):
+        # Each block is a random permutation of the k points, cut into
+        # cycles of random lengths (fixed points, swaps, the cycles of a
+        # torsion shift), with each link dropped to -1 with some chance,
+        # which turns a cycle into paths leaving the support.
+        rng = random.Random(500 + seed)
+        seen = {"unbounded": 0, "swap": 0, "fixed": 0}
+        for _ in range(150):
+            k = rng.randint(1, 8)
+            images = []
+            for _ in range(rng.randint(1, 3)):
+                points = rng.sample(range(k), k)
+                drop = rng.choice((0, 0.2, 0.5))
+                row = [-1] * k
+                while points:
+                    cycle = points[:rng.choice((1, 2, 2, 3, k))]
+                    points = points[len(cycle):]
+                    seen["fixed"] += len(cycle) == 1
+                    seen["swap"] += len(cycle) == 2
+                    for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+                        row[i] = -1 if rng.random() < drop else j
+                images.append(tuple(row))
+            structures = [folner._shift_structure(m) for m in images]
+            decided = folner._max_mass_lp(k, structures, one_row=True)
+            found = folner._max_mass_lp(k, structures)
+            assert (decided is None) == (found is None)
+            if found is None:
+                seen["unbounded"] += 1
+            else:
+                assert decided[0] == found[0]
+        assert min(seen.values()) > 0
+
+    def test_witness_lp_must_reach_the_decided_maximum(self, monkeypatch):
+        real = folner._max_mass_lp
+
+        def skewed(k, structures, zero_defect=False, one_row=False):
+            found = real(k, structures, zero_defect, one_row)
+            return found if found is None or one_row else (found[0] + 1, found[1])
+
+        monkeypatch.setattr(folner, "_max_mass_lp", skewed)
+        with pytest.raises(folner.InternalInvariantError,
+                           match=r"^witness LP disagrees with decision LP maximum 5/2$"):
+            min_rank_bruteforce(Z1, [Z1.element((1,))], F(1, 2), 8)
 
     @staticmethod
     def _corrupt(monkeypatch, moved):
-        """Makes the search's LP return a vertex with the share `moved` of
-        its first weight shifted onto its second."""
+        """Makes the search's witness LP return a vertex with the share
+        `moved` of its first weight shifted onto its second."""
         real = folner._max_mass_lp
 
-        def corrupted(k, structures, zero_defect=False):
-            found = real(k, structures, zero_defect)
-            if found is None or k < 2:
-                return found
+        def corrupted(k, structures, zero_defect=False, one_row=False):
+            found = real(k, structures, zero_defect, one_row)
+            if found is None or k < 2 or one_row:
+                return found  # the decision reads only the maximum
             most, (first, second, *rest) = found
             return most, (first * (1 - moved), second + first * moved, *rest)
 

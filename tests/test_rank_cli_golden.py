@@ -1,6 +1,7 @@
-"""Pins the exact stdout and exit code of `dualent rank` with the constructive
-upper-bound methods (interval, parallelepiped, convolution tower) on the
-example documents, and the spec error of a method that does not apply.
+"""Pins the exact stdout and exit code of `dualent rank` on the example
+documents, with the exact search (lp, the default) and with the constructive
+upper-bound methods (interval, parallelepiped, convolution tower), and the
+spec error of a method that does not apply.
 
 The files under tests/golden/rank/ are the recorded outputs of
 `python -m dualent.cli rank docs/examples/<name>.json --method <method>
@@ -20,6 +21,12 @@ from dualent.cli import EXIT_OK, EXIT_SPEC, main
 from tests.conftest import EXAMPLE_DIR, REPO_ROOT
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden" / "rank"
+# the exact search at each document's own delta and radius
+EXACT_RUNS = (
+    ("rank_z1", "lp", None),
+    ("catmap_z2", "lp", None),
+    ("fg_abelian_mixed", "lp", None),
+)
 RUNS = (
     ("rank_z1", "interval", None),
     ("rank_z1", "parallelepiped", None),
@@ -58,6 +65,14 @@ def test_upper_bound_output_is_byte_identical(name, method, delta, fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name,method,delta", EXACT_RUNS)
+def test_exact_output_is_byte_identical(name, method, delta, fmt):
+    code, out, err = _rank(name, method, fmt, delta)
+    assert code == EXIT_OK, err
+    assert out.encode() == _golden(name, method, fmt, delta).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_interval_on_a_rank_two_group_is_a_spec_error(fmt):
     code, out, err = _rank("catmap_z2", "interval", fmt)
     assert code == EXIT_SPEC
@@ -67,7 +82,7 @@ def test_interval_on_a_rank_two_group_is_a_spec_error(fmt):
 
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, method, delta in RUNS:
+    for name, method, delta in EXACT_RUNS + RUNS:
         for fmt in FORMATS:
             code, out, err = _rank(name, method, fmt, delta)
             assert code == EXIT_OK, err

@@ -7,6 +7,7 @@ landing on these same vertices: the certificates are documented output.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -121,8 +122,8 @@ def test_bruteforce_certificate_pinned(search, rank, support, weights, defect_ex
 def test_z2_axes_radius3_certificate_and_lps_pinned(monkeypatch):
     # ROADMAP item 15's delta = 3/4 radius-3 row: the 49-point ball of Z^2
     # under the two axis shifts, about 6 s, with the decision LPs of the
-    # same run. The delta = 2/3 radius-2 row of the same table takes about
-    # twice as long and is left out to keep the suite fast.
+    # same run. The delta = 2/3 radius-2 row of the same table is pinned
+    # below, outside the default run.
     certs = []
     lps = test_folner.TestLpMemo._lps_solved(monkeypatch, lambda: certs.append(
         min_rank_bruteforce(Z2, [Z2.element((1, 0)), Z2.element((0, 1))], F(3, 4), 3)
@@ -135,6 +136,27 @@ def test_z2_axes_radius3_certificate_and_lps_pinned(monkeypatch):
     )
     assert cert.witness.weights == _weights(*["1/9"] * 9)
     assert cert.defect_exact == F(2, 3)
+    assert cert.defect_exact == defect(cert.witness, cert.omega)
+
+
+@pytest.mark.skipif(not os.environ.get("DUALENT_FRONTIER"),
+                    reason="10-18 s; set DUALENT_FRONTIER=1 to run it")
+def test_z2_axes_radius2_delta2_3_certificate_and_lps_pinned(monkeypatch):
+    # ROADMAP item 15's delta = 2/3 radius-2 row: the 25-point ball of Z^2
+    # under the two axis shifts. Its 7,902 decision LPs are not solved a
+    # second time in the two-row form here, which would double the time.
+    certs = []
+    lps = test_folner.TestLpMemo._lps_solved(monkeypatch, lambda: certs.append(
+        min_rank_bruteforce(Z2, [Z2.element((1, 0)), Z2.element((0, 1))], F(2, 3), 2)
+    ), compare=False)
+    assert lps == 7902
+    [cert] = certs
+    assert cert.rank == 13
+    assert tuple(_key(e) for e in cert.witness.support) == tuple(
+        (a, b) for a in (-2, -1, 0) for b in (-2, -1, 0, 1)
+    ) + ((1, -2),)
+    assert cert.witness.weights == _weights(*["1/13"] * 13)
+    assert cert.defect_exact == F(8, 13)
     assert cert.defect_exact == defect(cert.witness, cert.omega)
 
 

@@ -303,8 +303,10 @@ def test_every_lp_of_the_rank_lp_searches_takes_the_reference_pivots():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(folner, "solve_lp", record)
         _run_rank_lp_searches()
-    # one LP per class of LPs equal up to the order of their variables and
-    # rows; the witness is the accepting class's vertex, rescaled
-    assert len(lps) == 35
+    # one decision LP per class of LPs equal up to the order of their
+    # variables and rows, 35 in all, and one witness LP per search: the
+    # accepting class's LP in its two-row form, whose vertex, rescaled, is
+    # the witness
+    assert len(lps) == 35 + 4
     for lp in lps:
         _compare(lp)
