@@ -19,10 +19,11 @@ Usage:
 import argparse
 import itertools
 import math
+import pathlib
 import sys
 import time
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from dualent.groups import FgAbelianGroup, IntMatrix, AbelianAutomorphism
 from dualent.growth import FiniteSubset, growth_series, growth_rate_estimate, DEFAULT_CAP

@@ -12,11 +12,12 @@ Usage:
 """
 
 import argparse
+import pathlib
 import sys
 import time
 from fractions import Fraction
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from dualent.groups import FgAbelianGroup
 from dualent.folner import min_rank_bruteforce

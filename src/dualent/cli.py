@@ -147,9 +147,10 @@ def _param(flag, spec_value, fallback):
 
 def _run_entropy(doc: SpecDocument, args) -> object:
     from .crystal import crystal_entropy, fg_abelian_entropy
+    from .spectral import DEFAULT_ROOT_TOL
 
     _require(doc.automorphism is not None, "auto", "entropy requires an automorphism block")
-    tol = _param(args.tol, doc.params.tol, 1e-12)
+    tol = _param(args.tol, doc.params.tol, DEFAULT_ROOT_TOL)
     if doc.kind == "crystal":
         return crystal_entropy(doc.group, doc.automorphism, tol)
     return fg_abelian_entropy(doc.automorphism, tol)

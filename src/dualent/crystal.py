@@ -24,7 +24,7 @@ from .groups import (
     _power,
     smith_normal_form,
 )
-from .spectral import EntropyEstimate, eigen_entropy
+from .spectral import DEFAULT_ROOT_TOL, EntropyEstimate, eigen_entropy
 
 
 class GroupValidationError(ValueError):
@@ -636,7 +636,7 @@ def center_quotient_matrix(
 
 
 def crystal_entropy(
-    group: CrystalGroup, auto: CrystalAutomorphism, tol: float = 1e-12
+    group: CrystalGroup, auto: CrystalAutomorphism, tol: float = DEFAULT_ROOT_TOL
 ) -> EntropyEstimate:
     """Entropy of a crystal automorphism: the spectral entropy of its lattice
     part sigma. The diagnostics keep the center reduction's note, and
@@ -659,7 +659,7 @@ def crystal_entropy(
     })
 
 
-def fg_abelian_entropy(auto: AbelianAutomorphism, tol: float = 1e-12) -> EntropyEstimate:
+def fg_abelian_entropy(auto: AbelianAutomorphism, tol: float = DEFAULT_ROOT_TOL) -> EntropyEstimate:
     """Entropy of an automorphism of Z^p + finite torsion: the torsion part
     never contributes, so this is the spectral entropy of the lattice part."""
     if auto.group.rank == 0:

@@ -34,7 +34,7 @@ from .groups import (
     NotInvertibleError,
     ShapeError,
     SumsetCapError,
-    _fraction_inverse,
+    _smith_inverse,
 )
 from .simplex import UnboundedError, solve_lp
 
@@ -870,8 +870,9 @@ def choose_folner_constant(p: int, delta) -> int:
 @dataclass(frozen=True)
 class Parallelepiped:
     """Region {sum s_i v_i : |s_i| <= t} spanned by rational basis vectors,
-    with exact membership tests for integer points. The inverse basis
-    matrix is kept as integer numerators over one common denominator, so
+    with exact membership tests for integer points. The inverse basis matrix
+    comes from the Smith form of the basis scaled to integers by the lcm q of
+    its denominators, as integer numerators over one common denominator, so
     membership is decided with integer dot products."""
 
     basis: tuple[tuple[Fraction, ...], ...]
@@ -887,13 +888,13 @@ class Parallelepiped:
             raise ValueError("half-width must be positive")
         object.__setattr__(self, "basis", vs)
         object.__setattr__(self, "t", t)
+        q = math.lcm(*(x.denominator for v in vs for x in v))
         try:
-            inverse = _fraction_inverse([list(column) for column in zip(*vs)])
+            numerators, den = _smith_inverse([[int(q * x) for x in column] for column in zip(*vs)])
         except NotInvertibleError:
             raise DegenerateBasisError("basis vectors are linearly dependent") from None
-        den = math.lcm(*(c.denominator for row in inverse for c in row))
         object.__setattr__(self, "_denominator", den)
-        object.__setattr__(self, "_numerators", tuple(tuple(int(c * den) for c in row) for row in inverse))
+        object.__setattr__(self, "_numerators", tuple(tuple(q * x for x in row) for row in numerators))
 
     @property
     def dimension(self) -> int:

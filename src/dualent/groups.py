@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -121,8 +120,7 @@ class IntMatrix:
         d = self.det()
         if d not in (1, -1):
             raise NotInvertibleError(f"determinant is {d}, not +/-1")
-        inv = _fraction_inverse(self.entries)
-        return IntMatrix(tuple(tuple(int(x) for x in row) for row in inv))
+        return IntMatrix(_smith_inverse(self.entries)[0])  # its denominator is 1
 
     def power(self, k: int) -> "IntMatrix":
         return _power(self, k, IntMatrix.identity(self.dim), IntMatrix.__mul__, IntMatrix.inverse)
@@ -137,27 +135,6 @@ class IntMatrix:
                 rows.append((0,) * offset + row + (0,) * (total - offset - b.dim))
             offset += b.dim
         return IntMatrix(tuple(rows))
-
-
-def _fraction_inverse(entries) -> list[list[Fraction]]:
-    n = len(entries)
-    a = [[Fraction(x) for x in row] for row in entries]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise NotInvertibleError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv
 
 
 @dataclass(frozen=True)
@@ -495,3 +472,16 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]):
 
     freeze = lambda mat: tuple(tuple(row) for row in mat)
     return freeze(u), freeze(a), freeze(v)
+
+
+def _smith_inverse(matrix: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Exact inverse of a square integer matrix from its Smith form: u*M*v = d
+    gives M^-1 = v * d^-1 * u. Returns (numerators, den) with M^-1 equal to
+    numerators / den, where den is the last invariant factor, which every
+    other one divides. Raises NotInvertibleError when M is singular."""
+    u, d, v = smith_normal_form(matrix)
+    den = d[-1][-1]
+    if den == 0:
+        raise NotInvertibleError("matrix is singular")
+    scaled = IntMatrix(tuple(tuple(den // d[i][i] * x for x in row) for i, row in enumerate(u)))
+    return (IntMatrix(v) * scaled).entries, den  # v * (den * d^-1 * u)

@@ -9,7 +9,6 @@ the offending instance in isolation, and is reproducible from its seed.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,10 +95,11 @@ def random_unimodular(rng: random.Random, dim: int) -> IntMatrix:
 
 
 def _seeded_law(law: str, trials: int, seed: int, tolerance: float, draw) -> LawReport:
-    """The one loop of the randomized spectral laws: draw(rng) makes one
-    instance from the seeded generator and returns its deviation and its
-    inputs. An instance fails when its deviation exceeds the tolerance, and
-    its record ends with the seed."""
+    """The one loop of the randomized laws (power, conjugacy, product and
+    square-root overlap): draw(rng) makes one instance from the seeded
+    generator and returns its deviation and its inputs. An instance fails
+    when its deviation exceeds the tolerance, and its record ends with the
+    seed."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
@@ -365,9 +365,7 @@ def check_peters_vs_spectral(
             continue
         estimate = growth_rate_estimate(series)
         dev = abs(estimate.value - spectral)
-        margin = min(
-            math.log(s) / (n + 1) - spectral for n, s in enumerate(series.sizes)
-        )
+        margin = min(series.log_over_n()) - spectral
         worst = max(worst, dev)
         inputs = (
             ("label", label),
@@ -404,14 +402,9 @@ def check_peters_vs_spectral(
 def check_sqrt_overlap(trials: int = 1000, seed: int = 3) -> LawReport:
     """Randomized check that the squared deviation of the square-root overlap
     from 1 is bounded by the translation defect."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = random.Random(seed)
-    tolerance = 1e-12
     groups = (FgAbelianGroup(rank=1), FgAbelianGroup(rank=2))
-    failures = []
-    worst = 0.0
-    for t in range(trials):
+
+    def draw(rng):
         group = groups[rng.randrange(2)]
         p = group.rank
         size = rng.randint(1, 6)
@@ -422,25 +415,15 @@ def check_sqrt_overlap(trials: int = 1000, seed: int = 3) -> LawReport:
         total = sum(raw)
         weights = tuple(Fraction(r, total) for r in raw)
         support = tuple(group.element(pt) for pt in sorted(points))
-        func = WeightedFunction(group, support, weights)
         shift = group.element(tuple(rng.randint(-5, 5) for _ in range(p)))
-        lhs, rhs, holds = sqrt_overlap_check(func, shift)
-        dev = max(0.0, lhs - rhs)
-        worst = max(worst, dev)
-        if not holds:
-            failures.append(LawInstance(
-                t,
-                (
-                    ("support", tuple(e.lattice for e in support)),
-                    ("weights", tuple((w.numerator, w.denominator) for w in weights)),
-                    ("shift", shift.lattice),
-                    ("seed", seed),
-                ),
-                dev,
-            ))
-    return LawReport(
-        "sqrt-overlap", trials, tolerance, worst, tuple(failures), seed=seed
-    )
+        lhs, rhs, _ = sqrt_overlap_check(WeightedFunction(group, support, weights), shift)
+        return max(0.0, lhs - rhs), (
+            ("support", tuple(e.lattice for e in support)),
+            ("weights", tuple((w.numerator, w.denominator) for w in weights)),
+            ("shift", shift.lattice),
+        )
+
+    return _seeded_law("sqrt-overlap", trials, seed, 1e-12, draw)
 
 
 def run_all_laws(trials: int = 100, seed: int = 0) -> list[LawReport]:

@@ -239,6 +239,11 @@ def _group(point_group, action, cocycle=None):
     )
 
 
+_C2 = PointGroup.cyclic(2)
+_I1, _I2 = IntMatrix.identity(1), IntMatrix.identity(2)
+_ZERO = (((0,), (0,)), ((0,), (0,)))  # the zero cocycle of C2 on Z
+
+
 class TestValidationMessages:
     """Each defect class names a failing triple or pair by label and
     lattice vector, never by the group's repr."""
@@ -282,6 +287,37 @@ class TestValidationMessages:
             "not a homomorphism: fails at (g, (0, 0)), (g, (0, 0)): "
             "the translations do not match the cocycle"
         )
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PointGroup(("e", "e"), ((0, 1), (1, 0))),
+         "element labels must be nonempty and distinct"),
+        (lambda: PointGroup(("e", "a"), ((0, 1),)), "multiplication table must be n x n"),
+        (lambda: PointGroup(("e", "a"), ((0, 1), (1, 0, 1))), "multiplication table must be n x n"),
+        (lambda: PointGroup(("e", "a"), ((0, 2), (1, 0))), "table entries must index elements"),
+        (lambda: CrystalGroup(PointGroup.trivial(), 0, (IntMatrix(((1,),)),), (((),),)),
+         "lattice rank must be at least 1"),
+        (lambda: CrystalGroup(_C2, 1, (_I1,), _ZERO), "need one action matrix per point-group element"),
+        (lambda: CrystalGroup(_C2, 1, (_I1, _I2), _ZERO), "action matrices must be p x p"),
+        (lambda: CrystalGroup(_C2, 1, (_I1, _I1), _ZERO[:1]), "cocycle table must be n x n"),
+        (lambda: CrystalGroup(_C2, 1, (_I1, _I1), (((0,), (0,)), ((0,), (0, 0)))),
+         "cocycle values must be lattice vectors"),
+        (lambda: CrystalAutomorphism(dihedral_infinite(), (0, 0), _I1, ((0,), (0,))),
+         "quotient map must be a bijection of F"),
+        (lambda: CrystalAutomorphism(dihedral_infinite(), (0, 1), _I2, ((0,), (0,))),
+         "lattice part must be p x p unimodular"),
+        (lambda: CrystalAutomorphism(dihedral_infinite(), (0, 1), IntMatrix(((2,),)), ((0,), (0,))),
+         "lattice part must be p x p unimodular"),
+        (lambda: CrystalAutomorphism(dihedral_infinite(), (0, 1), _I1, ((0,),)),
+         "need one translation vector per F element"),
+    ], ids=[
+        "duplicate-labels", "table-rows", "table-row-length", "table-entry",
+        "rank-0", "action-count", "action-size", "cocycle-rows", "cocycle-vector",
+        "quotient-not-bijective", "lattice-size", "lattice-not-unimodular", "translation-count",
+    ])
+    def test_shape_errors(self, build, message):
+        with pytest.raises(GroupValidationError) as err:
+            build()
+        assert str(err.value) == message
 
 
 # --- the sampled-product reference ------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualent import folner
-from dualent.groups import FgAbelianGroup, AbelianAutomorphism, InternalInvariantError, ShapeError
+from dualent.groups import FgAbelianGroup, AbelianAutomorphism, InternalInvariantError, NotInvertibleError, ShapeError
 from dualent.specdoc import parse_spec
 from dualent.folner import (
     WeightedFunction,
@@ -1483,6 +1483,25 @@ class TestFolnerConstructions:
         assert symmetric_difference_ratio(pts, (0,)) == 0
 
 
+def _fraction_inverse(rows):
+    """Gauss-Jordan elimination over the rationals: the reference inverse
+    the Smith-form one is checked against."""
+    n = len(rows)
+    a = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            raise NotInvertibleError("matrix is singular")
+        a[col], a[pivot] = a[pivot], a[col]
+        p = a[col][col]
+        a[col] = [x / p for x in a[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f != 0:
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 class _FractionParallelepiped:
     """The Fraction Parallelepiped that the integer one replaced, kept as a
     reference: the inverse basis matrix in Fractions, membership by
@@ -1492,7 +1511,7 @@ class _FractionParallelepiped:
         p = len(basis)
         self.basis = [[F(x) for x in v] for v in basis]
         self.t = F(t)
-        self.inverse = folner._fraction_inverse([[self.basis[i][j] for i in range(p)] for j in range(p)])
+        self.inverse = _fraction_inverse([[self.basis[i][j] for i in range(p)] for j in range(p)])
 
     def coordinates(self, x):
         xs = [F(v) for v in x]
@@ -1537,7 +1556,7 @@ class TestIntegerParallelepiped:
         for basis, t, scale in self._cases(p, 60):
             try:
                 ref = _FractionParallelepiped(basis, t)
-            except folner.NotInvertibleError:
+            except NotInvertibleError:
                 degenerate += 1
                 with pytest.raises(DegenerateBasisError):
                     Parallelepiped(basis, t)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import operator
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from dualent.groups import (
     ShapeError,
     NotInvertibleError,
     _power,
+    _smith_inverse,
     smith_normal_form,
 )
 
@@ -123,6 +126,62 @@ class TestSmithNormalForm:
         diag = [d[i][i] for i in range(3) if d[i][i] != 0]
         for a, b in zip(diag, diag[1:]):
             assert b % a == 0
+
+    @staticmethod
+    def _seeded_matrices(count):
+        """Seeded rectangular matrices up to 4 x 4: 1 x n and n x 1 shapes,
+        all-zero rows, rank-deficient ones, and the empty 0 x n and m x 0."""
+        rng = random.Random(2024)
+        out = [(), ((),), ((), (), ())]
+        while len(out) < count:
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            if m > 1 and rng.random() < 0.2:
+                rows[rng.randrange(m)] = [0] * n
+            if m > 1 and rng.random() < 0.2:
+                i, j = rng.sample(range(m), 2)
+                rows[i] = [rng.randint(-2, 2) * x for x in rows[j]]
+            out.append(tuple(map(tuple, rows)))
+        return out
+
+    def test_seeded_rectangular_matrices(self):
+        def mul(a, b):
+            return tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*b)) for row in a)
+
+        for a in self._seeded_matrices(3000):
+            m, n = len(a), len(a[0]) if a else 0
+            u, d, v = smith_normal_form(a)
+            assert (len(u), len(v)) == (m, n)
+            assert mul(mul(u, a), v) == d, a
+            assert all(IntMatrix(w).is_unimodular() for w in (u, v) if w)
+            diag = [d[i][i] for i in range(min(m, n))]
+            assert all(d[i][j] == 0 for i in range(m) for j in range(n) if i != j)
+            rank = sum(1 for x in diag if x)
+            assert all(x > 0 for x in diag[:rank]) and not any(diag[rank:]), diag
+            assert all(y % x == 0 for x, y in zip(diag[:rank], diag[1:rank]))
+            for k in range(1, min(m, n) + 1):
+                minors = (IntMatrix(tuple(tuple(a[i][j] for j in cols) for i in rows)).det()
+                          for rows in itertools.combinations(range(m), k)
+                          for cols in itertools.combinations(range(n), k))
+                assert math.prod(diag[:k]) == math.gcd(*minors), (a, k)
+
+    def test_inverse_from_the_smith_form(self):
+        """M times its numerators is den * I, den the last invariant factor;
+        a singular M has no inverse."""
+        square = [a for a in self._seeded_matrices(600) if a and len(a) == len(a[0])]
+        singular = 0
+        for a in square:
+            m = IntMatrix(a)
+            if m.det() == 0:
+                singular += 1
+                with pytest.raises(NotInvertibleError):
+                    _smith_inverse(a)
+                continue
+            numerators, den = _smith_inverse(a)
+            assert den == smith_normal_form(a)[1][-1][-1] > 0
+            scaled_identity = tuple(tuple(den * x for x in row) for row in IntMatrix.identity(m.dim).entries)
+            assert (m * IntMatrix(numerators)).entries == scaled_identity, a
+        assert singular and len(square) - singular > 50
 
 
 class TestFgAbelianGroup:

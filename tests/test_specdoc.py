@@ -166,6 +166,33 @@ class TestRoundTrip:
         text = emit_spec(doc)
         assert text.index('"group"') < text.index('"omega"') < text.index('"params"')
 
+    CYCLIC4 = {"elements": ["e", "g1", "g2", "g3"],
+               "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}
+
+    @pytest.mark.parametrize("data", [
+        {"group": {"kind": "fg_abelian", "rank": 0, "torsion": [5]},
+         "auto": {"torsion_map": {"0": [0], "1": [2], "2": [4], "3": [1], "4": [3]}},
+         "base": [[0], [1]]},
+        {"group": {"kind": "fg_abelian", "rank": 1, "torsion": [2, 2]},
+         "auto": {"lattice": [[-1]], "mixing": [[1, 0]],
+                  "torsion_map": {"0,0": [0, 0], "0,1": [1, 0], "1,0": [0, 1], "1,1": [1, 1]}},
+         "omega": [[1, 0, 1], [0, 1, 1]]},
+        {"group": {"kind": "crystal", "rank": 1, "point_group": CYCLIC4},
+         "auto": {"lattice": [[-1]], "quotient_map": {"g1": "g3", "g3": "g1"}},
+         "omega": [["g1", 0], ["e", 1]], "base": [["e", 0], ["g2", -2]]},
+        {"group": {"kind": "crystal", "rank": 1,
+                   "point_group": {"elements": ["e", "f"], "table": [[0, 1], [1, 0]]},
+                   "action": {"f": [[-1]]}},
+         "auto": {"translation": {"f": [2]}},
+         "omega": [["f", 0], ["e", 1]], "base": [["e", 0], ["f", 3]]},
+    ], ids=["torsion-map-1", "torsion-map-2-mixing", "crystal-quotient-map", "crystal-translation"])
+    def test_optional_blocks_round_trip(self, data):
+        """Each document is already canonical, so emitting it gives back the
+        same data, and parsing that gives back the same document."""
+        doc = parse_spec_data(data)
+        assert canonical_data(doc) == data
+        assert parse_spec_data(json.loads(emit_spec(doc))) == doc
+
     @settings(max_examples=30, deadline=None)
     @given(
         unimodular_strategy(2),
