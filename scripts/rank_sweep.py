@@ -6,6 +6,9 @@ sequence of delta values and prints rank, witness defect, and wall time.
 The table demonstrates the monotone staircase: tightening delta can only
 grow the witness, and the exact defect of the best k-point witness is
 2/k, so the rank jumps exactly when delta crosses one of those steps.
+The sweep stops, with one line saying so, at the first delta that no
+support inside the ball reaches; a ball of radius r holds 2r + 1 points
+on Z, so delta = 1/5 needs radius 5.
 
 Usage:
     python3 scripts/rank_sweep.py [--radius 8] [--rank 1]
@@ -20,7 +23,7 @@ from fractions import Fraction
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from dualent.groups import FgAbelianGroup
-from dualent.folner import min_rank_bruteforce
+from dualent.folner import RankSearchExhausted, min_rank_bruteforce
 
 DELTAS = [Fraction(9, 10), Fraction(3, 4), Fraction(1, 2), Fraction(2, 5),
           Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)]
@@ -41,7 +44,12 @@ def main() -> int:
     previous = 0
     for delta in DELTAS:
         t0 = time.time()
-        cert = min_rank_bruteforce(group, omega, delta, args.radius)
+        try:
+            cert = min_rank_bruteforce(group, omega, delta, args.radius)
+        except RankSearchExhausted:
+            print(f"{str(delta):>8s} no support within radius {args.radius} reaches it; "
+                  "a larger --radius reaches smaller deltas")
+            break
         elapsed = time.time() - t0
         print(f"{str(delta):>8s} {cert.rank:5d} {str(cert.defect_exact):>10s} {elapsed:7.2f}s")
         if cert.rank < previous:

@@ -8,11 +8,14 @@ points' successor rows, and the witness checked on its own support.
 The core enumerates only the supports that hold a run longer than 2/delta
 along every shift whose action on the searched points has no cycle and
 that have no isolated point other than 0, since no other support can be
-the first to succeed. It keys each support by its images, the position
-in the support of each shift's image of each of its points, and decides
-each class of supports whose LPs agree up to the order of their variables
-and rows with one exact LP; the class it accepts solves that LP once more,
-in the form whose optimal vertex scales to the witness.
+the first to succeed; on a lattice pool it also skips every support with
+a translate inside the pool that comes earlier or was rejected one size
+down, so it meets each class of lattice translates once. It keys each
+support by its images, the position in the support, read in key order,
+of each shift's image of each of its points, and decides each class of
+supports whose LPs agree up to the order of their variables and rows with
+one exact LP; the class it accepts solves that LP once more, in the form
+whose optimal vertex scales to the witness.
 """
 
 from __future__ import annotations
@@ -401,7 +404,8 @@ def _run_windows(n: int, row: Sequence[int], length: int) -> list[tuple[int, ...
 
 
 def _feasible_supports(
-    n: int, k: int, windows: Sequence[Sequence[tuple[int, ...]]], adjacent: Sequence[int]
+    n: int, k: int, windows: Sequence[Sequence[tuple[int, ...]]], adjacent: Sequence[int],
+    translates: Optional[_Translates] = None,
 ):
     """The k-point supports (0, *combo), combo from combinations(range(1, n),
     k - 1) in their lex order, restricted to the supports that contain a
@@ -423,6 +427,20 @@ def _feasible_supports(
     only when it has a neighbour above it, no later choice passes the
     highest neighbour of a pending point, and the last point must link to
     the prefix and to every pending point.
+
+    With translates (a `_Translates`), the points are a lattice pool
+    numbered in key order after the identity, and into[y] is the bitmask
+    of the points p with p - y in the pool. A support S is then dropped
+    when S lies in into[y] for a point y of S whose lattice part is
+    lex-positive (rule R1), or, when 0 is isolated in S, when S without 0
+    lies in into[y] for a point y != 0 of S (rule R2). `_search_supports`
+    proves that neither drop changes the first support accepted or the
+    classes it decides. R1 is applied to a whole prefix when the prefix
+    and every point above its last lie in one such into[y]: each support
+    under it then falls to R1, or to R2 when its 0 is isolated. Along a
+    prefix P the walk keeps the points y of P that may still serve, and
+    the AND of onto[p] over p in P, the points x with P inside into[x], so
+    that the last point serving as y costs one bit test.
     """
     slots = k - 1
     alive = []
@@ -439,6 +457,7 @@ def _feasible_supports(
         return
     looped = sum(1 << i for i, adj in enumerate(adjacent) if adj >> i & 1)
     may_wait = sum(1 << i for i, adj in enumerate(adjacent) if adj >> i)  # looped or a neighbour above
+    top = (1 << n) - 1
 
     def choices(last: int, left: int, alive: list, reach: int, pending: tuple) -> list:
         # Choosing x keeps a window whose next missing point is x, or one
@@ -471,18 +490,68 @@ def _feasible_supports(
             allowed ^= low
         return xs
 
+    if translates is not None:
+        ahead, into, onto = translates.ahead, translates.into, translates.onto
+
+    def moved(shifted: tuple, x: int) -> Optional[tuple]:
+        # shifted is (inter, movers, lone) for the prefix P: inter holds the
+        # points x with P in into[x], and movers the points y of P ahead with
+        # P in into[y]. While 0 is isolated in P, lone is (spared, others):
+        # the points x with P without 0 in into[x], and the points y != 0 of
+        # P with P without 0 in into[y]; once 0 is linked, lone is None.
+        # Returns the same for P extended by x, or None when R1 drops every
+        # support under that prefix.
+        inter, movers, lone = shifted
+        bit = 1 << x
+        movers = [y for y in movers if into[y] & bit]
+        if ahead & inter & bit:
+            movers.append(x)
+        if movers:
+            above = top ^ (2 * bit - 1)
+            if any(into[y] & above == above for y in movers):
+                return None
+        if lone is not None:
+            if adjacent[0] & bit:
+                lone = None
+            else:
+                spared, others = lone
+                others = [y for y in others if into[y] & bit]
+                if spared & bit:
+                    others.append(x)
+                lone = spared & onto[x], others
+        return inter & onto[x], movers, lone
+
+    def unmoved(shifted: tuple, lasts: list) -> list:
+        # The lasts that neither R1 nor R2 drops.
+        inter, movers, lone = shifted
+        drop = ahead & inter
+        for y in movers:
+            drop |= into[y]
+        if lone is not None:  # R2, for a last point not linked to 0 either
+            alone, others = lone
+            for y in others:
+                alone |= into[y]
+            drop |= alone & ~adjacent[0]
+        return [x for x in lasts if not drop >> x & 1]
+
     prefix = [0]
-    stack = [(alive, iter(choices(0, slots, alive, adjacent[0], ())), adjacent[0], ())]
+    shifted = None if translates is None else (onto[0], [], None if adjacent[0] & 1 else (top, []))
+    stack = [(alive, iter(choices(0, slots, alive, adjacent[0], ())), adjacent[0], (), shifted)]
     while stack:
-        alive, later, reach, pending = stack[-1]
+        alive, later, reach, pending, shifted = stack[-1]
         left = slots + 1 - len(stack)
         if left == 1:
             lasts = list(later)
+            if shifted is not None:
+                lasts = unmoved(shifted, lasts)
             if lasts:
                 yield tuple(prefix), lasts
         else:
             x = next(later, None)
             if x is not None:
+                further = None if shifted is None else moved(shifted, x)
+                if shifted is not None and further is None:
+                    continue  # R1 drops every support under the prefix extended by x
                 bit = 1 << x
                 upto = 2 * bit - 1
                 kept = []
@@ -495,7 +564,7 @@ def _feasible_supports(
                 waiting = tuple(adj for adj in pending if not adj & bit)
                 if not reach & bit:
                     waiting += (adjacent[x],)
-                stack.append((kept, iter(choices(x, left - 1, kept, reach, waiting)), reach, waiting))
+                stack.append((kept, iter(choices(x, left - 1, kept, reach, waiting)), reach, waiting, further))
                 prefix.append(x)
                 continue
         stack.pop()
@@ -611,19 +680,89 @@ def _shift_graph_form(k: int, images: Sequence[Sequence[int]]) -> tuple:
     return tuple(map(tuple, min(map(component_forms, itertools.product(*map(itertools.permutations, ties))))))
 
 
-def _without_isolated_zero(k: int, images: Sequence[Sequence[int]]) -> Optional[list[list[int]]]:
-    """The images of a k-point support without its point at position 0,
-    when k > 1 and no shift links that point to a point of the support,
-    itself included; None otherwise."""
-    if k < 2 or any(row[0] >= 0 or 0 in row for row in images):
+def _without_isolated_zero(k: int, images: Sequence[Sequence[int]], zero: int) -> Optional[list[list[int]]]:
+    """The images of a k-point support without its identity, the point at
+    position zero, when k > 1 and no shift links that point to a point of
+    the support, itself included; None otherwise."""
+    if k < 2 or any(row[zero] >= 0 or zero in row for row in images):
         return None
-    return [[j - 1 if j > 0 else -1 for j in row[1:]] for row in images]
+    return [[j - (j > zero) for j in row[:zero] + row[zero + 1:]] for row in images]
+
+
+class _Differences(dict):
+    """Bitmasks over the points of a lattice pool, built when first asked
+    for: self[y] holds the points p with p - y in the pool, or, with sign
+    -1, those with y - p in it. Point i is read as the integer
+    codes[i] + torsion[i]: codes[i] is its lattice part in balanced digits,
+    linear and exact on differences, and torsion[i] a multiple of a number
+    past every code difference, one per torsion tuple; minus[a, b] is the
+    multiple of the tuple a - b, or one no point has when the pool has no
+    such tuple. kinds holds, per torsion multiple, the bits and codes of
+    its points, and pool every point's integer."""
+
+    def __init__(self, codes: list[int], torsion: list[int], minus: dict, kinds: dict, pool: set, sign: int):
+        super().__init__()
+        self._codes, self._torsion, self._minus, self._kinds, self._pool = codes, torsion, minus, kinds, pool
+        self._sign = sign
+
+    def __missing__(self, y: int) -> int:
+        code, t, pool = self._codes[y], self._torsion[y], self._pool
+        mask = 0
+        for u, (bits, kind) in self._kinds.items():
+            if self._sign > 0:
+                at = code - self._minus[u, t]
+                hits = [c - at in pool for c in kind]
+            else:
+                at = code + self._minus[t, u]
+                hits = [at - c in pool for c in kind]
+            mask |= sum(itertools.compress(bits, hits))
+        self[y] = mask
+        return mask
+
+
+class _Translates:
+    """The translations of a lattice pool, numbered as `_pool_search` numbers
+    it: points[0] the identity, the others in key() order. into[y] is the
+    bitmask of the points p with p - y in the pool, and onto[p] that of
+    the points y with p - y in it; ahead is the bitmask of the points whose
+    lattice part is lex-positive, and zero the number of points before the
+    identity in key order. It lives for one search."""
+
+    def __init__(self, points: Sequence[AbelianElement]):
+        keys = [e.key() for e in points]
+        lattices = [lattice for lattice, _ in keys]
+        span = 4 * max(map(abs, itertools.chain.from_iterable(lattices)), default=0) + 1
+        codes = [0] * len(keys)
+        for column in zip(*lattices):
+            codes = [span * c + a for c, a in zip(codes, column)]
+        past = span ** len(lattices[0])  # more than twice any code difference
+        orders = points[0].group.torsion
+        tuples = {t for _, t in keys}
+        number = {t: past * i for i, t in enumerate(tuples)}
+        minus = {(number[a], number[b]): number.get(tuple(map(operator.mod, map(operator.sub, a, b), orders)),
+                                                    past * len(tuples))
+                 for a in tuples for b in tuples}
+        torsion = [number[t] for _, t in keys]
+        kinds = {}
+        for i, (c, u) in enumerate(zip(codes, torsion)):
+            bits, kind = kinds.setdefault(u, ([], []))
+            bits.append(1 << i)
+            kind.append(c)
+        pool = set(map(operator.add, codes, torsion))
+        self.into = _Differences(codes, torsion, minus, kinds, pool, 1)
+        # p - y lies in a pool closed under negation, such as a ball, exactly when y - p does
+        symmetric = all(minus[torsion[0], u] - c in pool for c, u in zip(codes, torsion))
+        self.onto = self.into if symmetric else _Differences(codes, torsion, minus, kinds, pool, -1)
+        # keys[1:] is sorted: the points ahead, and those before the identity, are runs of it
+        self.ahead = (1 << len(keys)) - (1 << bisect.bisect_right(lattices, lattices[0], 1))
+        self.zero = bisect.bisect_left(keys, keys[0], 1) - 1
 
 
 def _search_supports(
     n: int,
     rows: Sequence[Sequence[int]],
     delta: Fraction,
+    translates: Optional[_Translates] = None,
 ) -> Optional[tuple[int, tuple[int, ...], Optional[Fraction], tuple]]:
     """The rank search on points 0..n-1, point 0 the identity: supports
     (0, *combo) by size, then lexicographically, so the first whose optimum,
@@ -680,6 +819,40 @@ def _search_supports(
     form in the memo is a rejected class, so S is rejected without an LP
     when the form of S without 0 is in the memo.
 
+    translates (see `_Translates`) is given only for a lattice pool, whose
+    points after 0 are in key order. Translating a support by y, when
+    S - y lies in the pool too, maps the links inside S onto those inside
+    S - y: s + p = q exactly when s + (p - y) = q - y. So S - y holds the
+    runs of S, has the isolated points of S, and poses the same LP up to
+    relabelling its points. Two rules then skip S in the enumeration:
+    - R1: 0 is linked in S, and S - y lies in the pool for a point y of S
+      whose lattice part is lex-positive. Then s - y < s in key order for
+      every s in S, so the least point of S - y lies below the least of S,
+      which is at most 0: it is not 0, and it lies below every point of S
+      without 0. The search compares those points lexicographically, so
+      S - y, which holds 0 and no isolated point, comes earlier at the
+      same size, with the same form. Inductively on the search order, the
+      form of every support is met no later than without R1, and the first
+      support of each form is never skipped; so the classes decided, their
+      LPs and the first support accepted all stay.
+    - R2: 0 is isolated in S, and (S without 0) - y lies in the pool for a
+      point y != 0 of S. That translate holds 0, every run of S (a window
+      of two or more points through an isolated 0 would link it) and no
+      isolated point, so it was met at size k - 1 and rejected. The bound
+      above makes the optimum of S at least its optimum, so S is rejected
+      too. Every support with the form of S has an isolated point, which
+      only 0 may be, so its form is read only by supports that R2 or the
+      isolated-0 rule above rejects without an LP.
+
+    The memo reads each support in key order, the identity at its rank
+    translates.zero (at 0 without translates), so every translate of a
+    support by a lattice vector inside the pool has the same images: a
+    lattice translation keeps the key order. Those images feed the form
+    and the decision LP, whose maximum does not depend on the order of
+    its variables. Only the class accepted builds the images in support
+    order, 0 first, for its witness LP, so the simplex's pivot rule meets
+    the same vertex whatever order the memo reads.
+
     Returns (k, support, optimum, weights), or None when no support is
     accepted. optimum is None when a zero weight was blended away; the
     weights' defect must then be derived again.
@@ -695,24 +868,34 @@ def _search_supports(
             if j >= 0:
                 adjacent[i] |= 1 << j
                 adjacent[j] |= 1 << i
+    zero = 0 if translates is None else translates.zero  # points 1..zero lie before 0 in the memo's order
     # Everything the memos record was rejected: the first support whose LP
-    # optimum is below delta ends the search. So the LP that accepts, and
-    # the witness LP after it, are always the support's own, solved in its
-    # own position order.
+    # optimum is below delta ends the search. So the LP that accepts is
+    # always the support's own, read in the memo's order, and the witness
+    # LP after it is posed in the support's own position order.
     tested_forms = set()  # the _shift_graph_form of every support rejected
-    # pos[i] is the position of point i in the support, -1 when it is not in
-    # it; pos[-1], read for a link outside the points, stays -1.
+    # pos[i] is the position of point i in the support read in the memo's
+    # order, -1 when it is not in it; pos[-1], read for a link outside the
+    # points, stays -1.
     pos = [-1] * (n + 1)
     for k in range(1, n + 1):
         tested = set()  # the images of every support of size k tested
-        for prefix, lasts in _feasible_supports(n, k, windows, adjacent):
-            for p, x in enumerate(prefix):
+        for prefix, lasts in _feasible_supports(n, k, windows, adjacent, translates):
+            cut = bisect.bisect_right(prefix, zero, 1)  # prefix[1:cut] lies before 0
+            keyed = (*prefix[1:cut], *prefix[:1], *prefix[cut:])  # the prefix in the memo's order
+            for p, x in enumerate(keyed):
                 pos[x] = p
             for x in lasts:
-                pos[x] = k - 1
-                support = (*prefix, x)
-                images = tuple([tuple([pos[row[i]] for i in support]) for row in succ])
+                if 0 < x <= zero:  # x lies before 0, and so does the whole prefix
+                    read = (*keyed[:-1], x, 0)
+                    pos[x], pos[0] = k - 2, k - 1
+                else:
+                    read = (*keyed, x)
+                    pos[x] = k - 1
+                images = tuple([tuple([pos[row[i]] for i in read]) for row in succ])
                 pos[x] = -1
+                if prefix:
+                    pos[0] = cut - 1
                 if images in tested:
                     continue
                 tested.add(images)
@@ -720,17 +903,19 @@ def _search_supports(
                 if form in tested_forms:
                     continue
                 tested_forms.add(form)
-                rest = _without_isolated_zero(k, images)
+                rest = _without_isolated_zero(k, images, read.index(0))
                 if rest is not None and _shift_graph_form(k - 1, rest) in tested_forms:
                     continue
-                structures = [_shift_structure(m) for m in images]
-                decided = _max_mass_lp(k, structures, one_row=True)
+                decided = _max_mass_lp(k, [_shift_structure(m) for m in images], one_row=True)
+                if decided is not None and decided[0] * delta <= 1:
+                    continue
+                support = (*prefix, x)
+                place = {p: i for i, p in enumerate(support)}
+                structures = [_shift_structure([place.get(row[i], -1) for i in support]) for row in succ]
                 if decided is None:
                     optimum = Fraction(0)
                     weights = _max_mass_lp(k, structures, zero_defect=True)[1]
                 else:
-                    if decided[0] * delta <= 1:
-                        continue
                     found = _max_mass_lp(k, structures)
                     if found is None or found[0] != decided[0]:
                         raise InternalInvariantError(f"witness LP disagrees with decision LP maximum {decided[0]}")
@@ -745,25 +930,27 @@ def _search_supports(
                     eps = (delta - optimum) / 4
                     return k, support, None, tuple((1 - eps) * w + eps / k for w in weights)
                 return k, support, optimum, tuple(weights)
-            for x in prefix:
+            for x in keyed:
                 pos[x] = -1
     return None
 
 
 def _pool_search(
     pool: Iterable, multiply: Callable, identity, omega: Sequence, delta: Fraction, order: Callable,
-    where: str,
+    where: str, translates: Optional[Callable[[list], _Translates]] = None,
 ) -> tuple[int, tuple, tuple[Fraction, ...], Fraction]:
     """The one rank search over a pool of elements. The identity is point 0,
     the other elements follow in the given sort order, and shift s sends g
     to multiply(s, g), which leaves the points outside the pool. Runs
-    `_search_supports` on one successor row per shift; on exhaustion raises
+    `_search_supports` on one successor row per shift, with
+    translates(points) when translates is given; on exhaustion raises
     "no support of size <= n " + where. The accepted weights' defect is
     derived again on the successor rows of the witness's own support, and
     must be the search's optimum, or below delta when a zero weight was
     blended away. Returns (rank, support, weights, defect)."""
     points = [identity, *sorted((e for e in set(pool) if e != identity), key=order)]
-    found = _search_supports(len(points), list(_successor_rows(points, multiply, omega)), delta)
+    found = _search_supports(len(points), list(_successor_rows(points, multiply, omega)), delta,
+                             None if translates is None else translates(points))
     if found is None:
         raise RankSearchExhausted(f"no support of size <= {len(points)} {where}")
     k, support, optimum, weights = found
@@ -814,7 +1001,7 @@ def min_rank_bruteforce(
         raise ValueError("candidate set must contain 0")
     k, support, weights, achieved = _pool_search(
         pool, operator.add, zero, omega, delta_frac, AbelianElement.key,
-        f"within radius {radius} achieves defect < {delta}; retry with a larger radius",
+        f"within radius {radius} achieves defect < {delta}; retry with a larger radius", _Translates,
     )
     return RankCertificate(
         rank=k,

@@ -611,6 +611,32 @@ class TestLpMemo:
     def test_distinct_lp_count_pinned(self, monkeypatch, search, lps):
         assert self._lps_solved(monkeypatch, search) == lps
 
+    @staticmethod
+    def _forms_computed(monkeypatch):
+        """Counts the `_shift_graph_form` calls made from now on, the
+        isolated-zero rule's included: the returned list holds the count."""
+        real = folner._shift_graph_form
+        calls = [0]
+
+        def counting(k, images):
+            calls[0] += 1
+            return real(k, images)
+
+        monkeypatch.setattr(folner, "_shift_graph_form", counting)
+        return calls
+
+    # The comments give the calls before the translation prune (R1 and R2
+    # of `_feasible_supports`), which walks each lattice-translation class
+    # of supports once. Z^2 at radius 3 is pinned in test_rank_golden.
+    @pytest.mark.parametrize("search, forms", [
+        (_document_search("fg_abelian_mixed.json", 8), 621),  # 2,109
+        (lambda: min_rank_bruteforce(Z2, [Z2.element((1, 0)), Z2.element((0, 1))], F(3, 4), 2), 4062),  # 9,874
+    ], ids=["fg_abelian_mixed-r8", "z2-axes-r2-delta3/4"])
+    def test_form_calls_pinned(self, monkeypatch, search, forms):
+        calls = self._forms_computed(monkeypatch)
+        search()
+        assert calls == [forms]
+
     def test_no_state_carries_over_between_searches(self, monkeypatch):
         search = _document_search("fg_abelian_mixed.json", 3)
         first = self._lps_solved(monkeypatch, search)
@@ -845,7 +871,7 @@ class TestIsolatedZero:
                     support = (*prefix, last)
                     members = set(support)
                     linked = any(row[0] in members or any(row[q] == 0 for q in members) for row in succ)
-                    rest = folner._without_isolated_zero(k, _images(succ, support))
+                    rest = folner._without_isolated_zero(k, _images(succ, support), 0)
                     if linked or k == 1:
                         assert rest is None
                     else:
@@ -854,14 +880,34 @@ class TestIsolatedZero:
         assert fired == self.FIRES[case]
 
     def test_certificates_stay_the_same(self, monkeypatch):
-        # the rule fires on 54 supports at the document radius
+        # the rule fires on 54 supports at the document radius. Rule R2 of
+        # the translation prune skips most of them before the rule is read,
+        # so the counterfactual switches both off
         search = _document_search("fg_abelian_mixed.json", 8)
         cert = search()
         assert TestLpMemo._lps_solved(monkeypatch, search) == 140
-        monkeypatch.setattr(folner, "_without_isolated_zero", lambda k, images: None)
+        monkeypatch.setattr(folner, "_without_isolated_zero", lambda k, images, zero: None)
+        assert TestLpMemo._lps_solved(monkeypatch, search) == 152
+        monkeypatch.setattr(folner, "_Translates", None)
         plain = search()
         assert (plain, plain.defect_exact) == (cert, cert.defect_exact)
         assert TestLpMemo._lps_solved(monkeypatch, search) == 194
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rule_reads_the_identity_where_it_lies(self, seed):
+        # the images of a support read in any order: the rule drops the
+        # identity wherever it lies, and agrees with the reading 0 first
+        n, succ = _numbered_ball(ZC2, 2, [ZC2.element((1,), (0,)), ZC2.element((2,), (1,))])
+        rng = random.Random(seed)
+        for _ in range(200):
+            k = rng.randint(1, 6)
+            support = (0, *sorted(rng.sample(range(1, n), k - 1)))
+            read = rng.sample(support, k)
+            rest = folner._without_isolated_zero(k, _images(succ, read), read.index(0))
+            first = folner._without_isolated_zero(k, _images(succ, support), 0)
+            assert (rest is None) == (first is None)
+            if rest is not None:
+                assert tuple(map(tuple, rest)) == _images(succ, [p for p in read if p])
 
 
 class TestDecisionLp:
@@ -1328,8 +1374,10 @@ class TestReferenceSearch:
         rng = random.Random(seed)
         omega = _seeded_shifts(rng, group, choices)
         delta = rng.choice(REFERENCE_DELTAS)
-        n, rows = _numbered_ball(group, radius, omega)
-        assert folner._search_supports(n, rows, delta) == _reference_search(n, rows, delta)
+        points, rows = _numbered_pool(group.ball(radius), omega)
+        found = _reference_search(len(points), rows, delta)
+        assert folner._search_supports(len(points), rows, delta) == found
+        assert folner._search_supports(len(points), rows, delta, folner._Translates(points)) == found
 
     @pytest.mark.parametrize("seed", range(12))
     def test_candidate_pool(self, seed):
@@ -1341,6 +1389,7 @@ class TestReferenceSearch:
         points, rows = _numbered_pool(pool, omega)
         found = _reference_search(len(points), rows, delta)
         assert folner._search_supports(len(points), rows, delta) == found
+        assert folner._search_supports(len(points), rows, delta, folner._Translates(points)) == found
         if found is not None:
             cert = min_rank_bruteforce(Z2, omega, delta, 2, candidates=pool)
             assert cert.rank == found[0]
@@ -1374,6 +1423,97 @@ class TestReferenceSearch:
         rank, witness = min_rank_table(elements, multiply, identity, omega, delta)
         assert rank == k
         assert witness == {points[i]: w for i, w in zip(support, weights)}
+
+
+# (id, group, largest radius, shift choices as (lattice, torsion))
+TRANSLATION_CASES = [
+    ("z", Z1, 3, [((1,), ()), ((2,), ()), ((3,), ())]),
+    ("z2", Z2, 2, [((1, 0), ()), ((0, 1), ()), ((1, 1), ()), ((1, -1), ()), ((2, 1), ())]),
+    ("zxz2", ZC2, 3, [((1,), (0,)), ((0,), (1,)), ((1,), (1,)), ((2,), (1,))]),
+    ("zxz3", ZC3, 3, [((1,), (0,)), ((0,), (1,)), ((1,), (1,)), ((1,), (2,))]),
+]
+
+
+def _seeded_automorphism(group, rng):
+    """Three seeded unit row operations on Z^2 (perfbench's coordinate
+    change); on Z and Z x Z/d a sign, and on Z x Z/d a unit of Z/d on the
+    torsion and a seeded mixing."""
+    if group.rank == 2:
+        m = [[1, 0], [0, 1]]
+        for _ in range(3):
+            i = rng.randrange(2)
+            c = rng.choice((-1, 1))
+            m[i] = [a + c * b for a, b in zip(m[i], m[1 - i])]
+        return AbelianAutomorphism.from_matrix(group, m)
+    sign = [[rng.choice((-1, 1))]]
+    if not group.torsion:
+        return AbelianAutomorphism.from_matrix(group, sign)
+    (d,) = group.torsion
+    unit = rng.choice([u for u in range(1, d) if math.gcd(u, d) == 1])
+    return AbelianAutomorphism.build(group, sign, {(t,): (unit * t % d,) for t in range(d)}, [[rng.randrange(d)]])
+
+
+def _moved_problem(name, group, largest, choices, delta, seed):
+    """A seeded search on group: one or two of choices as shifts, each with
+    a random sign, at a radius from 2 to largest, with the shifts and the
+    ball moved by a seeded automorphism. On Z^2 at delta = 1/2 one shift
+    only: two independent shifts need a run of five along each, and that
+    search is the rank frontier (ROADMAP item 15), a minute at radius 2."""
+    rng = random.Random(f"{name}-{delta}-{seed}")
+    picked = rng.sample(choices, 1 if (name, delta) == ("z2", F(1, 2)) else rng.randint(1, 2))
+    shifts = [group.element(*s) if rng.random() < 0.5 else -group.element(*s) for s in picked]
+    radius = rng.randint(2, largest)
+    phi = _seeded_automorphism(group, rng)
+    return [phi.apply(s) for s in shifts], radius, [phi.apply(e) for e in group.ball(radius)]
+
+
+class TestTranslationPrune:
+    """The lattice search walks each lattice-translation class of supports
+    once; with the translation data switched off it walks every support.
+    Both must give the same certificate, or both exhaust the pool, after
+    the same decision LPs."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("delta", [F(3, 2), F(1), F(3, 4), F(1, 2)], ids=str)
+    @pytest.mark.parametrize("case", TRANSLATION_CASES, ids=[case[0] for case in TRANSLATION_CASES])
+    def test_same_certificate_and_lps_with_and_without(self, monkeypatch, case, delta, seed):
+        group = case[1]
+        omega, radius, candidates = _moved_problem(*case, delta, seed)
+        found = []
+
+        def search():
+            try:
+                cert = min_rank_bruteforce(group, omega, delta, radius, candidates=candidates)
+            except RankSearchExhausted:
+                found.append(None)
+            else:
+                found.append((cert.rank, cert.witness.support, cert.witness.weights, cert.defect_exact))
+
+        on = TestLpMemo._lps_solved(monkeypatch, search, compare=False)
+        monkeypatch.setattr(folner, "_Translates", None)
+        off = TestLpMemo._lps_solved(monkeypatch, search, compare=False)
+        assert found[0] == found[1]
+        assert on == off
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("group", [Z1, Z2, ZC2, ZC3, FgAbelianGroup(2, (2, 3)), FgAbelianGroup(0, (4, 6))],
+                             ids=["z", "z2", "zxz2", "zxz3", "z2xz2xz3", "z4xz6"])
+    def test_translates_match_the_group(self, group, seed):
+        # the bitmasks built from integer codes against the group's
+        # subtraction, on a ball and on a seeded sample of it, which is
+        # not symmetric in general
+        rng = random.Random(seed)
+        ball = group.ball(2)
+        others = [e for e in ball if not e.is_zero()]
+        pool = ball if seed == 0 else [group.zero(), *rng.sample(others, len(others) // 2)]
+        points, _ = _numbered_pool(pool, [])
+        translates = folner._Translates(points)
+        members = set(points)
+        for y, b in enumerate(points):
+            assert translates.into[y] == sum(1 << i for i, a in enumerate(points) if a - b in members)
+            assert translates.onto[y] == sum(1 << i for i, a in enumerate(points) if b - a in members)
+        assert translates.ahead == sum(1 << i for i, a in enumerate(points) if a.lattice > (0,) * group.rank)
+        assert translates.zero == sum(a.key() < group.zero().key() for a in points)
 
 
 class TestMinRankTable:

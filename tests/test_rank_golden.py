@@ -124,11 +124,16 @@ def test_z2_axes_radius3_certificate_and_lps_pinned(monkeypatch):
     # under the two axis shifts, about 6 s, with the decision LPs of the
     # same run. The delta = 2/3 radius-2 row of the same table is pinned
     # below, outside the default run.
+    # Its `_shift_graph_form` calls fell from 66,468 to 23,033 with the
+    # translation prune, which walks each lattice-translation class of
+    # supports once.
     certs = []
+    forms = test_folner.TestLpMemo._forms_computed(monkeypatch)
     lps = test_folner.TestLpMemo._lps_solved(monkeypatch, lambda: certs.append(
         min_rank_bruteforce(Z2, [Z2.element((1, 0)), Z2.element((0, 1))], F(3, 4), 3)
     ))
     assert lps == 1193
+    assert forms == [23033]
     [cert] = certs
     assert cert.rank == 9
     assert tuple(_key(e) for e in cert.witness.support) == tuple(
@@ -140,16 +145,20 @@ def test_z2_axes_radius3_certificate_and_lps_pinned(monkeypatch):
 
 
 @pytest.mark.skipif(not os.environ.get("DUALENT_FRONTIER"),
-                    reason="10-18 s; set DUALENT_FRONTIER=1 to run it")
+                    reason="9-16 s; set DUALENT_FRONTIER=1 to run it")
 def test_z2_axes_radius2_delta2_3_certificate_and_lps_pinned(monkeypatch):
     # ROADMAP item 15's delta = 2/3 radius-2 row: the 25-point ball of Z^2
     # under the two axis shifts. Its 7,902 decision LPs are not solved a
     # second time in the two-row form here, which would double the time.
+    # Its `_shift_graph_form` calls fell from 106,732 to 83,658 with the
+    # translation prune.
     certs = []
+    forms = test_folner.TestLpMemo._forms_computed(monkeypatch)
     lps = test_folner.TestLpMemo._lps_solved(monkeypatch, lambda: certs.append(
         min_rank_bruteforce(Z2, [Z2.element((1, 0)), Z2.element((0, 1))], F(2, 3), 2)
     ), compare=False)
     assert lps == 7902
+    assert forms == [83658]
     [cert] = certs
     assert cert.rank == 13
     assert tuple(_key(e) for e in cert.witness.support) == tuple(
