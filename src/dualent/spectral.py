@@ -17,10 +17,10 @@ from typing import Sequence
 
 from .groups import IntMatrix, _as_int
 
-# Computed eigenvalue moduli this close to 1 are snapped to exactly 1. This is
-# a heuristic: char_poly takes any degree, and no gap between the unit circle
+# Computed eigenvalue moduli this close to 1 are snapped to exactly 1. Only
+# polynomials with a root off the circle get here (_on_unit_circle decides
+# the rest exactly), and it is a heuristic: no gap between the unit circle
 # and the other roots of integer polynomials is proved here for every degree.
-# Deciding zero entropy exactly (cyclotomic factors) is ROADMAP item 4.
 UNIT_CIRCLE_SNAP = 1e-10
 
 DEFAULT_ROOT_TOL = 1e-12
@@ -189,6 +189,27 @@ def _primitive(p: list[int]) -> list[int]:
     return [c // g for c in p]
 
 
+# The largest prime below 2^30: every residue is one CPython digit.
+_SQUAREFREE_PRIME = (1 << 30) - 35
+
+
+def _coprime_to_derivative_mod_prime(p: Sequence[int]) -> bool:
+    """gcd(p, p') = 1 in GF(P)[x], P = _SQUAREFREE_PRIME, by Euclid, for p
+    monic of degree below P, so that p' mod P keeps its degree."""
+    q = _SQUAREFREE_PRIME
+    a, b = [c % q for c in p], [c % q for c in _derivative(p)]
+    while b:
+        inv = pow(b[0], -1, q)
+        tail = [c * inv % q for c in b[1:]]
+        while len(a) >= len(b):
+            lead = a[0]
+            a = [(x - lead * y) % q for x, y in zip(a[1:], tail)] + a[len(b):]
+            while a and not a[0]:
+                del a[0]
+        a, b = b, a
+    return len(a) == 1
+
+
 def _derivative(p: list[int]) -> list[int]:
     n = len(p) - 1
     return [c * (n - i) for i, c in enumerate(p[:-1])]
@@ -239,9 +260,13 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     """Yun's algorithm over Z: returns the primitive square-free factors f_i
     (positive leading coefficient, nonconstant) with their multiplicities i,
     in increasing i, so p = content * prod f_i^i up to sign. Every gcd is a
-    primitive pseudo-remainder gcd and every division is exact in Z[x]."""
+    primitive pseudo-remainder gcd and every division is exact in Z[x].
+    A monic p with gcd(p, p') = 1 mod _SQUAREFREE_PRIME is [(p, 1)] at once:
+    a monic square factor g^2 of p would leave its image ḡ in that gcd."""
     if p.degree == 0:
         return []
+    if p.coeffs[0] == 1 and _coprime_to_derivative_mod_prime(p.coeffs):
+        return [(p, 1)]
     f = _primitive(list(p.coeffs))
     fp = _derivative(f)
     u = _gcd(f, fp)
@@ -360,6 +385,36 @@ def _residual_ok(p: IntPolynomial, r: complex, tol: float) -> bool:
     return abs(p(r)) <= tol * max(scale, 1.0)
 
 
+def _require_positive_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
+def _on_unit_circle(poly: IntPolynomial) -> bool:
+    """True exactly when every root of the monic integer polynomial lies on
+    the unit circle. Such a p has |p(0)| = 1 and roots closed under λ -> 1/λ
+    = conj λ, so it is its reversal x^n p(1/x) up to sign. Graeffe's step
+    p_(k+1)(x^2) = (-1)^n p_k(x) p_k(-x) squares the roots, keeping p_k monic
+    in Z[x]. On the circle, p_k's coefficient of x^(n-i), a symmetric function
+    of n unimodular roots, stays within binomial(n, i): some p_k repeats. Else
+    a root lies outside it (|p(0)| = 1), p's Mahler measure M exceeds 1, and
+    p_k's, M^(2^k), never repeats and outgrows every M(q) <= |q|_1 <= 2^n of
+    a q within the bounds."""
+    cs, n = poly.coeffs, poly.degree
+    if abs(cs[-1]) != 1 or (cs[::-1] != cs and tuple(-c for c in cs[::-1]) != cs):
+        return False
+    bounds = [math.comb(n, i) for i in range(n + 1)]
+    seen = set()
+    while cs not in seen:
+        if any(abs(c) > b for c, b in zip(cs, bounds)):
+            return False
+        seen.add(cs)
+        alt = [-c if i % 2 else c for i, c in enumerate(cs)]
+        cs = tuple(sum(cs[i] * alt[2 * k - i] for i in range(max(0, 2 * k - n), min(2 * k, n) + 1))
+                   for k in range(n + 1))
+    return True
+
+
 def complex_roots(p: IntPolynomial, tol: float = DEFAULT_ROOT_TOL) -> list[complex]:
     """All complex roots of p, repeated with multiplicity.
 
@@ -368,8 +423,10 @@ def complex_roots(p: IntPolynomial, tol: float = DEFAULT_ROOT_TOL) -> list[compl
     each square-free factor f, not on p: each root r returned for f satisfies
     |f(r)| <= t * sum_i |f_i| |r|^i with t = max(tol, 1e-11), so a tol below
     1e-11 does not tighten it. A failure to reach that residual raises
-    RootFindingError rather than returning silently degraded values.
+    RootFindingError rather than returning silently degraded values. A tol
+    that is not finite and positive raises ValueError.
     """
+    _require_positive_tol(tol)
     roots: list[complex] = []
     for factor, mult in squarefree_decomposition(p):
         for r in _aberth_simple_roots(factor.coeffs):
@@ -385,14 +442,17 @@ def eigen_entropy(matrix: IntMatrix, tol: float = DEFAULT_ROOT_TOL) -> EntropyEs
     """Entropy of the automorphism of Z^n given by a unimodular integer
     matrix: the sum of log|lambda| over eigenvalues outside the closed unit
     disc, equivalently the log Mahler measure of the characteristic
-    polynomial. A matrix of any other determinant raises ValueError.
+    polynomial, exactly 0 with no root finding when every root is on the
+    unit circle. Another determinant, or a tol not finite and positive,
+    raises ValueError.
     """
+    _require_positive_tol(tol)
     poly = char_poly(matrix)
     # det(t*I - M) at t = 0 is det(-M) = (-1)^n det M.
     d = -poly.coeffs[-1] if poly.degree % 2 else poly.coeffs[-1]
     if d not in (1, -1):
         raise ValueError(f"determinant is {d}; an automorphism of Z^n must be unimodular")
-    roots = complex_roots(poly, tol)
+    roots = [1.0] * poly.degree if _on_unit_circle(poly) else complex_roots(poly, tol)
     total = 0.0
     moduli = []
     for r in roots:

@@ -1,6 +1,8 @@
 import cmath
+import contextlib
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dualent import spectral
 from dualent.groups import IntMatrix
 from dualent.laws import random_unimodular
+from dualent.specdoc import parse_spec
 from dualent.spectral import (
     IntPolynomial,
     char_poly,
@@ -15,6 +18,8 @@ from dualent.spectral import (
     complex_roots,
     eigen_entropy,
 )
+from tests.conftest import EXAMPLE_DIR
+from tests.test_entropy_golden import LEHMER, _companion
 from tests.test_groups import unimodular_strategy
 
 GOLDEN_ENTROPY = 0.9624236501192069
@@ -518,3 +523,223 @@ def test_slowly_converging_aberth_matches_numpy_log_mahler():
     moduli = np.abs(np.linalg.eigvals(np.array(ABERTH_SLOW_MATRIX, dtype=float)))
     expected = float(sum(math.log(r) for r in moduli if r > 1))
     assert eigen_entropy(m).value == pytest.approx(expected, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Exact decision of polynomials with every root on the unit circle
+
+
+CAT = IntMatrix(((2, 1), (1, 1)))
+QUARTER = IntMatrix(((0, -1), (1, 0)))
+TRIBONACCI = IntMatrix(((0, 0, 1), (1, 0, 1), (0, 1, 1)))
+SALEM_QUARTIC = IntPolynomial((1, -1, -1, -1, 1))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0])
+@pytest.mark.parametrize("matrix", [QUARTER, CAT], ids=["quarter", "cat"])
+def test_tol_must_be_finite_and_positive(matrix, tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        eigen_entropy(matrix, tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        complex_roots(char_poly(matrix), tol)
+
+
+def _x_power_minus_one(k: int) -> IntPolynomial:
+    return IntPolynomial((1,) + (0,) * (k - 1) + (-1,))
+
+
+def _cyclotomic_table(max_degree: int) -> dict[int, IntPolynomial]:
+    """Phi_k for every k with phi(k) <= max_degree: x^k - 1 divided exactly
+    by Phi_d for each proper divisor d of k, whose phi(d) <= phi(k). As
+    phi(k) >= sqrt(k / 2), k runs to 2 * max_degree^2; phi is sieved."""
+    limit = 2 * max_degree * max_degree
+    phi = list(range(limit + 1))
+    for i in range(2, limit + 1):
+        if phi[i] == i:
+            for j in range(i, limit + 1, i):
+                phi[j] -= phi[j] // i
+    table = {}
+    for k in range(1, limit + 1):
+        if phi[k] <= max_degree:
+            quotient = list(_x_power_minus_one(k).coeffs)
+            for d in table:
+                if k % d == 0:
+                    quotient = spectral._exact_quotient(quotient, list(table[d].coeffs))
+            table[k] = IntPolynomial(tuple(quotient))
+    return table
+
+
+CYCLOTOMIC = _cyclotomic_table(40)
+
+
+def _minus_x(p: IntPolynomial) -> IntPolynomial:
+    """(-1)^n p(-x): monic, with the roots of p negated."""
+    return IntPolynomial(tuple(-c if i % 2 else c for i, c in enumerate(p.coeffs)))
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the main thread after `seconds`: a predicate
+    that never answers fails its test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _within_first_bounds(p: IntPolynomial) -> bool:
+    """p passes the reversal filter and its own coefficient bounds, so only
+    Graeffe iterates can tell whether it is on the unit circle."""
+    cs, n = p.coeffs, p.degree
+    return (
+        abs(cs[-1]) == 1
+        and cs[::-1] in (cs, tuple(-c for c in cs))
+        and all(abs(c) <= math.comb(n, i) for i, c in enumerate(cs))
+    )
+
+
+def test_cyclotomic_table_is_complete():
+    # phi(k) <= 40 holds for 81 values of k, the largest 150.
+    assert len(CYCLOTOMIC) == 81 and max(CYCLOTOMIC) == 150
+    assert CYCLOTOMIC[1].coeffs == (1, -1) and CYCLOTOMIC[12].coeffs == (1, 0, -1, 0, 1)
+    for k, f in CYCLOTOMIC.items():
+        assert f.degree == sum(math.gcd(j, k) == 1 for j in range(1, k + 1))
+
+
+def _on_circle_cases() -> list[tuple[str, IntPolynomial]]:
+    rng = random.Random(39)
+    cases = [(f"Phi_{k}", f) for k, f in CYCLOTOMIC.items()]
+    cases.append(("(x-1)^2 (x+1)^3", _power(CYCLOTOMIC[1], 2) * _power(CYCLOTOMIC[2], 3)))
+    cases.append(("x^40 - 1", _x_power_minus_one(40)))
+    cases.append(("(x^12 - 1)^3", _power(_x_power_minus_one(12), 3)))
+    for i in range(40):
+        ks = rng.sample(sorted(CYCLOTOMIC), rng.randint(2, 4))
+        p = IntPolynomial((1,))
+        for k in ks:
+            p = p * _power(CYCLOTOMIC[k], rng.randint(1, 3))
+        cases.append((f"product-{i}", p))
+    cases.extend((f"-x: {label}", _minus_x(p)) for label, p in list(cases))
+    return cases
+
+
+@pytest.mark.parametrize("label, p", _on_circle_cases())
+def test_on_unit_circle_accepts_cyclotomic_products(label, p):
+    with _deadline(10):
+        assert spectral._on_unit_circle(p)
+
+
+def _off_circle_cases() -> list[tuple[str, IntPolynomial]]:
+    lehmer = IntPolynomial(LEHMER)
+    cases = [("lehmer", lehmer), ("salem quartic", SALEM_QUARTIC)]
+    cases.extend((f"Phi_{k} lehmer", CYCLOTOMIC[k] * lehmer) for k in (1, 2, 3, 5, 12, 30))
+    cases.append(("(x^2 - 3x + 1)(x^2 + 1)^2", char_poly(IntMatrix.block_diag(CAT, QUARTER, QUARTER))))
+    cases.extend((f"-x: {label}", _minus_x(p)) for label, p in list(cases))
+    return cases
+
+
+@pytest.mark.parametrize("label, p", _off_circle_cases())
+def test_on_unit_circle_rejects_reciprocal_polynomials_off_the_circle(label, p):
+    assert _within_first_bounds(p)
+    with _deadline(10):
+        assert not spectral._on_unit_circle(p)
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ((1, -3, 1), False),         # the cat map: past the bound at once
+    ((1, -1, -1, -1), False),    # tribonacci: not its own reversal
+    ((1, 0, 0, 2), False),       # |p(0)| = 2
+    ((1,), True),                # degree 0: no roots, vacuously on the circle
+])
+def test_on_unit_circle_filters(coeffs, expected):
+    assert spectral._on_unit_circle(IntPolynomial(coeffs)) is expected
+
+
+def _monic_cases(seed: int) -> list[IntPolynomial]:
+    """Seeded monic polynomials: products of random monic factors, with
+    squares and without."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(200):
+        p = IntPolynomial((1,))
+        for _ in range(rng.randint(1, 4)):
+            factor = IntPolynomial((1,) + tuple(rng.randint(-5, 5) for _ in range(rng.randint(1, 4))))
+            p = p * _power(factor, rng.choice((1, 1, 1, 2, 3)))
+        out.append(p)
+    return out
+
+
+P = (1 << 30) - 35
+
+
+def test_squarefree_prime_is_the_largest_below_2_to_the_30():
+    assert spectral._SQUAREFREE_PRIME == P
+    assert all(pow(a, P - 1, P) == 1 for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+    assert not any(all(pow(a, q - 1, q) == 1 for a in (2, 3, 5, 7)) for q in range(P + 2, 1 << 30, 2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_modular_exit_agrees_with_yun(seed, monkeypatch):
+    cases = _monic_cases(seed)
+    # (x - 1)(x - 1 - P) is square-free over Q, but its roots meet mod P.
+    cases.append(IntPolynomial((1, -1)) * IntPolynomial((1, -1 - P)))
+    exits = [spectral._coprime_to_derivative_mod_prime(p.coeffs) for p in cases]
+    gcds = []
+    real_gcd = spectral._gcd
+    monkeypatch.setattr(spectral, "_gcd", lambda a, b: gcds.append(a) or real_gcd(a, b))
+    fast = []
+    for p, took_exit in zip(cases, exits):
+        gcds.clear()
+        fast.append(squarefree_decomposition(p))
+        assert (not gcds) == took_exit  # the exit runs no gcd over Z; Yun runs one at least
+    monkeypatch.setattr(spectral, "_coprime_to_derivative_mod_prime", lambda p: False)
+    yun = [squarefree_decomposition(p) for p in cases]
+    assert fast == yun
+    squarefree = [parts == [(p, 1)] for p, parts in zip(cases, yun)]
+    assert all(sf for sf, took_exit in zip(squarefree, exits) if took_exit)
+    assert squarefree[-1] and not exits[-1]
+    assert any(exits) and not all(squarefree)
+
+
+def _count_root_finding(monkeypatch) -> dict[str, int]:
+    counts = {"complex_roots": 0, "squarefree_decomposition": 0}
+    for name in counts:
+        real = getattr(spectral, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(spectral, name, counted)
+    return counts
+
+
+def _on_circle_matrices() -> list[tuple[str, IntMatrix]]:
+    cases = [(f"x^{n}-1", _companion(_x_power_minus_one(n).coeffs)) for n in range(1, 41)]
+    cases.append(("cyclic-128", _companion(_x_power_minus_one(128).coeffs)))
+    cases.append(("identity4", IntMatrix.identity(4)))
+    cases.append(("torus_rotation", parse_spec(str(EXAMPLE_DIR / "torus_rotation.json")).automorphism.lattice_part))
+    return cases
+
+
+@pytest.mark.parametrize("label, m", _on_circle_matrices())
+def test_no_root_finding_on_the_unit_circle(label, m, monkeypatch):
+    counts = _count_root_finding(monkeypatch)
+    est = eigen_entropy(m)
+    assert counts == {"complex_roots": 0, "squarefree_decomposition": 0}
+    assert est.value == 0.0
+    assert est.diagnostics["root_moduli"] == [1.0] * m.dim
+
+
+@pytest.mark.parametrize("label, m, expected", [
+    ("cat", CAT, GOLDEN_ENTROPY),
+    ("tribonacci", TRIBONACCI, 0.6093778634360063),
+    ("cat+quarter+quarter", IntMatrix.block_diag(CAT, QUARTER, QUARTER), GOLDEN_ENTROPY),
+])
+def test_one_root_finding_off_the_unit_circle(label, m, expected, monkeypatch):
+    counts = _count_root_finding(monkeypatch)
+    assert eigen_entropy(m).value == pytest.approx(expected, abs=1e-9)
+    assert counts == {"complex_roots": 1, "squarefree_decomposition": 1}
